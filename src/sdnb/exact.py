@@ -289,5 +289,8 @@ def mult_order_mod_pm1(a: int, m: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "n" or "n/d" decimal strings."""
-    return Fraction(text.strip())
+    """Parse "n" or "n/d" decimal strings; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

@@ -5,13 +5,21 @@ class, signature, Hasse-Witt class w2 = sum of (a_i, a_j) over i < j),
 rank-stratified local isotropy, Hasse-Minkowski over Q, representation and
 sums-of-squares decisions, and exact trace forms via Newton power sums.
 
-All arithmetic is exact.  The ternary witness search is the only numeric
+All arithmetic is exact.  Trace forms are built from integer power sums.  A
+Gram matrix is scaled to integers by the common denominator of its entries
+and reduced once, at construction, by fraction-free Bareiss elimination
+(Bareiss, Math. Comp. 22, 1968); the determinant and, when no leading
+principal minor vanishes, the diagonal form are read off that one pass.
+Only Gram matrices with a vanishing leading minor are diagonalized by the
+``Fraction`` pivot rule.  The Hasse-Witt class is summed over the square
+classes of the entries with their multiplicities, a handful of cup products
+rather than one per pair.  The ternary witness search is the only numeric
 loop and it verifies every candidate in integer arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence
@@ -60,62 +68,110 @@ class DiagonalForm:
         return "<" + ", ".join(str(a) for a in self.entries) + ">"
 
 
-def _exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [list(map(Fraction, row)) for row in rows]
-    det = Fraction(1)
+def _integer_rows(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[int]], int]:
+    """The rows scaled by their common denominator L, and L."""
+    lcd = 1
+    for row in rows:
+        for x in row:
+            lcd = lcd * x.denominator // gcd(lcd, x.denominator)
+    return [[x.numerator * (lcd // x.denominator) for x in row] for row in rows], lcd
+
+
+def _bareiss(a: list[list[int]]) -> tuple[int, list[int] | None]:
+    """Fraction-free elimination of a square integer matrix (Bareiss 1968).
+
+    Eliminates in place.  Returns the determinant and, when none of them vanishes, the leading
+    principal minors D_1, ..., D_n: without row swaps the k-th pivot is D_k
+    and every division by the previous pivot is exact.  A zero pivot swaps
+    in the first row below with a nonzero entry in that column; the
+    determinant stays exact, but the pivots are no longer leading minors, so
+    the minors come back as None.
+    """
+    n = len(a)
+    minors: list[int] | None = []
+    sign, prev = 1, 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0, None
+            a[k], a[swap] = a[swap], a[k]
+            sign, minors = -sign, None
+        pivot_row = a[k]
+        piv = pivot_row[k]
+        if minors is not None:
+            minors.append(piv)
+        tail = pivot_row[k + 1:]
         for i in range(k + 1, n):
-            if a[i][k]:
-                t = a[i][k] * inv
-                a[i] = [x - t * y for x, y in zip(a[i], a[k])]
-    return det
+            row = a[i]
+            c = row[k]
+            row[k + 1:] = [(piv * x - c * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = piv
+    return sign * prev, minors
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric nondegenerate matrix of rationals."""
+    """Symmetric nondegenerate matrix of rationals.
+
+    Construction runs one fraction-free elimination of the rows scaled to
+    integers; ``det`` and ``diagonalize`` read its result.
+    """
 
     rows: tuple[tuple[Fraction, ...], ...]
+    _det: Fraction = field(init=False, repr=False, compare=False)
+    _scale: int = field(init=False, repr=False, compare=False)
+    _minors: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
         coerced = tuple(tuple(Fraction(x) for x in row) for row in rows)
         n = len(coerced)
         if n == 0 or any(len(row) != n for row in coerced):
             raise ValueError("Gram matrix must be square and nonempty")
+        m, lcd = _integer_rows(coerced)
         for i in range(n):
             for j in range(i):
-                if coerced[i][j] != coerced[j][i]:
+                if m[i][j] != m[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        if _exact_det(coerced) == 0:
+        det, minors = _bareiss(m)
+        if det == 0:
             raise ValueError("Gram matrix is degenerate")
         object.__setattr__(self, "rows", coerced)
+        object.__setattr__(self, "_det", Fraction(det, lcd**n))
+        object.__setattr__(self, "_scale", lcd)
+        object.__setattr__(self, "_minors", None if minors is None else tuple(minors))
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
     def det(self) -> Fraction:
-        return _exact_det(self.rows)
+        return self._det
 
 
 def diagonalize(g: GramMatrix) -> DiagonalForm:
     """Congruent diagonal form by symmetric elimination.
 
-    Pivots are deterministic: first nonzero diagonal entry at or below the
-    current position, else the first (lexicographic) nonzero off-diagonal
-    pair (i, j), repaired with the move e_i <- e_i + e_j whose new diagonal
-    entry is a_ii + 2 a_ij + a_jj.  Deterministic output keeps golden tests
-    stable; the determinant is preserved modulo squares.
+    When every leading principal minor D_k of the integer matrix L * G (L the
+    common denominator of the entries) is nonzero, the result is read off the
+    elimination ``GramMatrix`` already ran: <D_1/L, D_2/(D_1 L), ...,
+    D_n/(D_{n-1} L)>.  Those are exactly the entries the pivot rule below
+    produces, since it never swaps when every pivot is nonzero.
+
+    The pivot rule itself runs in ``Fraction`` arithmetic only when some
+    leading minor vanishes.  Pivots are deterministic: first nonzero diagonal
+    entry at or below the current position, else the first (lexicographic)
+    nonzero off-diagonal pair (i, j), repaired with the move e_i <- e_i + e_j
+    whose new diagonal entry is a_ii + 2 a_ij + a_jj.  Deterministic output
+    keeps golden tests stable; the determinant is preserved modulo squares.
     """
+    minors, lcd = g._minors, g._scale
+    if minors is not None:
+        return DiagonalForm(
+            Fraction(d, prev * lcd) for prev, d in zip((1,) + minors, minors)
+        )
     n = g.n
     a = [list(row) for row in g.rows]
 
@@ -165,11 +221,28 @@ def signature(f: DiagonalForm) -> tuple[int, int]:
 
 
 def hasse_witt(f: DiagonalForm) -> BrauerClass:
-    """The class sum of (a_i, a_j) over i < j in Br_2(Q)."""
+    """The class sum of (a_i, a_j) over i < j in Br_2(Q).
+
+    The cup product is bilinear and depends only on square classes, so the
+    sum runs over the square classes of the entries with their
+    multiplicities m: (a, a) = (a, -1) counts C(m, 2) times within a class
+    and (a, b) counts m_a * m_b times across two, and only odd counts
+    contribute.  The class of 1 contributes nothing.  Each class is
+    represented by its first entry, whose factorization is already cached.
+    """
+    classes: dict[int, list] = {}  # square class -> [first entry, multiplicity]
+    for a in f.entries:
+        c = squarefree_part(a)
+        if c != 1:
+            classes.setdefault(c, [a, 0])[1] += 1
+    reps = list(classes.values())
     out = brauer.TRIVIAL
-    for i in range(f.rank):
-        for j in range(i + 1, f.rank):
-            out = brauer.add(out, brauer.cup(f.entries[i], f.entries[j]))
+    for i, (a, m) in enumerate(reps):
+        if m * (m - 1) // 2 % 2:
+            out = brauer.add(out, brauer.cup(a, -1))
+        for b, k in reps[i + 1:]:
+            if m * k % 2:
+                out = brauer.add(out, brauer.cup(a, b))
     return out
 
 
@@ -315,7 +388,8 @@ def trace_form(coeffs: Sequence[int]) -> GramMatrix:
 
     ``coeffs`` lists f constant term first, leading coefficient 1.  The
     entries are the power sums s_{i+j} of the roots, computed by Newton's
-    identities; a zero determinant means repeated roots and is rejected.
+    identities in plain integers (they are integers for a monic integer f);
+    a zero determinant means repeated roots and is rejected.
     """
     coeffs = list(coeffs)
     if len(coeffs) < 2:
@@ -324,17 +398,16 @@ def trace_form(coeffs: Sequence[int]) -> GramMatrix:
         raise ValueError("polynomial must be monic")
     if any(int(c) != c for c in coeffs):
         raise ValueError("polynomial must have integer coefficients")
+    coeffs = [int(c) for c in coeffs]
     n = len(coeffs) - 1
-    s = [Fraction(0)] * (2 * n - 1)
-    s[0] = Fraction(n)
+    s = [0] * (2 * n - 1)
+    s[0] = n
     for k in range(1, 2 * n - 1):
-        acc = Fraction(0)
-        for j in range(1, min(k - 1, n) + 1):
-            acc += Fraction(coeffs[n - j]) * s[k - j]
+        acc = sum(coeffs[n - j] * s[k - j] for j in range(1, min(k - 1, n) + 1))
         if k <= n:
-            acc += Fraction(k * coeffs[n - k])
+            acc += k * coeffs[n - k]
         s[k] = -acc
-    rows = [[s[i + j] for j in range(n)] for i in range(n)]
+    rows = [s[i:i + n] for i in range(n)]
     try:
         return GramMatrix(rows)
     except ValueError as exc:

@@ -42,12 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Sequence, Union
 
 from . import brauer
 from .brauer import BrauerClass, add, cup, is_trivial, restricts_trivially_to_quadratic
-from .exact import BudgetExceededError, is_square
+from .exact import BudgetExceededError, factor, is_square, parse_rational
 from .factors import (
     FactorDescriptor,
     FactorKind,
@@ -297,9 +297,15 @@ def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted(set(out + [n // d for d in out]))
+    """Positive divisors of a nonzero integer, from its budgeted factorization."""
+    out = [1]
+    for p, e in factor(n).factors:
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+# candidate quadratic factors X^2 + uX + v tried before giving up
+_QUADRATIC_SEARCH_BUDGET = 1 << 18
 
 
 def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
@@ -307,15 +313,18 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
 
     Integer roots first, then irreducibility modulo a fixed list of primes
     (conclusive when it holds for any of them), then a bounded search for
-    monic quadratic factors.  Inputs that defeat all three raise
-    BudgetExceededError rather than guessing.
+    monic quadratic factors (at most ``_QUADRATIC_SEARCH_BUDGET``
+    candidates).  Inputs that defeat all three, or whose constant term does
+    not factor within the work budget, raise BudgetExceededError rather than
+    guessing.
     """
     m = len(coeffs) - 1
     if m == 1:
         return True
     if coeffs[0] == 0:
         return False
-    for d in _divisors(coeffs[0]):
+    divisors = _divisors(coeffs[0])
+    for d in divisors:
         if _poly_eval(coeffs, d) == 0 or _poly_eval(coeffs, -d) == 0:
             return False
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
@@ -324,9 +333,16 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
         if _irreducible_mod_p(coeffs, p):
             return True
     height = 4 * max(abs(c) for c in coeffs)
-    for v in _divisors(coeffs[0]):
+    budget = _QUADRATIC_SEARCH_BUDGET
+    for v in divisors:
         for sv in (v, -v):
             for u in range(-height, height + 1):
+                if budget == 0:
+                    raise BudgetExceededError(
+                        f"quadratic factor search exceeded {_QUADRATIC_SEARCH_BUDGET} "
+                        f"candidates (coefficient height {height})"
+                    )
+                budget -= 1
                 if _divides_exactly(coeffs, (sv, u, 1)):
                     return False
     raise BudgetExceededError(
@@ -378,13 +394,19 @@ def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
     return diagonalize(trace_form(spec.coeffs))
 
 
-def d_top(spec: GaloisAlgebraSpec) -> BrauerClass:
+def _w2_plus_2d(q: DiagonalForm) -> BrauerClass:
+    """w2(q) + (2)(D), D the determinant of q."""
+    return add(hasse_witt(q), cup(2, det_square_class(q)))
+
+
+def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass:
     """The one possibly nonzero unitary invariant of a cyclic 2-power algebra.
 
     Degree 1: trivial.  Degree 2: the cup product (z)(-1), computed directly
     from the order-4 fibered extension.  Degree >= 4: w2(q_K) + (2)(D_K).
     The degree-2 case genuinely differs from the trace-form expression,
-    which collapses to (2)(-1) = 0 there; see the module docstring.
+    which collapses to (2)(-1) = 0 there; see the module docstring.  ``q``
+    is ``family_trace_form(spec)`` when the caller already has it.
     """
     n = group_of(spec).cyclic_two_power_exponent()
     if n is None:
@@ -394,12 +416,13 @@ def d_top(spec: GaloisAlgebraSpec) -> BrauerClass:
     m = field_degree(spec)
     if m == 1:
         return brauer.TRIVIAL
+    if m == 2 and isinstance(spec, CyclicQuadratic):
+        return cup(spec.z, -1)
+    if q is None:
+        q = family_trace_form(spec)
     if m == 2:
-        if isinstance(spec, CyclicQuadratic):
-            return cup(spec.z, -1)
-        return cup(det_square_class(family_trace_form(spec)), -1)
-    q = family_trace_form(spec)
-    return add(hasse_witt(q), cup(2, det_square_class(q)))
+        return cup(det_square_class(q), -1)
+    return _w2_plus_2d(q)
 
 
 @dataclass(frozen=True)
@@ -451,8 +474,13 @@ _ZERO_LOWER_UNITARY = "forced to vanish: below the top factor the fibered extens
 _A4_PAIR = "character pair without an attached invariant in the supported table"
 
 
-def c_invariants(spec: GaloisAlgebraSpec) -> tuple[InvariantEntry, ...]:
-    """Orthogonal-factor invariants; requires the degree-one vanishing."""
+def c_invariants(
+    spec: GaloisAlgebraSpec, q: DiagonalForm | None = None
+) -> tuple[InvariantEntry, ...]:
+    """Orthogonal-factor invariants; requires the degree-one vanishing.
+
+    ``q`` is ``family_trace_form(spec)`` when the caller already has it.
+    """
     if not h1_condition(spec):
         raise ValueError("invariants undefined: degree-one invariants do not vanish")
     group = group_of(spec)
@@ -463,7 +491,7 @@ def c_invariants(spec: GaloisAlgebraSpec) -> tuple[InvariantEntry, ...]:
         if isinstance(spec, D4Quadratic) and fd.id == "2dim":
             out.append(InvariantEntry(fd.id, "c", "computed", cup(spec.z, -1)))
         elif isinstance(spec, A4Quartic) and fd.id == "std3":
-            cls = hasse_witt(diagonalize(trace_form(spec.coeffs)))
+            cls = hasse_witt(family_trace_form(spec) if q is None else q)
             out.append(
                 InvariantEntry(
                     fd.id, "c", "computed", cls,
@@ -479,20 +507,26 @@ def c_invariants(spec: GaloisAlgebraSpec) -> tuple[InvariantEntry, ...]:
     return tuple(out)
 
 
-def invariant_report(spec: GaloisAlgebraSpec) -> InvariantReport:
-    """Per-factor invariant classes plus the trace-form data of the family."""
-    q = family_trace_form(spec)
+def invariant_report(
+    spec: GaloisAlgebraSpec, q: DiagonalForm | None = None
+) -> InvariantReport:
+    """Per-factor invariant classes plus the trace-form data of the family.
+
+    ``q`` is ``family_trace_form(spec)`` when the caller already has it.
+    """
+    if q is None:
+        q = family_trace_form(spec)
     h1 = h1_condition(spec)
     if not h1:
         return InvariantReport(False, (), q, det_square_class(q), signature(q))
-    entries = list(c_invariants(spec))
+    entries = list(c_invariants(spec, q))
     group = group_of(spec)
     n = group.cyclic_two_power_exponent()
     for fd in decompose(group):
         if fd.kind != FactorKind.UNITARY:
             continue
         if n is not None and fd.conductor == 1 << n:
-            entries.append(InvariantEntry(fd.id, "d", "computed", d_top(spec)))
+            entries.append(InvariantEntry(fd.id, "d", "computed", d_top(spec, q)))
         elif n is not None:
             entries.append(
                 InvariantEntry(fd.id, "d", "zero", brauer.TRIVIAL, note=_ZERO_LOWER_UNITARY)
@@ -573,8 +607,8 @@ def _local_filter(fd: FactorDescriptor, v: Place) -> tuple[bool, str]:
     return binds, f"{n_text}; epsilon = {eps}"
 
 
-def _real_condition(spec: GaloisAlgebraSpec) -> tuple[bool, str]:
-    sig = signature(family_trace_form(spec))
+def _real_condition(q: DiagonalForm) -> tuple[bool, str]:
+    sig = signature(q)
     ok = sig[1] == 0
     return ok, (
         f"trace form signature {sig}: "
@@ -604,10 +638,11 @@ def decide_global(spec: GaloisAlgebraSpec) -> Decision:
     ]
     if not h1_condition(spec):
         return Decision(VERDICT_NO, tuple(rows))
-    real_ok, real_detail = _real_condition(spec)
+    q = family_trace_form(spec)
+    real_ok, real_detail = _real_condition(q)
     rows.append(CertificateRow("real-split", None, "real", real_ok, real_detail))
     ok = real_ok
-    report = invariant_report(spec)
+    report = invariant_report(spec, q)
     descriptors = {fd.id: fd for fd in decompose(group_of(spec))}
     for entry in report.entries:
         kind = "orthogonal-local" if entry.invariant == "c" else "unitary-local"
@@ -700,8 +735,7 @@ def embedding_obstruction(coeffs: Sequence[int]) -> BrauerClass:
         raise ValueError("polynomial must be monic")
     if not _irreducible_over_Q(coeffs):
         raise ValueError("polynomial is reducible")
-    q = diagonalize(trace_form(coeffs))
-    return add(hasse_witt(q), cup(2, det_square_class(q)))
+    return _w2_plus_2d(diagonalize(trace_form(coeffs)))
 
 
 def _res_trivial_real_cyclotomic(cls: BrauerClass, conductor: int) -> bool:
@@ -825,9 +859,36 @@ def spec_to_json(spec: GaloisAlgebraSpec) -> dict:
     return out
 
 
+def _rational_field(data: dict, key: str) -> Fraction:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"{key} must be a rational number or string, got {value!r}")
+    return parse_rational(str(value))
+
+
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integer_list_field(data: dict, key: str) -> tuple[int, ...]:
+    value = data[key]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list of integers, got {value!r}")
+    return tuple(_integer(c, key) for c in value)
+
+
 def spec_from_json(data: dict) -> GaloisAlgebraSpec:
+    """Spec from its JSON form; malformed data raises ValueError or KeyError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a spec must be a JSON object, got {type(data).__name__}")
     family = data.get("family")
-    group = parse_group(data["group"]) if "group" in data else None
+    group = None
+    if "group" in data:
+        if not isinstance(data["group"], str):
+            raise ValueError(f"group must be a name such as \"C8\", got {data['group']!r}")
+        group = parse_group(data["group"])
 
     def cyclic_n() -> int:
         if group is None:
@@ -842,21 +903,19 @@ def spec_from_json(data: dict) -> GaloisAlgebraSpec:
             raise ValueError("split family needs a group")
         return SplitAlgebra(group)
     if family == "cyclic-quadratic":
-        return CyclicQuadratic(cyclic_n(), Fraction(str(data["z"])))
+        return CyclicQuadratic(cyclic_n(), _rational_field(data, "z"))
     if family == "cyclic-quartic":
         return CyclicQuartic(
-            cyclic_n(),
-            Fraction(str(data["a"])), Fraction(str(data["b"])),
-            Fraction(str(data["c"])), Fraction(str(data["eps"])),
+            cyclic_n(), *(_rational_field(data, key) for key in ("a", "b", "c", "eps"))
         )
     if family == "cyclic-poly":
-        coeffs = tuple(int(c) for c in data["poly"])
-        degree = int(data.get("degree", len(coeffs) - 1))
+        coeffs = _integer_list_field(data, "poly")
+        degree = _integer(data.get("degree", len(coeffs) - 1), "degree")
         return CyclicPoly(cyclic_n(), coeffs, degree)
     if family == "d4-quadratic":
-        return D4Quadratic(Fraction(str(data["z"])))
+        return D4Quadratic(_rational_field(data, "z"))
     if family == "a4-quartic":
-        return A4Quartic(tuple(int(c) for c in data["poly"]))
+        return A4Quartic(_integer_list_field(data, "poly"))
     if family == "a5-quadratic":
-        return A5Quadratic(Fraction(str(data["z"])))
+        return A5Quadratic(_rational_field(data, "z"))
     raise ValueError(f"unknown family {family!r}")

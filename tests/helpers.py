@@ -51,3 +51,18 @@ def random_quartic_params(
 def random_quartic_spec(rng: random.Random, n: int = 3, integral: bool = False) -> CyclicQuartic:
     a, b, c, eps = random_quartic_params(rng, integral=integral)
     return CyclicQuartic(n, a, b, c, eps)
+
+
+def compose(f: list[int], g: list[int]) -> list[int]:
+    """Coefficients of f(g(x)), both lists constant term first."""
+    out = [0]
+    for c in reversed(f):
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(g):
+                prod[i + j] += x * y
+        prod[0] += c
+        out = prod
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out

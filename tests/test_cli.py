@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from sdnb.cli import main
 
@@ -125,6 +128,38 @@ def test_data_error(capsys):
     assert code == 65
     code, _, _ = run(capsys, "form")
     assert code == 65
+
+
+def test_data_error_zero_denominator(capsys):
+    code, _, err = run(capsys, "decide", "--group", "C8", "--family", "cyclic-quadratic", "--z", "1/0")
+    assert code == 65
+    assert json.loads(err)["error"] == "bad-input"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"group": "C8", "family": "cyclic-poly", "poly": None},
+        [{"group": "C8", "family": "cyclic-quadratic", "z": "3"}],
+        {"group": 8, "family": "cyclic-quadratic", "z": "3"},
+        {"group": "C8", "family": "cyclic-quadratic", "z": "1/0"},
+    ],
+    ids=["poly-null", "top-level-list", "group-int", "z-zero-denominator"],
+)
+def test_malformed_spec_file_is_data_error(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "decide", "--spec", str(path))
+    assert code == 65
+    assert out == ""
+    assert json.loads(err)["error"] == "bad-input"
+
+
+def test_embed_huge_constant_term_ends_in_time(capsys):
+    start = time.perf_counter()
+    code, _, _ = run(capsys, "embed", "--poly", "1000000000000000003,0,-4,0,1")
+    assert code in (0, 1, 2, 65, 66)
+    assert time.perf_counter() - start < 5.0
 
 
 GOLDEN_CLI = [

@@ -5,6 +5,7 @@ import pytest
 
 from sdnb import (
     REAL,
+    add,
     DiagonalForm,
     GramMatrix,
     Place,
@@ -27,6 +28,8 @@ from sdnb import (
     sum_of_two_squares_over_sqrt2,
     trace_form,
 )
+
+from helpers import compose
 
 F = Fraction
 
@@ -95,6 +98,124 @@ def test_diagonalize_preserves_invariants():
         assert det_square_class(d2) == det_square_class(d)
 
 
+# Reference copies of the Fraction-arithmetic pivot rule and determinant
+# that diagonalize and GramMatrix.det used before the integer fast path.
+
+
+def _reference_det(rows):
+    n = len(rows)
+    a = [list(map(F, row)) for row in rows]
+    det = F(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                t = a[i][k] / a[k][k]
+                a[i] = [x - t * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def _reference_diagonal(rows):
+    n = len(rows)
+    a = [list(map(F, row)) for row in rows]
+
+    def add_row_col(dst, src, t):
+        for j in range(n):
+            a[dst][j] += t * a[src][j]
+        for i in range(n):
+            a[i][dst] += t * a[i][src]
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+        if piv is None:
+            i, j = next(
+                (i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0
+            )
+            add_row_col(i, j, F(1))
+            piv = i
+        if piv != k:
+            swap(k, piv)
+        for j in range(k + 1, n):
+            if a[k][j]:
+                add_row_col(j, k, -a[k][j] / a[k][k])
+    return tuple(a[i][i] for i in range(n))
+
+
+def _has_vanishing_leading_minor(rows):
+    return any(_reference_det([row[:k] for row in rows[:k]]) == 0 for k in range(1, len(rows) + 1))
+
+
+def _random_rational_symmetric(rng, n):
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.35:
+                continue  # zeros make vanishing leading minors common
+            rows[i][j] = rows[j][i] = F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4]))
+    if n > 1 and rng.random() < 0.3:
+        rows[0][0] = F(0)
+    return rows
+
+
+def test_diagonalize_and_det_match_pivot_rule():
+    rng = random.Random(1968)
+    cases = vanishing = 0
+    while cases < 400:
+        rows = _random_rational_symmetric(rng, rng.randint(1, 6))
+        ref_det = _reference_det(rows)
+        if ref_det == 0:
+            with pytest.raises(ValueError):
+                GramMatrix(rows)
+            continue
+        g = GramMatrix(rows)
+        assert g.det() == ref_det, rows
+        assert diagonalize(g).entries == _reference_diagonal(rows), rows
+        cases += 1
+        vanishing += _has_vanishing_leading_minor(rows)
+    assert vanishing >= cases // 4, vanishing
+
+
+def _reference_power_sums(coeffs):
+    n = len(coeffs) - 1
+    s = [F(0)] * (2 * n - 1)
+    s[0] = F(n)
+    for k in range(1, 2 * n - 1):
+        acc = F(0)
+        for j in range(1, min(k - 1, n) + 1):
+            acc += F(coeffs[n - j]) * s[k - j]
+        if k <= n:
+            acc += F(k * coeffs[n - k])
+        s[k] = -acc
+    return s
+
+
+def test_trace_form_tower_matches_fraction_reference():
+    f4 = [2, 0, -4, 0, 1]  # minimal polynomial of 2cos(2pi/16)
+    f8 = compose(f4, [-2, 0, 1])  # f4(x^2 - 2), of 2cos(2pi/32)
+    f16 = compose(f8, [-2, 0, 1])  # of 2cos(2pi/64)
+    for f in (f4, f8, f16):
+        for t in range(-3, 4):
+            coeffs = compose(f, [t, 1])
+            n = len(coeffs) - 1
+            s = _reference_power_sums(coeffs)
+            rows = [[s[i + j] for j in range(n)] for i in range(n)]
+            g = trace_form(coeffs)
+            assert g.rows == tuple(tuple(row) for row in rows)
+            assert g.det() == _reference_det(rows)
+            assert diagonalize(g).entries == _reference_diagonal(rows)
+
+
 def test_det_signature_golden():
     assert det_square_class(DiagonalForm([2, 6])) == 3
     assert signature(DiagonalForm([2, 6])) == (2, 0)
@@ -126,6 +247,18 @@ def test_hasse_witt_invariances():
         shuffled = entries[:]
         rng.shuffle(shuffled)
         assert equal(hasse_witt(DiagonalForm(shuffled)), w)
+
+
+def test_hasse_witt_matches_pairwise_sum():
+    rng = random.Random(1608)
+    pool = [1, -1, 2, 3, -3, 5, 6, 12, F(3, 4), F(1, 4), 27, -12, F(2, 9), 7]
+    for _ in range(150):
+        entries = [F(rng.choice(pool)) for _ in range(rng.randint(1, 9))]
+        ref = cup(1, 1)
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                ref = add(ref, cup(entries[i], entries[j]))
+        assert equal(hasse_witt(DiagonalForm(entries)), ref), entries
 
 
 # --- isotropy -------------------------------------------------------------

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from sdnb import forms, galois
 from sdnb import (
     A4Quartic,
     A5Quadratic,
+    BudgetExceededError,
     CyclicPoly,
     CyclicQuadratic,
     CyclicQuartic,
@@ -40,7 +42,7 @@ from sdnb import (
     trace_form,
     trace_forms_isomorphic,
 )
-from helpers import random_quadratic_spec, random_quartic_spec
+from helpers import compose, random_quadratic_spec, random_quartic_spec
 
 F = Fraction
 
@@ -361,6 +363,52 @@ def test_trace_forms_isomorphic_c16():
     # have even order in (Z/16)^x / {+-1}, so their classes die there
     assert trace_forms_isomorphic(CyclicQuadratic(4, 3), CyclicQuadratic(4, 5))
     assert trace_forms_isomorphic(CyclicQuadratic(4, 3), CyclicQuadratic(4, 7))
+
+
+# --- cost: the trace form is built once per decision ---------------------------
+
+
+def _count_calls(monkeypatch, counts, name, *modules):
+    """Count calls of ``name`` through every module that binds it."""
+    for module in modules:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def _tower16():
+    """Minimal polynomial of 2cos(2pi/64): x^4 - 4x^2 + 2 composed twice with x^2 - 2."""
+    f = [2, 0, -4, 0, 1]
+    for _ in range(2):
+        f = compose(f, [-2, 0, 1])
+    return f
+
+
+@pytest.mark.parametrize("call", [decide_global, invariant_report])
+def test_trace_form_built_once_per_decision(monkeypatch, call):
+    spec = CyclicPoly(5, _tower16(), 16)
+    counts = {}
+    _count_calls(monkeypatch, counts, "family_trace_form", galois)
+    _count_calls(monkeypatch, counts, "trace_form", forms, galois)
+    result = call(spec)
+    assert counts == {"family_trace_form": 1, "trace_form": 1}
+    if call is decide_global:
+        assert result.verdict == VERDICT_YES
+
+
+def test_irreducibility_screen_stays_in_budget():
+    # x^4 - 2(a+b)x^2 + (a-b)^2, the minimal polynomial of sqrt(a) + sqrt(b):
+    # reducible modulo every prime, so only the quadratic search can answer,
+    # and its height 8(a+b) puts ~10^8 candidates beyond the budget
+    a, b = 1000003, 1000033
+    with pytest.raises(BudgetExceededError):
+        galois._irreducible_over_Q([(a - b) ** 2, 0, -2 * (a + b), 0, 1])
+    for n in list(range(-60, 0)) + list(range(1, 400)):
+        assert galois._divisors(n) == [d for d in range(1, abs(n) + 1) if n % d == 0]
 
 
 # --- serialization ---------------------------------------------------------------
