@@ -3,13 +3,16 @@
 Subcommands: ``decide`` and ``invariants`` take a family spec (inline flags
 or a JSON file), ``hilbert`` / ``form`` / ``factors`` / ``embed`` expose the
 calculators.  ``decide`` exits 0 for yes, 1 for no, 2 for unknown; usage
-errors exit 64, bad input 65, exceeded work budgets 66.
+errors exit 64, bad input 65, exceeded work budgets 66.  Any other exception
+is a defect of the program: it exits 70 with an ``{"error": "internal"}``
+line on stderr, never with a code a caller could read as a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -42,6 +45,7 @@ EX_OK = 0
 EX_USAGE = 64
 EX_DATA = 65
 EX_BUDGET = 66
+EX_SOFTWARE = 70
 
 _VERDICT_EXIT = {"yes": 0, "no": 1, "unknown": 2}
 
@@ -187,6 +191,17 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "bad-input", "message": str(exc)}), file=sys.stderr)
         return EX_DATA
+    except Exception as exc:
+        import traceback  # loaded here so that calls that succeed do not pay for it
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        report = {
+            "error": "internal",
+            "message": f"{type(exc).__name__}: {exc}",
+            "at": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+        }
+        print(json.dumps(report), file=sys.stderr)
+        return EX_SOFTWARE
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -32,9 +32,11 @@ class BudgetExceededError(ArithmeticError):
     """A computation exceeded its configured work budget.
 
     Raised by :func:`factor` when a cofactor cannot be split within the
-    budget, and by other brute-force routines (Hilbert oracle, irreducibility
-    screening) when the requested search space is oversized.  Never raised
-    *after* producing a partial answer: results are exact or absent.
+    budget, and by other brute-force routines (Hilbert oracle, ternary
+    witness search, irreducibility screening) when the requested search
+    space is oversized.  The message names the input and the work spent.
+    Never raised *after* producing a partial answer: results are exact or
+    absent.
     """
 
 
@@ -49,6 +51,28 @@ def _work_budget() -> int:
     if value <= 0:
         raise ValueError(f"{_BUDGET_ENV} must be positive")
     return value
+
+
+class WorkBudget:
+    """Work units one computation may spend, read from ``SDNB_FACTOR_BUDGET``.
+
+    ``task`` names the computation and its input; it heads the message of
+    the :class:`BudgetExceededError` that ``spend`` raises when a charge
+    would overdraw the budget, together with the units already spent.
+    """
+
+    def __init__(self, task: str) -> None:
+        self.task = task
+        self.limit = _work_budget()
+        self.spent = 0
+
+    def spend(self, units: int) -> None:
+        if self.spent + units > self.limit:
+            raise BudgetExceededError(
+                f"{self.task}: work budget exhausted after {self.spent} of "
+                f"{self.limit} units ({_BUDGET_ENV})"
+            )
+        self.spent += units
 
 
 def _sieve(limit: int) -> tuple[int, ...]:
@@ -92,7 +116,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_split(n: int, budget: list[int]) -> int:
+def _brent_split(n: int, budget: WorkBudget) -> int:
     """Return a nontrivial factor of odd composite ``n`` (deterministic sweep)."""
     batch = 128
     for c in range(1, 64):
@@ -107,11 +131,7 @@ def _brent_split(n: int, budget: list[int]) -> int:
             while k < r and g == 1:
                 ys = y
                 steps = min(batch, r - k)
-                if budget[0] < steps:
-                    raise BudgetExceededError(
-                        f"factoring budget exhausted while splitting {n}"
-                    )
-                budget[0] -= steps
+                budget.spend(steps)
                 for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
@@ -125,10 +145,12 @@ def _brent_split(n: int, budget: list[int]) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise BudgetExceededError(f"cycle search failed to split {n}")
+    raise BudgetExceededError(
+        f"{budget.task}: cycle search failed to split {n} after {budget.spent} units"
+    )
 
 
-def _factor_int(n: int, budget: list[int]) -> dict[int, int]:
+def _factor_int(n: int, budget: WorkBudget) -> dict[int, int]:
     """Factor ``n >= 1`` into a prime -> exponent map."""
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
@@ -194,7 +216,7 @@ class FactoredRational:
 @lru_cache(maxsize=1 << 16)
 def _factor_fraction(num: int, den: int) -> FactoredRational:
     sign = 1 if num > 0 else -1
-    budget = [_work_budget()]
+    budget = WorkBudget(f"factoring {Fraction(num, den)}")
     fac = _factor_int(abs(num), budget)
     for p, e in _factor_int(den, budget).items():
         fac[p] = fac.get(p, 0) - e

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .exact import euler_phi, mult_order, mult_order_mod_pm1
+from .exact import euler_phi, factor, mult_order, mult_order_mod_pm1
 from .symbols import Place
 
 
@@ -120,22 +120,32 @@ class FactorDescriptor:
         return out
 
 
+# largest factor table decompose builds; a bigger one is rejected as bad input
+_MAX_FACTORS = 1024
+
+
 def _order_counts(invariant_factors: tuple[int, ...]) -> dict[int, int]:
-    """Number of elements of each exact order in the abelian group."""
+    """Number of elements of each exact order in the abelian group.
+
+    The count is multiplicative in the order, so it is assembled from the
+    p-parts: the group has prod gcd(d, p^k) elements killed by p^k, and the
+    ones of order exactly p^k are those minus the ones killed by p^(k-1).
+    The orders are the divisors of the exponent, taken from its budgeted
+    factorization; more divisors than ``_MAX_FACTORS`` is a ValueError, since
+    each divisor gives at least one factor.
+    """
     exponent = 1
     for d in invariant_factors:
         exponent = exponent * d // math.gcd(exponent, d)
-    divisors = [m for m in range(1, exponent + 1) if exponent % m == 0]
-    upto = {}
-    for m in divisors:
-        n = 1
-        for d in invariant_factors:
-            n *= math.gcd(d, m)
-        upto[m] = n
-    exact = {}
-    for m in divisors:
-        exact[m] = upto[m] - sum(exact[t] for t in divisors if t < m and m % t == 0)
-    return {m: c for m, c in exact.items() if c}
+    prime_powers = factor(exponent).factors
+    if math.prod(e + 1 for _, e in prime_powers) > _MAX_FACTORS:
+        raise ValueError(f"group exponent {exponent} gives more than {_MAX_FACTORS} factors")
+    counts = {1: 1}
+    for p, e in prime_powers:
+        killed = [math.prod(math.gcd(d, p**k) for d in invariant_factors) for k in range(e + 1)]
+        exact = [(1, 1)] + [(p**k, killed[k] - killed[k - 1]) for k in range(1, e + 1)]
+        counts = {m * q: c * n for m, c in counts.items() for q, n in exact}
+    return counts
 
 
 def _abelian_factor(m: int, index: int, count: int) -> FactorDescriptor:
@@ -163,12 +173,12 @@ def decompose(g: GroupDescriptor) -> tuple[FactorDescriptor, ...]:
     unitary over their real subfields.
     """
     if g.kind == "abelian":
-        counts = _order_counts(g.invariant_factors)
-        out = []
-        for m in sorted(counts):
-            for i in range(counts[m] // euler_phi(m)):
-                out.append(_abelian_factor(m, i, counts[m] // euler_phi(m)))
-        return tuple(out)
+        orbits = {m: c // euler_phi(m) for m, c in _order_counts(g.invariant_factors).items()}
+        if sum(orbits.values()) > _MAX_FACTORS:
+            raise ValueError(f"{g.name} has more than {_MAX_FACTORS} factors")
+        return tuple(
+            _abelian_factor(m, i, orbits[m]) for m in sorted(orbits) for i in range(orbits[m])
+        )
     if g.kind == "D4":
         ones = [
             FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q", None, True),

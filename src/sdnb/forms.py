@@ -13,8 +13,19 @@ principal minor vanishes, the diagonal form are read off that one pass.
 Only Gram matrices with a vanishing leading minor are diagonalized by the
 ``Fraction`` pivot rule.  The Hasse-Witt class is summed over the square
 classes of the entries with their multiplicities, a handful of cup products
-rather than one per pair.  The ternary witness search is the only numeric
-loop and it verifies every candidate in integer arithmetic.
+rather than one per pair.
+
+The ternary witness search is a plain ``int`` scan of expanding boxes
+0 <= x, y <= 64, 512, 4096, ... up to the height cap, x first, then y, with z
+solved exactly: z^2 = -(a x^2 + b y^2) / c.  A candidate y can only work when
+b y^2 = -a x^2 mod |c|, so the scan keeps one table per call, from each class
+of b y^2 mod |c| to the increasing list of y in the box with that class, and
+visits only the y listed for the class of -a x^2.  The witness is the same
+one a scan of every (x, y) of the boxes in that order returns.  Table
+entries, rows and candidates are charged to the work budget
+(``SDNB_FACTOR_BUDGET``); when it runs out the search raises
+:class:`BudgetExceededError` naming the form and the work spent, so a huge
+box neither spins nor overflows.
 """
 
 from __future__ import annotations
@@ -24,11 +35,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import brauer
 from .brauer import BrauerClass
-from .exact import factor, is_square, legendre, squarefree_part
+from .exact import WorkBudget, factor, is_square, legendre, squarefree_part
 from .symbols import Place, hilbert, support_places
 
 
@@ -319,25 +328,34 @@ def isotropy_witness_ternary(
     The form is scaled to integer entries (same zero set).  The scan runs
     over x, y with the third coordinate solved exactly, in expanding boxes;
     for small entries the classical minima are tiny, so the cap is a safety
-    net rather than the expected exit.
+    net rather than the expected exit.  Only the y with b y^2 = -a x^2 mod |c|
+    are tried (see the module docstring).  Raises BudgetExceededError when the
+    scan outgrows the work budget.
     """
     if f.rank != 3:
         raise ValueError("witness search is for ternary forms")
     a, b, c = f.scaled_integer_entries()
+    mod = abs(c)
+    budget = WorkBudget(f"isotropy witness search for {f}")
+    ys_by_class: dict[int, list[int]] = {}  # b y^2 mod |c| -> increasing y
+    filled = 0
     bound = 64
     while True:
         hi = min(bound, height_cap)
-        ys = np.arange(0, hi + 1, dtype=np.int64)
-        ys2 = ys * ys
+        budget.spend(hi + 1 - filled)
+        for y in range(filled, hi + 1):
+            ys_by_class.setdefault(b * y * y % mod, []).append(y)
+        filled = hi + 1
         for x in range(0, hi + 1):
-            t = -(a * x * x + b * ys2)
-            q, r = np.divmod(t, c)
-            mask = (r == 0) & (q >= 0)
-            if mask.any():
-                for y, qq in zip(ys[mask], q[mask]):
-                    z = isqrt(int(qq))
-                    if z * z == qq and (x or y or z):
-                        return (x, int(y), z)
+            ax2 = a * x * x
+            ys = ys_by_class.get(-ax2 % mod, ())
+            budget.spend(1 + len(ys))
+            for y in ys:
+                q = -(ax2 + b * y * y) // c
+                if q >= 0:
+                    z = isqrt(q)
+                    if z * z == q and (x or y or z):
+                        return (x, y, z)
         if hi >= height_cap:
             return None
         bound *= 8

@@ -13,6 +13,14 @@ absence of one certifies local anisotropy, so the search is decisive rather
 than heuristic.  A solution is primitive iff one coordinate is a unit, and
 scaling by that unit's inverse normalizes the coordinate to 1, so scanning
 the three slices x = 1, y = 1, z = 1 is exhaustive.
+
+The scan is plain ``int`` arithmetic over the set S of squares modulo m = p^N,
+built once per modulus and cached: the slice x = 1 asks whether a + b s lies
+in S for some s in S, the slice y = 1 whether a s + b does, and the slice
+z = 1 whether 1 - a s lies in b S.  Each slice stops at its first hit, and
+only an anisotropic pair scans all three in full (3 |S| probes, |S| about
+m/2 for odd p and m/6 for p = 2).  A modulus above ``_ORACLE_MODULUS_CAP``
+raises :class:`BudgetExceededError` before any search.
 """
 
 from __future__ import annotations
@@ -21,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
-
-import numpy as np
 
 from .exact import BudgetExceededError, is_prime, factor, squarefree_part
 
@@ -122,6 +128,12 @@ def legendre_sign(u: int, p: int) -> int:
 _ORACLE_MODULUS_CAP = 4_000_000
 
 
+@lru_cache(maxsize=32)
+def _squares_mod(m: int) -> frozenset[int]:
+    # (m - y)^2 = y^2 mod m, so half the residues give every square
+    return frozenset(y * y % m for y in range(m // 2 + 1))
+
+
 @lru_cache(maxsize=None)
 def _oracle_reduced(a: int, b: int, p: int) -> int:
     vp = 0
@@ -132,22 +144,22 @@ def _oracle_reduced(a: int, b: int, p: int) -> int:
     n = vp + 3
     m = p**n
     if m > _ORACLE_MODULUS_CAP:
-        raise BudgetExceededError(f"oracle modulus {p}^{n} exceeds the search cap")
+        raise BudgetExceededError(
+            f"Hilbert oracle for the square classes ({a}, {b}) at {p}: modulus "
+            f"{p}^{n} = {m} exceeds the search cap of {_ORACLE_MODULUS_CAP} "
+            "residues; nothing was searched"
+        )
     am, bm = a % m, b % m
-    y = np.arange(m, dtype=np.int64)
-    y2 = (y * y) % m
-    squares = np.zeros(m, dtype=bool)
-    squares[y2] = True
+    squares = _squares_mod(m)
     # x = 1: z^2 = a + b y^2
-    if squares[(am + bm * y2) % m].any():
+    if not squares.isdisjoint((am + bm * s) % m for s in squares):
         return 1
     # y = 1: z^2 = a x^2 + b
-    if squares[(am * y2 + bm) % m].any():
+    if not squares.isdisjoint((am * s + bm) % m for s in squares):
         return 1
     # z = 1: a x^2 + b y^2 = 1
-    b_y2 = np.zeros(m, dtype=bool)
-    b_y2[(bm * y2) % m] = True
-    if b_y2[(1 - am * y2) % m].any():
+    b_squares = {bm * s % m for s in squares}
+    if not b_squares.isdisjoint((1 - am * s) % m for s in squares):
         return 1
     return -1
 

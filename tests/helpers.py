@@ -66,3 +66,32 @@ def compose(f: list[int], g: list[int]) -> list[int]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
+
+
+def numpy_witness_ternary(f, height_cap: int = 10_000):
+    """The int64 numpy scan ``isotropy_witness_ternary`` used to run.
+
+    Kept as the reference for the pure-int scan on small entries, where int64
+    cannot overflow.  Needs numpy, which the package itself does not.
+    """
+    import numpy as np
+    from math import isqrt
+
+    a, b, c = f.scaled_integer_entries()
+    bound = 64
+    while True:
+        hi = min(bound, height_cap)
+        ys = np.arange(0, hi + 1, dtype=np.int64)
+        ys2 = ys * ys
+        for x in range(0, hi + 1):
+            t = -(a * x * x + b * ys2)
+            q, r = np.divmod(t, c)
+            mask = (r == 0) & (q >= 0)
+            if mask.any():
+                for y, qq in zip(ys[mask], q[mask]):
+                    z = isqrt(int(qq))
+                    if z * z == qq and (x or y or z):
+                        return (x, int(y), z)
+        if hi >= height_cap:
+            return None
+        bound *= 8

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+from sdnb import cli
 from sdnb.cli import main
 
 
@@ -160,6 +164,52 @@ def test_embed_huge_constant_term_ends_in_time(capsys):
     code, _, _ = run(capsys, "embed", "--poly", "1000000000000000003,0,-4,0,1")
     assert code in (0, 1, 2, 65, 66)
     assert time.perf_counter() - start < 5.0
+
+
+def test_form_with_entries_beyond_64_bits_ends_cleanly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "form", "--diag", "65303470080,8434323170211965890461696,-1", "--format", "json"
+    )
+    assert time.perf_counter() - start < 10.0
+    assert code in (0, 66) and "Traceback" not in err
+    if code == 0:
+        x, y, z = json.loads(out)["witness"]
+        assert 65303470080 * x * x + 8434323170211965890461696 * y * y - z * z == 0
+    else:
+        assert json.loads(err)["error"] == "budget-exceeded"
+
+
+def test_factors_of_huge_cyclic_group_end_in_time(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "factors", "--group", "C1099511627776", "--format", "json")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert [fd["conductor"] for fd in json.loads(out)] == [2**k for k in range(41)]
+    code, out, err = run(capsys, "factors", "--group", "x".join(["C2"] * 11))
+    assert code == 65 and out == "" and "more than 1024 factors" in err
+
+
+def test_unexpected_exception_exits_70(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_dispatch", boom)
+    code, out, err = run(capsys, "hilbert", "2", "3", "real")
+    assert code == 70 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "internal" and report["message"] == "RuntimeError: boom"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # run against the same sdnb this test imported, wherever it lives
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys, sdnb.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
 
 
 GOLDEN_CLI = [

@@ -53,6 +53,17 @@ def test_factor_budget_exceeded(monkeypatch):
         factor(p * q)
 
 
+def test_factor_budget_message_names_input_and_work(monkeypatch):
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "100")
+    n = 340282366920938463463374607431768211297 * 170141183460469231731687303715884105727
+    with pytest.raises(BudgetExceededError) as info:
+        factor(Fraction(n, 7))
+    message = str(info.value)
+    assert message.startswith(f"factoring {n}/7: ")
+    spent = int(message.split("after ")[1].split(" of ")[0])
+    assert 0 < spent <= 100 and "of 100 units" in message
+
+
 def test_squarefree_part_golden():
     assert squarefree_part(18) == 2
     assert squarefree_part(-4) == -1

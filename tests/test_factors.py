@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from sdnb import (
     mult_order_mod_pm1,
 )
 from sdnb.exact import euler_phi
+from sdnb.factors import _order_counts
 
 
 def test_group_descriptor_validation():
@@ -55,6 +58,15 @@ def test_decompose_multifactor_abelian():
     conductors = sorted(fd.conductor for fd in fds)
     # C2 x C6: orders 1 (1), 2 (3 elements), 3 (2), 6 (6)
     assert conductors == [1, 2, 2, 2, 3, 6, 6, 6]
+
+
+def test_order_counts_match_enumeration():
+    for fs in [(2,), (12,), (2, 2), (2, 4), (3, 6), (2, 2, 2), (4, 8), (6, 12), (2, 6, 12), (5, 10)]:
+        counts: dict[int, int] = {}
+        for g in itertools.product(*(range(d) for d in fs)):
+            order = math.lcm(*(d // math.gcd(d, x) for d, x in zip(fs, g)))
+            counts[order] = counts.get(order, 0) + 1
+        assert _order_counts(fs) == counts, fs
 
 
 def test_dimension_count():

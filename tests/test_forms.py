@@ -5,6 +5,7 @@ import pytest
 
 from sdnb import (
     REAL,
+    BudgetExceededError,
     add,
     DiagonalForm,
     GramMatrix,
@@ -29,7 +30,7 @@ from sdnb import (
     trace_form,
 )
 
-from helpers import compose
+from helpers import compose, numpy_witness_ternary
 
 F = Fraction
 
@@ -311,6 +312,35 @@ def test_witness_for_declared_isotropic_ternaries():
         assert a * x * x + b * y * y + c * z * z == 0
         found += 1
     assert found > 10
+
+
+def test_witness_scan_matches_numpy_reference():
+    pytest.importorskip("numpy")
+    rng = random.Random(3)
+    isotropic = 0
+    for _ in range(500):
+        f = DiagonalForm([rng.randint(1, 50) * rng.choice([1, -1]) for _ in range(3)])
+        if isotropic_over_Q(f):
+            isotropic += 1
+            assert isotropy_witness_ternary(f) == numpy_witness_ternary(f), f
+        else:
+            assert isotropy_witness_ternary(f, height_cap=60) is None, f
+            assert numpy_witness_ternary(f, height_cap=60) is None, f
+    assert 50 < isotropic < 450
+
+
+def test_witness_scan_is_exact_beyond_64_bits():
+    # an int64 scan wraps b * 2^2 = 2^64 + 4 to 4 and returns (0, 2, 2)
+    b = 2**62 + 1
+    assert isotropy_witness_ternary(DiagonalForm([1, b, -1])) == (1, 0, 1)
+
+
+def test_witness_scan_raises_when_budget_runs_out(monkeypatch):
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "5000")
+    with pytest.raises(BudgetExceededError) as info:
+        isotropy_witness_ternary(DiagonalForm([1, 1, -3]))
+    message = str(info.value)
+    assert "<1, 1, -3>" in message and "of 5000 units" in message
 
 
 # --- representation and sums of squares ------------------------------------

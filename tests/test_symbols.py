@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sdnb import REAL, Place, finite, hilbert, hilbert_oracle, support_places
+from sdnb import REAL, BudgetExceededError, Place, finite, hilbert, hilbert_oracle, support_places
 
 
 def test_place_validation():
@@ -72,6 +72,15 @@ def test_oracle_agrees_with_formula_small_grid():
             for b in range(-6, 7):
                 if a and b:
                     assert hilbert_oracle(a, b, p) == hilbert(a, b, Place(p)), (a, b, p)
+
+
+def test_oracle_modulus_cap_names_input():
+    # 163^3 = 4330747 residues exceed the 4000000 cap before any search
+    with pytest.raises(BudgetExceededError) as info:
+        hilbert_oracle(8, 3, 163)
+    message = str(info.value)
+    assert message.startswith("Hilbert oracle for the square classes (2, 3) at 163: ")
+    assert "163^3 = 4330747" in message and "nothing was searched" in message
 
 
 def test_support_places_golden():
