@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import is_square, legendre, squarefree_part
-from .symbols import Place, hilbert, support_places
+from .exact import is_square, squarefree_part
+from .symbols import Place, hilbert, is_square_in_completion, support_places
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,9 @@ def equal(x: BrauerClass, y: BrauerClass) -> bool:
 
 def splits_in_quadratic(v: Place, d: Fraction | int) -> bool:
     """Does the place v split in Q(sqrt(d))?  d need not be squarefree."""
-    s = squarefree_part(d)
-    if s == 1:
+    if squarefree_part(d) == 1:
         raise ValueError("Q(sqrt(d)) requires a nonsquare d")
-    if v.is_real:
-        return s > 0
-    p = v.prime
-    assert p is not None
-    if p == 2:
-        return s % 2 != 0 and s % 8 == 1
-    if s % p == 0:
-        return False  # ramified
-    return legendre(s, p) == 1
+    return is_square_in_completion(d, v)
 
 
 def restricts_trivially_to_quadratic(x: BrauerClass, d: Fraction | int) -> bool:

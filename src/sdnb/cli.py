@@ -3,9 +3,10 @@
 Subcommands: ``decide`` and ``invariants`` take a family spec (inline flags
 or a JSON file), ``hilbert`` / ``form`` / ``factors`` / ``embed`` expose the
 calculators.  ``decide`` exits 0 for yes, 1 for no, 2 for unknown; usage
-errors exit 64, bad input 65, exceeded work budgets 66.  Any other exception
-is a defect of the program: it exits 70 with an ``{"error": "internal"}``
-line on stderr, never with a code a caller could read as a verdict.
+errors exit 64, bad input 65, exceeded work budgets 66, and a standard output
+closed by its reader 74.  Any other exception is a defect of the program: it
+exits 70 with an ``{"error": "internal"}`` line on stderr, never with a code a
+caller could read as a verdict.
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ from .galois import (
     spec_from_json,
 )
 from .factors import decompose
-from .symbols import REAL, Place, hilbert
+from .symbols import hilbert, place_from_json
 
 EX_OK = 0
 EX_USAGE = 64
 EX_DATA = 65
 EX_BUDGET = 66
 EX_SOFTWARE = 70
+EX_IOERR = 74
 
 _VERDICT_EXIT = {"yes": 0, "no": 1, "unknown": 2}
 
@@ -92,12 +94,6 @@ def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--poly", help="integer coefficients, constant term first, comma separated")
     p.add_argument("--degree", type=int, help="asserted degree for cyclic-poly")
     p.add_argument("--format", choices=["text", "json"], default="text")
-
-
-def _parse_place(text: str) -> Place:
-    if text.lower() == "real":
-        return REAL
-    return Place(int(text))
 
 
 def _print_decision(decision: Decision, fmt: str) -> None:
@@ -184,10 +180,21 @@ def main(argv: list[str] | None = None) -> int:
         return EX_OK if exc.code in (0, None) else EX_USAGE
 
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()  # a reader that has gone fails here, not at exit
+        return code
     except BudgetExceededError as exc:
         print(json.dumps({"error": "budget-exceeded", "message": str(exc)}), file=sys.stderr)
         return EX_BUDGET
+    except BrokenPipeError as exc:
+        # what is still buffered for stdout goes nowhere, so the interpreter's
+        # final flush cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        print(json.dumps({"error": "output-closed", "message": str(exc)}), file=sys.stderr)
+        return EX_IOERR
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "bad-input", "message": str(exc)}), file=sys.stderr)
         return EX_DATA
@@ -208,7 +215,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "decide":
         spec = spec_from_json(_spec_from_args(args))
         if args.at:
-            decision = decide_local(spec, _parse_place(args.at))
+            decision = decide_local(spec, place_from_json(args.at.lower()))
         else:
             decision = decide_global(spec)
         _print_decision(decision, args.format)
@@ -229,7 +236,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EX_OK
 
     if args.command == "hilbert":
-        value = hilbert(parse_rational(args.a), parse_rational(args.b), _parse_place(args.v))
+        v = place_from_json(args.v.lower())
+        value = hilbert(parse_rational(args.a), parse_rational(args.b), v)
         print(value)
         return EX_OK
 

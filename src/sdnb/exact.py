@@ -265,11 +265,17 @@ def legendre(a: int, p: int) -> int:
     """Quadratic residue symbol (a|p) for an odd prime p: +1, -1 or 0."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"legendre symbol needs an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
+    return euler_criterion(a, p)
+
+
+def euler_criterion(a: int, p: int) -> int:
+    """(a|p) = a^((p-1)/2) mod p, read as +1, -1 or 0.
+
+    The kernel of :func:`legendre` without its checks: p must be an odd
+    prime the caller has already verified, such as the prime of a ``Place``.
+    """
     t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
+    return -1 if t == p - 1 else t  # t is 0, 1 or p - 1
 
 
 def euler_phi(m: int) -> int:

@@ -32,13 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from . import brauer
 from .brauer import BrauerClass
-from .exact import WorkBudget, factor, is_square, legendre, squarefree_part
-from .symbols import Place, hilbert, support_places
+from .exact import WorkBudget, factor, is_square, squarefree_part
+from .symbols import Place, hilbert, is_square_in_completion, support_places
 
 
 @dataclass(frozen=True)
@@ -229,6 +230,7 @@ def signature(f: DiagonalForm) -> tuple[int, int]:
     return pos, f.rank - pos
 
 
+@lru_cache(maxsize=64)
 def hasse_witt(f: DiagonalForm) -> BrauerClass:
     """The class sum of (a_i, a_j) over i < j in Br_2(Q).
 
@@ -238,6 +240,8 @@ def hasse_witt(f: DiagonalForm) -> BrauerClass:
     and (a, b) counts m_a * m_b times across two, and only odd counts
     contribute.  The class of 1 contributes nothing.  Each class is
     represented by its first entry, whose factorization is already cached.
+    The result is memoized per form, so the local tests at every place of
+    one form share one computation.
     """
     classes: dict[int, list] = {}  # square class -> [first entry, multiplicity]
     for a in f.entries:
@@ -256,23 +260,7 @@ def hasse_witt(f: DiagonalForm) -> BrauerClass:
 
 
 def _hasse_invariant_at(f: DiagonalForm, v: Place) -> int:
-    s = 1
-    for i in range(f.rank):
-        for j in range(i + 1, f.rank):
-            s *= hilbert(f.entries[i], f.entries[j], v)
-    return s
-
-
-def is_square_in_completion(q: Fraction | int, v: Place) -> bool:
-    """Is q a square in the completion of Q at v?"""
-    s = squarefree_part(q)
-    if v.is_real:
-        return s > 0
-    p = v.prime
-    assert p is not None
-    if p == 2:
-        return s % 2 != 0 and s % 8 == 1
-    return s % p != 0 and legendre(s, p) == 1
+    return -1 if v in hasse_witt(f).ramified else 1
 
 
 def isotropic_over_Qp(f: DiagonalForm, v: Place) -> bool:
@@ -301,7 +289,7 @@ def _support(f: DiagonalForm) -> list[Place]:
 
 def isotropic_over_Q(f: DiagonalForm) -> bool:
     """Hasse-Minkowski: isotropic at every place of the finite support set."""
-    return all(isotropic_over_Qp(f, v) for v in _support(f))
+    return anisotropy_certificate(f) is None
 
 
 def anisotropy_certificate(f: DiagonalForm) -> Place | None:

@@ -24,6 +24,10 @@ where its fixed field has odd local degree and the factor is locally split, a
 unitary factor binds where the fixed field has odd local degree and the
 center stays a field.  Certificates list every filter decision.
 
+One certificate builder makes both decisions from a single pass over the
+factor table, the pass ``invariant_report`` makes: it walks the real place and
+the support of every invariant class, or one finite place for every factor.
+
 Two computed-versus-quoted discrepancies are deliberate and unit-tested:
 
 * For cyclic quadratic layers (degree-2 subfield, order-4 quotient) the top
@@ -66,7 +70,7 @@ from .forms import (
     sum_of_two_squares_over_sqrt2,
     trace_form,
 )
-from .symbols import Place
+from .symbols import REAL, Place
 
 VERDICT_YES = "yes"
 VERDICT_NO = "no"
@@ -387,10 +391,6 @@ def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
         return DiagonalForm([2, 2 * spec.z])
     if isinstance(spec, CyclicQuartic):
         return quartic_family_form(spec.a, spec.b, spec.c, spec.eps)
-    if isinstance(spec, CyclicPoly):
-        if spec.degree == 1:
-            return DiagonalForm([1])
-        return diagonalize(trace_form(spec.coeffs))
     return diagonalize(trace_form(spec.coeffs))
 
 
@@ -474,70 +474,60 @@ _ZERO_LOWER_UNITARY = "forced to vanish: below the top factor the fibered extens
 _A4_PAIR = "character pair without an attached invariant in the supported table"
 
 
-def c_invariants(
-    spec: GaloisAlgebraSpec, q: DiagonalForm | None = None
-) -> tuple[InvariantEntry, ...]:
-    """Orthogonal-factor invariants; requires the degree-one vanishing.
+def _invariant_entry(
+    spec: GaloisAlgebraSpec, fd: FactorDescriptor, q: DiagonalForm | None
+) -> InvariantEntry:
+    """The invariant of one factor, given the degree-one vanishing.
 
     ``q`` is ``family_trace_form(spec)`` when the caller already has it.
     """
+    if fd.kind == FactorKind.UNITARY:
+        n = group_of(spec).cyclic_two_power_exponent()
+        if n is None:
+            return InvariantEntry(fd.id, "d", "not-computed", None, note="outside the supported tables")
+        if fd.conductor == 1 << n:
+            return InvariantEntry(fd.id, "d", "computed", d_top(spec, q))
+        return InvariantEntry(fd.id, "d", "zero", brauer.TRIVIAL, note=_ZERO_LOWER_UNITARY)
+    if isinstance(spec, D4Quadratic) and fd.id == "2dim":
+        return InvariantEntry(fd.id, "c", "computed", cup(spec.z, -1))
+    if isinstance(spec, A4Quartic) and fd.id == "std3":
+        cls = hasse_witt(family_trace_form(spec) if q is None else q)
+        return InvariantEntry(fd.id, "c", "computed", cls, note="conditional: " + fd.note)
+    if isinstance(spec, A4Quartic) and fd.id.startswith("chi3"):
+        return InvariantEntry(fd.id, "c", "not-computed", None, note=_A4_PAIR)
+    if isinstance(spec, A5Quadratic) and fd.id == "3dim":
+        return InvariantEntry(fd.id, "c", "computed", cup(-1, spec.z))
+    return InvariantEntry(fd.id, "c", "zero", brauer.TRIVIAL, note=_ZERO_DEGREE_ONE)
+
+
+def c_invariants(spec: GaloisAlgebraSpec) -> tuple[InvariantEntry, ...]:
+    """Orthogonal-factor invariants; requires the degree-one vanishing."""
     if not h1_condition(spec):
         raise ValueError("invariants undefined: degree-one invariants do not vanish")
-    group = group_of(spec)
-    out = []
-    for fd in decompose(group):
-        if fd.kind == FactorKind.UNITARY:
-            continue
-        if isinstance(spec, D4Quadratic) and fd.id == "2dim":
-            out.append(InvariantEntry(fd.id, "c", "computed", cup(spec.z, -1)))
-        elif isinstance(spec, A4Quartic) and fd.id == "std3":
-            cls = hasse_witt(family_trace_form(spec) if q is None else q)
-            out.append(
-                InvariantEntry(
-                    fd.id, "c", "computed", cls,
-                    note="conditional: " + fd.note,
-                )
-            )
-        elif isinstance(spec, A4Quartic) and fd.id.startswith("chi3"):
-            out.append(InvariantEntry(fd.id, "c", "not-computed", None, note=_A4_PAIR))
-        elif isinstance(spec, A5Quadratic) and fd.id == "3dim":
-            out.append(InvariantEntry(fd.id, "c", "computed", cup(-1, spec.z)))
-        else:
-            out.append(InvariantEntry(fd.id, "c", "zero", brauer.TRIVIAL, note=_ZERO_DEGREE_ONE))
-    return tuple(out)
+    return tuple(
+        _invariant_entry(spec, fd, None)
+        for fd in decompose(group_of(spec))
+        if fd.kind != FactorKind.UNITARY
+    )
 
 
-def invariant_report(
-    spec: GaloisAlgebraSpec, q: DiagonalForm | None = None
-) -> InvariantReport:
-    """Per-factor invariant classes plus the trace-form data of the family.
+def _report(
+    spec: GaloisAlgebraSpec, q: DiagonalForm
+) -> tuple[InvariantReport, tuple[FactorDescriptor, ...]]:
+    """The invariant report and the factor table, entry i belonging to factor i.
 
-    ``q`` is ``family_trace_form(spec)`` when the caller already has it.
+    The one pass over the factor table per decision; the table is empty when
+    the degree-one invariants do not vanish.
     """
-    if q is None:
-        q = family_trace_form(spec)
     h1 = h1_condition(spec)
-    if not h1:
-        return InvariantReport(False, (), q, det_square_class(q), signature(q))
-    entries = list(c_invariants(spec, q))
-    group = group_of(spec)
-    n = group.cyclic_two_power_exponent()
-    for fd in decompose(group):
-        if fd.kind != FactorKind.UNITARY:
-            continue
-        if n is not None and fd.conductor == 1 << n:
-            entries.append(InvariantEntry(fd.id, "d", "computed", d_top(spec, q)))
-        elif n is not None:
-            entries.append(
-                InvariantEntry(fd.id, "d", "zero", brauer.TRIVIAL, note=_ZERO_LOWER_UNITARY)
-            )
-        else:
-            entries.append(
-                InvariantEntry(fd.id, "d", "not-computed", None, note="outside the supported tables")
-            )
-    order = {fd.id: i for i, fd in enumerate(decompose(group))}
-    entries.sort(key=lambda e: order[e.factor_id])
-    return InvariantReport(True, tuple(entries), q, det_square_class(q), signature(q))
+    factors = decompose(group_of(spec)) if h1 else ()
+    entries = tuple(_invariant_entry(spec, fd, q) for fd in factors)
+    return InvariantReport(h1, entries, q, det_square_class(q), signature(q)), factors
+
+
+def invariant_report(spec: GaloisAlgebraSpec) -> InvariantReport:
+    """Per-factor invariant classes, in factor order, plus the trace-form data."""
+    return _report(spec, family_trace_form(spec))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -591,33 +581,77 @@ def _local_filter(fd: FactorDescriptor, v: Place) -> tuple[bool, str]:
         n_odd = brauer.splits_in_quadratic(v, fd.e_param)
         n_text = f"E = Q(sqrt {fd.e_param}) {'splits' if n_odd else 'does not split'} at {v}"
     else:
-        data = local_data(fd.conductor, True, v)
-        n_odd = data.n_odd
+        n_odd, eps = local_data(fd.conductor, True, v)
         n_text = f"local degree of E (conductor {fd.conductor}) is {'odd' if n_odd else 'even'}"
     if fd.kind == FactorKind.ORTHOGONAL:
         binds = n_odd and fd.split
         return binds, f"{n_text}; factor {'split' if fd.split else 'not split'}"
-    # unitary
+    # unitary: E = Q has the center Q(i) or Q(sqrt -3), otherwise eps came with n_odd
     if fd.e_kind == "Q":
         d_center = -1 if fd.conductor == 4 else -3
         eps = 0 if brauer.splits_in_quadratic(v, d_center) else 1
-    else:
-        eps = local_data(fd.conductor, True, v).epsilon
     binds = n_odd and eps == 1
     return binds, f"{n_text}; epsilon = {eps}"
 
 
-def _real_condition(q: DiagonalForm) -> tuple[bool, str]:
-    sig = signature(q)
-    ok = sig[1] == 0
-    return ok, (
-        f"trace form signature {sig}: "
-        + ("positive definite, split at the real place" if ok else "not totally real")
-    )
+def _decide(spec: GaloisAlgebraSpec, at: Place | None) -> Decision:
+    """The certificate builder behind ``decide_global`` and ``decide_local``.
 
-
-def _sorted_places(cls: BrauerClass) -> list[Place]:
-    return sorted(cls.ramified, key=Place.sort_key)
+    With ``at`` None it walks the real place and every finite place in the
+    support of each invariant class; with a finite ``at`` it walks that one
+    place for every factor, ramified or not.  The verdict is yes iff every
+    row passes, and unknown for the A4 family.
+    """
+    h1 = h1_condition(spec)
+    rows = [
+        CertificateRow(
+            "h1", None, "H1", h1,
+            "degree-one invariants vanish" if h1
+            else "image of the classifying map is not inside the squares subgroup",
+        )
+    ]
+    if not h1:
+        return Decision(VERDICT_NO, tuple(rows))
+    report, factors = _report(spec, family_trace_form(spec))
+    if at is None:
+        sig = report.signature
+        real_ok = sig[1] == 0
+        rows.append(
+            CertificateRow(
+                "real-split", None, "real", real_ok,
+                f"trace form signature {sig}: "
+                + ("positive definite, split at the real place" if real_ok else "not totally real"),
+            )
+        )
+    where = None if at is None else at.to_json()
+    for fd, entry in zip(factors, report.entries):
+        kind = "orthogonal-local" if entry.invariant == "c" else "unitary-local"
+        cls = entry.value
+        if cls is None:  # not computed
+            rows.append(CertificateRow(kind, fd.id, where, True, entry.note))
+            continue
+        if at is None and is_trivial(cls):
+            rows.append(
+                CertificateRow(
+                    kind, fd.id, None, True,
+                    "invariant class trivial; conditions hold at every place",
+                )
+            )
+            continue
+        # the real place is governed by the real-split condition
+        places = [at] if at is not None else sorted(cls.ramified - {REAL}, key=Place.sort_key)
+        for v in places:
+            binds, detail = _local_filter(fd, v)
+            ramified = v in cls.ramified
+            passed = not (binds and ramified)
+            if at is None:
+                detail += "; local invariant is -1 here" + ("" if passed else ", so the condition fails")
+            else:
+                detail += f"; local invariant {'-1' if ramified else '+1'}"
+            rows.append(CertificateRow(kind, fd.id, v.to_json(), passed, detail))
+    if isinstance(spec, A4Quartic):
+        return Decision(VERDICT_UNKNOWN, tuple(rows))
+    return Decision(VERDICT_YES if all(r.passed for r in rows) else VERDICT_NO, tuple(rows))
 
 
 def decide_global(spec: GaloisAlgebraSpec) -> Decision:
@@ -629,94 +663,14 @@ def decide_global(spec: GaloisAlgebraSpec) -> Decision:
     support have trivial local invariant, so nothing else needs checking.
     The certificate always contains the full filter table.
     """
-    rows = [
-        CertificateRow(
-            "h1", None, "H1", h1_condition(spec),
-            "degree-one invariants vanish" if h1_condition(spec)
-            else "image of the classifying map is not inside the squares subgroup",
-        )
-    ]
-    if not h1_condition(spec):
-        return Decision(VERDICT_NO, tuple(rows))
-    q = family_trace_form(spec)
-    real_ok, real_detail = _real_condition(q)
-    rows.append(CertificateRow("real-split", None, "real", real_ok, real_detail))
-    ok = real_ok
-    report = invariant_report(spec, q)
-    descriptors = {fd.id: fd for fd in decompose(group_of(spec))}
-    for entry in report.entries:
-        kind = "orthogonal-local" if entry.invariant == "c" else "unitary-local"
-        if entry.status == "not-computed":
-            rows.append(
-                CertificateRow(kind, entry.factor_id, None, True, entry.note or "no invariant attached")
-            )
-            continue
-        cls = entry.value
-        assert cls is not None
-        if is_trivial(cls):
-            rows.append(
-                CertificateRow(
-                    kind, entry.factor_id, None, True,
-                    "invariant class trivial; conditions hold at every place",
-                )
-            )
-            continue
-        fd = descriptors[entry.factor_id]
-        for v in _sorted_places(cls):
-            if v.is_real:
-                continue  # governed by the real-split condition
-            binds, detail = _local_filter(fd, v)
-            passed = not binds
-            rows.append(
-                CertificateRow(
-                    kind, entry.factor_id, v.to_json(), passed,
-                    detail + "; local invariant is -1 here"
-                    + ("" if passed else ", so the condition fails"),
-                )
-            )
-            ok = ok and passed
-    if isinstance(spec, A4Quartic):
-        return Decision(VERDICT_UNKNOWN, tuple(rows))
-    return Decision(VERDICT_YES if ok else VERDICT_NO, tuple(rows))
+    return _decide(spec, None)
 
 
 def decide_local(spec: GaloisAlgebraSpec, v: Place) -> Decision:
     """Self-dual normal basis decision for the completion at a finite place."""
     if v.is_real:
         raise ValueError("the real place is decided by positive definiteness of the trace form")
-    rows = [
-        CertificateRow(
-            "h1", None, "H1", h1_condition(spec),
-            "degree-one invariants vanish" if h1_condition(spec)
-            else "image of the classifying map is not inside the squares subgroup",
-        )
-    ]
-    if not h1_condition(spec):
-        return Decision(VERDICT_NO, tuple(rows))
-    ok = True
-    report = invariant_report(spec)
-    descriptors = {fd.id: fd for fd in decompose(group_of(spec))}
-    for entry in report.entries:
-        kind = "orthogonal-local" if entry.invariant == "c" else "unitary-local"
-        if entry.status == "not-computed":
-            rows.append(CertificateRow(kind, entry.factor_id, v.to_json(), True, entry.note))
-            continue
-        cls = entry.value
-        assert cls is not None
-        fd = descriptors[entry.factor_id]
-        binds, detail = _local_filter(fd, v)
-        ramified_here = v in cls.ramified
-        passed = not (binds and ramified_here)
-        rows.append(
-            CertificateRow(
-                kind, entry.factor_id, v.to_json(), passed,
-                detail + f"; local invariant {'-1' if ramified_here else '+1'}",
-            )
-        )
-        ok = ok and passed
-    if isinstance(spec, A4Quartic):
-        return Decision(VERDICT_UNKNOWN, tuple(rows))
-    return Decision(VERDICT_YES if ok else VERDICT_NO, tuple(rows))
+    return _decide(spec, v)
 
 
 def embedding_obstruction(coeffs: Sequence[int]) -> BrauerClass:
@@ -741,7 +695,7 @@ def embedding_obstruction(coeffs: Sequence[int]) -> BrauerClass:
 def _res_trivial_real_cyclotomic(cls: BrauerClass, conductor: int) -> bool:
     # restriction to the totally real cyclotomic layer dies exactly at the
     # places of even local degree; the real place always has degree 1 there
-    for v in _sorted_places(cls):
+    for v in sorted(cls.ramified, key=Place.sort_key):
         if v.is_real:
             return False
         if local_data(conductor, True, v).n_odd:

@@ -1,10 +1,13 @@
-"""Places of Q and the Hilbert symbol (a,b)_v at every place.
+"""Places of Q, squares in the completions and the Hilbert symbol (a,b)_v.
 
 ``hilbert`` evaluates the symbol from square-class data with the classical
 closed formulas: sign inspection at the real place, the unit/valuation split
 at odd p, and the mod-8 characters eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8
-at p = 2.  Callers pass arbitrary nonzero rationals; reduction to squarefree
-integer representatives happens here.
+at p = 2.  ``is_square_in_completion`` is the one test of squares in Q_v
+(a place splits in Q(sqrt d) exactly when d is a square there).  Callers pass
+arbitrary nonzero rationals; reduction to squarefree integer representatives
+happens here.  Both use Euler's criterion at odd p without testing p again:
+a ``Place`` verifies its prime once, at construction.
 
 ``hilbert_oracle`` is the independent cross-check: a brute-force search for a
 primitive solution of z^2 = a x^2 + b y^2 modulo p^N with N = v_p(4ab) + 3.
@@ -30,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .exact import BudgetExceededError, is_prime, factor, squarefree_part
+from .exact import BudgetExceededError, euler_criterion, is_prime, factor, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -98,31 +101,33 @@ def hilbert(a: Fraction | int, b: Fraction | int, v: Place) -> int:
         return -1 if (a0 < 0 and b0 < 0) else 1
     p = v.prime
     assert p is not None
-    if p == 2:
-        u, alpha = _unit_and_valuation(abs(a0), 2)
-        w, beta = _unit_and_valuation(abs(b0), 2)
-        u = u if a0 > 0 else -u
-        w = w if b0 > 0 else -w
-        e = _eps2(u) * _eps2(w) + alpha * _omega2(w) + beta * _omega2(u)
-        return -1 if e & 1 else 1
     u, alpha = _unit_and_valuation(abs(a0), p)
     w, beta = _unit_and_valuation(abs(b0), p)
     u = u if a0 > 0 else -u
     w = w if b0 > 0 else -w
+    if p == 2:
+        e = _eps2(u) * _eps2(w) + alpha * _omega2(w) + beta * _omega2(u)
+        return -1 if e & 1 else 1
     s = 1
     if beta:
-        s *= legendre_sign(u, p)
+        s *= euler_criterion(u, p)
     if alpha:
-        s *= legendre_sign(w, p)
+        s *= euler_criterion(w, p)
     if alpha and beta and (p - 1) // 2 % 2 == 1:
         s = -s
     return s
 
 
-def legendre_sign(u: int, p: int) -> int:
-    # u is a unit mod p here, so the symbol is +-1
-    t = pow(u % p, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
+def is_square_in_completion(q: Fraction | int, v: Place) -> bool:
+    """Is the nonzero rational q a square in the completion of Q at v?"""
+    s = squarefree_part(q)
+    if v.is_real:
+        return s > 0
+    p = v.prime
+    assert p is not None
+    if p == 2:
+        return s % 8 == 1
+    return s % p != 0 and euler_criterion(s, p) == 1
 
 
 _ORACLE_MODULUS_CAP = 4_000_000
@@ -136,12 +141,7 @@ def _squares_mod(m: int) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def _oracle_reduced(a: int, b: int, p: int) -> int:
-    vp = 0
-    t = 4 * abs(a * b)
-    while t % p == 0:
-        t //= p
-        vp += 1
-    n = vp + 3
+    n = _unit_and_valuation(4 * abs(a * b), p)[1] + 3
     m = p**n
     if m > _ORACLE_MODULUS_CAP:
         raise BudgetExceededError(

@@ -5,7 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from sdnb import CyclicQuadratic, CyclicQuartic, is_square
+from sdnb import CyclicQuadratic, CyclicQuartic, brauer, galois, is_square
+from sdnb.brauer import is_trivial
+from sdnb.exact import legendre, squarefree_part
+from sdnb.factors import FactorKind, decompose, local_data
+from sdnb.forms import det_square_class, hasse_witt, signature
+from sdnb.symbols import Place, hilbert
 
 
 def random_nonsquare_rational(rng: random.Random, span: int = 80) -> Fraction:
@@ -95,3 +100,211 @@ def numpy_witness_ternary(f, height_cap: int = 10_000):
         if hi >= height_cap:
             return None
         bound *= 8
+
+
+# --- reference copies of code the package no longer runs -----------------------
+#
+# The decision walk below is the certificate code as it stood when the global
+# and local decisions were two separate functions, each with its own pass over
+# the factor table; the decision tests require the single builder to give the
+# same JSON.
+
+
+def reference_c_invariants(spec, q=None):
+    if not galois.h1_condition(spec):
+        raise ValueError("invariants undefined: degree-one invariants do not vanish")
+    group = galois.group_of(spec)
+    out = []
+    for fd in decompose(group):
+        if fd.kind == FactorKind.UNITARY:
+            continue
+        if isinstance(spec, galois.D4Quadratic) and fd.id == "2dim":
+            out.append(galois.InvariantEntry(fd.id, "c", "computed", brauer.cup(spec.z, -1)))
+        elif isinstance(spec, galois.A4Quartic) and fd.id == "std3":
+            cls = hasse_witt(galois.family_trace_form(spec) if q is None else q)
+            out.append(
+                galois.InvariantEntry(fd.id, "c", "computed", cls, note="conditional: " + fd.note)
+            )
+        elif isinstance(spec, galois.A4Quartic) and fd.id.startswith("chi3"):
+            out.append(galois.InvariantEntry(fd.id, "c", "not-computed", None, note=galois._A4_PAIR))
+        elif isinstance(spec, galois.A5Quadratic) and fd.id == "3dim":
+            out.append(galois.InvariantEntry(fd.id, "c", "computed", brauer.cup(-1, spec.z)))
+        else:
+            out.append(
+                galois.InvariantEntry(
+                    fd.id, "c", "zero", brauer.TRIVIAL, note=galois._ZERO_DEGREE_ONE
+                )
+            )
+    return tuple(out)
+
+
+def reference_invariant_report(spec, q=None):
+    if q is None:
+        q = galois.family_trace_form(spec)
+    if not galois.h1_condition(spec):
+        return galois.InvariantReport(False, (), q, det_square_class(q), signature(q))
+    entries = list(reference_c_invariants(spec, q))
+    group = galois.group_of(spec)
+    n = group.cyclic_two_power_exponent()
+    for fd in decompose(group):
+        if fd.kind != FactorKind.UNITARY:
+            continue
+        if n is not None and fd.conductor == 1 << n:
+            entries.append(galois.InvariantEntry(fd.id, "d", "computed", galois.d_top(spec, q)))
+        elif n is not None:
+            entries.append(
+                galois.InvariantEntry(
+                    fd.id, "d", "zero", brauer.TRIVIAL, note=galois._ZERO_LOWER_UNITARY
+                )
+            )
+        else:
+            entries.append(
+                galois.InvariantEntry(
+                    fd.id, "d", "not-computed", None, note="outside the supported tables"
+                )
+            )
+    order = {fd.id: i for i, fd in enumerate(decompose(group))}
+    entries.sort(key=lambda e: order[e.factor_id])
+    return galois.InvariantReport(True, tuple(entries), q, det_square_class(q), signature(q))
+
+
+def reference_local_filter(fd, v):
+    if fd.kind == FactorKind.DEGREE_ONE:
+        return False, "degree-one factor, no local condition"
+    if fd.e_kind == "Q":
+        n_odd = True
+        n_text = "[E:Q_v] = 1"
+    elif fd.e_kind == "quadratic":
+        n_odd = brauer.splits_in_quadratic(v, fd.e_param)
+        n_text = f"E = Q(sqrt {fd.e_param}) {'splits' if n_odd else 'does not split'} at {v}"
+    else:
+        data = local_data(fd.conductor, True, v)
+        n_odd = data.n_odd
+        n_text = f"local degree of E (conductor {fd.conductor}) is {'odd' if n_odd else 'even'}"
+    if fd.kind == FactorKind.ORTHOGONAL:
+        binds = n_odd and fd.split
+        return binds, f"{n_text}; factor {'split' if fd.split else 'not split'}"
+    if fd.e_kind == "Q":
+        d_center = -1 if fd.conductor == 4 else -3
+        eps = 0 if brauer.splits_in_quadratic(v, d_center) else 1
+    else:
+        eps = local_data(fd.conductor, True, v).epsilon
+    binds = n_odd and eps == 1
+    return binds, f"{n_text}; epsilon = {eps}"
+
+
+def _reference_h1_rows(spec):
+    h1 = galois.h1_condition(spec)
+    return [
+        galois.CertificateRow(
+            "h1", None, "H1", h1,
+            "degree-one invariants vanish" if h1
+            else "image of the classifying map is not inside the squares subgroup",
+        )
+    ]
+
+
+def reference_decide_global(spec):
+    rows = _reference_h1_rows(spec)
+    if not galois.h1_condition(spec):
+        return galois.Decision(galois.VERDICT_NO, tuple(rows))
+    q = galois.family_trace_form(spec)
+    sig = signature(q)
+    ok = sig[1] == 0
+    rows.append(
+        galois.CertificateRow(
+            "real-split", None, "real", ok,
+            f"trace form signature {sig}: "
+            + ("positive definite, split at the real place" if ok else "not totally real"),
+        )
+    )
+    report = reference_invariant_report(spec, q)
+    descriptors = {fd.id: fd for fd in decompose(galois.group_of(spec))}
+    for entry in report.entries:
+        kind = "orthogonal-local" if entry.invariant == "c" else "unitary-local"
+        if entry.status == "not-computed":
+            rows.append(
+                galois.CertificateRow(
+                    kind, entry.factor_id, None, True, entry.note or "no invariant attached"
+                )
+            )
+            continue
+        cls = entry.value
+        if is_trivial(cls):
+            rows.append(
+                galois.CertificateRow(
+                    kind, entry.factor_id, None, True,
+                    "invariant class trivial; conditions hold at every place",
+                )
+            )
+            continue
+        fd = descriptors[entry.factor_id]
+        for v in sorted(cls.ramified, key=Place.sort_key):
+            if v.is_real:
+                continue
+            binds, detail = reference_local_filter(fd, v)
+            passed = not binds
+            rows.append(
+                galois.CertificateRow(
+                    kind, entry.factor_id, v.to_json(), passed,
+                    detail + "; local invariant is -1 here"
+                    + ("" if passed else ", so the condition fails"),
+                )
+            )
+            ok = ok and passed
+    if isinstance(spec, galois.A4Quartic):
+        return galois.Decision(galois.VERDICT_UNKNOWN, tuple(rows))
+    return galois.Decision(galois.VERDICT_YES if ok else galois.VERDICT_NO, tuple(rows))
+
+
+def reference_decide_local(spec, v):
+    if v.is_real:
+        raise ValueError("the real place is decided by positive definiteness of the trace form")
+    rows = _reference_h1_rows(spec)
+    if not galois.h1_condition(spec):
+        return galois.Decision(galois.VERDICT_NO, tuple(rows))
+    ok = True
+    report = reference_invariant_report(spec)
+    descriptors = {fd.id: fd for fd in decompose(galois.group_of(spec))}
+    for entry in report.entries:
+        kind = "orthogonal-local" if entry.invariant == "c" else "unitary-local"
+        if entry.status == "not-computed":
+            rows.append(galois.CertificateRow(kind, entry.factor_id, v.to_json(), True, entry.note))
+            continue
+        cls = entry.value
+        binds, detail = reference_local_filter(descriptors[entry.factor_id], v)
+        ramified_here = v in cls.ramified
+        passed = not (binds and ramified_here)
+        rows.append(
+            galois.CertificateRow(
+                kind, entry.factor_id, v.to_json(), passed,
+                detail + f"; local invariant {'-1' if ramified_here else '+1'}",
+            )
+        )
+        ok = ok and passed
+    if isinstance(spec, galois.A4Quartic):
+        return galois.Decision(galois.VERDICT_UNKNOWN, tuple(rows))
+    return galois.Decision(galois.VERDICT_YES if ok else galois.VERDICT_NO, tuple(rows))
+
+
+# --- reference copies of the local facts ----------------------------------------
+
+
+def reference_is_square_in_completion(q, v):
+    """Squares in Q_v as ``forms`` tested them, through the checked Legendre symbol."""
+    s = squarefree_part(q)
+    if v.is_real:
+        return s > 0
+    p = v.prime
+    if p == 2:
+        return s % 2 != 0 and s % 8 == 1
+    return s % p != 0 and legendre(s, p) == 1
+
+
+def reference_hasse_invariant_at(f, v):
+    """The Hasse invariant at v as the product of (a_i, a_j)_v over i < j."""
+    s = 1
+    for i in range(f.rank):
+        for j in range(i + 1, f.rank):
+            s *= hilbert(f.entries[i], f.entries[j], v)
+    return s

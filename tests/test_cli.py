@@ -212,6 +212,47 @@ def test_cli_import_leaves_numpy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--group", "C8", "--family", "cyclic-quadratic", "--z", "3"],
+        ["factors", "--group", "C1099511627776"],
+    ],
+    ids=["decide", "factors"],
+)
+def test_closed_stdout_exits_74(argv, unbuffered):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes anything
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "sdnb.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 74, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "output-closed"
+    assert "Exception ignored" not in result.stderr and "Traceback" not in result.stderr
+
+
+def test_stdout_closed_at_start_keeps_the_verdict_exit():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "sdnb.cli", "decide", "--group", "C8", "--family",
+         "cyclic-quadratic", "--z", "-1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=lambda: os.close(1),
+    )
+    assert result.returncode == 1 and result.stderr == ""
+
+
 GOLDEN_CLI = [
     ({"group": "C8", "family": "cyclic-quadratic", "z": "3"}, 0),
     ({"group": "C8", "family": "cyclic-quadratic", "z": "-1"}, 1),

@@ -15,6 +15,7 @@ from sdnb import (
     det_square_class,
     diagonalize,
     equal,
+    forms,
     hasse_witt,
     is_trivial,
     isotropic_over_Q,
@@ -30,7 +31,7 @@ from sdnb import (
     trace_form,
 )
 
-from helpers import compose, numpy_witness_ternary
+from helpers import compose, numpy_witness_ternary, reference_hasse_invariant_at
 
 F = Fraction
 
@@ -260,6 +261,17 @@ def test_hasse_witt_matches_pairwise_sum():
             for j in range(i + 1, len(entries)):
                 ref = add(ref, cup(entries[i], entries[j]))
         assert equal(hasse_witt(DiagonalForm(entries)), ref), entries
+
+
+def test_hasse_invariant_at_matches_pairwise_product():
+    rng = random.Random(1903)
+    for _ in range(150):
+        rank = rng.randint(2, 5)
+        f = DiagonalForm(
+            F(rng.randint(1, 200), rng.randint(1, 20)) * rng.choice([1, -1]) for _ in range(rank)
+        )
+        for v in forms._support(f):
+            assert forms._hasse_invariant_at(f, v) == reference_hasse_invariant_at(f, v), (f, v)
 
 
 # --- isotropy -------------------------------------------------------------

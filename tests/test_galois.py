@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from sdnb import (
     d_top,
     decide_global,
     decide_local,
+    decompose,
     diagonalize,
     elementary_criterion,
     embedding_obstruction,
@@ -42,7 +44,14 @@ from sdnb import (
     trace_form,
     trace_forms_isomorphic,
 )
-from helpers import compose, random_quadratic_spec, random_quartic_spec
+from helpers import (
+    compose,
+    random_quadratic_spec,
+    random_quartic_spec,
+    reference_decide_global,
+    reference_decide_local,
+    reference_invariant_report,
+)
 
 F = Fraction
 
@@ -400,6 +409,41 @@ def test_trace_form_built_once_per_decision(monkeypatch, call):
         assert result.verdict == VERDICT_YES
 
 
+@pytest.mark.parametrize(
+    "call",
+    [decide_global, lambda spec: decide_local(spec, Place(3)), invariant_report],
+    ids=["decide_global", "decide_local", "invariant_report"],
+)
+def test_factor_table_built_once_per_decision(monkeypatch, call):
+    counts = {}
+    _count_calls(monkeypatch, counts, "decompose", galois)
+    for spec in (
+        CyclicQuadratic(4, 3),
+        CyclicPoly(5, _tower16(), 16),
+        D4Quadratic(3),
+        A4Quartic((12, 8, 0, 0, 1)),
+        SplitAlgebra(GroupDescriptor("abelian", (2, 12))),
+    ):
+        counts.clear()
+        call(spec)
+        assert counts == {"decompose": 1}, spec
+
+
+def test_local_data_called_at_most_once_per_certificate_row(monkeypatch):
+    # chi8 and chi16 have real cyclotomic fixed fields; (7)(-1) ramifies at 2 and 7
+    spec = CyclicQuadratic(4, 7)
+    cyclotomic = {
+        fd.id for fd in decompose(GroupDescriptor.cyclic(16)) if fd.e_kind == "real-cyclotomic"
+    }
+    counts = {}
+    _count_calls(monkeypatch, counts, "local_data", galois)
+    calls = [decide_global] + [lambda s, p=p: decide_local(s, Place(p)) for p in (2, 3, 7)]
+    for call in calls:
+        counts.clear()
+        rows = [r for r in call(spec).certificate if r.factor in cyclotomic and r.place]
+        assert rows and counts.get("local_data", 0) <= len(rows)
+
+
 def test_irreducibility_screen_stays_in_budget():
     # x^4 - 2(a+b)x^2 + (a-b)^2, the minimal polynomial of sqrt(a) + sqrt(b):
     # reducible modulo every prime, so only the quadratic search can answer,
@@ -409,6 +453,57 @@ def test_irreducibility_screen_stays_in_budget():
         galois._irreducible_over_Q([(a - b) ** 2, 0, -2 * (a + b), 0, 1])
     for n in list(range(-60, 0)) + list(range(1, 400)):
         assert galois._divisors(n) == [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
+# --- one certificate builder: the JSON of the two former walks -----------------
+
+
+def _differential_specs():
+    """Every family, split groups, +-z, and seeded random quadratic/quartic specs."""
+    specs = [SplitAlgebra(GroupDescriptor(kind)) for kind in ("D4", "A4", "A5demo")] + [
+        SplitAlgebra(GroupDescriptor.cyclic(8)),
+        SplitAlgebra(GroupDescriptor("abelian", (2, 12))),
+        CyclicQuartic(3, 3, F(3, 2), F(3, 2), 2),
+        CyclicQuartic(4, -2, 1, 1, 2),
+        CyclicPoly(2, (-3, 1), 1),
+        CyclicPoly(3, (2, 0, -4, 0, 1), 4),
+        CyclicPoly(2, (2, 0, -4, 0, 1), 4),
+        CyclicPoly(4, compose([2, 0, -4, 0, 1], [-2, 0, 1]), 8),
+        CyclicPoly(5, _tower16(), 16),
+        A4Quartic((12, 8, 0, 0, 1)),
+        A4Quartic((1, 1, 0, 0, 1)),
+    ]
+    for z in (2, 3, 5, 7, 17, 23, F(45, 8)):
+        for sz in (z, -z):
+            specs += [CyclicQuadratic(2, sz), CyclicQuadratic(3, sz), D4Quadratic(sz), A5Quadratic(sz)]
+    rng = random.Random(2016)
+    for _ in range(75):
+        specs.append(random_quadratic_spec(rng, n=rng.randint(2, 5)))
+        specs.append(random_quartic_spec(rng, n=rng.randint(3, 5)))
+    return specs
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return json.dumps(fn(*args).to_json())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_certificate_builder_matches_reference_walks():
+    specs = _differential_specs()
+    verdicts, errors = set(), 0
+    for spec in specs:
+        assert _outcome(invariant_report, spec) == _outcome(reference_invariant_report, spec), spec
+        got = _outcome(decide_global, spec)
+        assert got == _outcome(reference_decide_global, spec), spec
+        verdicts.add(json.loads(got)["verdict"])
+        for v in [REAL] + [Place(p) for p in (2, 3, 5, 7, 17, 23)]:
+            got = _outcome(decide_local, spec, v)
+            assert got == _outcome(reference_decide_local, spec, v), (spec, v)
+            errors += got.startswith("ValueError")
+    assert verdicts == {VERDICT_YES, VERDICT_NO, VERDICT_UNKNOWN}
+    assert errors == len(specs)  # the real place, once per spec
 
 
 # --- serialization ---------------------------------------------------------------

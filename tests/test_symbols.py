@@ -3,7 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from sdnb import REAL, BudgetExceededError, Place, finite, hilbert, hilbert_oracle, support_places
+from sdnb import (
+    REAL,
+    BudgetExceededError,
+    Place,
+    finite,
+    hilbert,
+    hilbert_oracle,
+    is_square,
+    splits_in_quadratic,
+    support_places,
+)
+from sdnb.symbols import is_square_in_completion
+
+from helpers import reference_is_square_in_completion
 
 
 def test_place_validation():
@@ -88,3 +101,16 @@ def test_support_places_golden():
     assert support_places([(1, 1)]) == {REAL, Place(2)}
     assert support_places([(-1, 30)]) == {REAL, Place(2), Place(3), Place(5)}
     assert finite(3) == Place(3)
+
+
+def test_local_squares_match_reference():
+    # one test of squares in Q_v serves forms and brauer alike
+    rng = random.Random(1902)
+    for _ in range(400):
+        q = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**3)) * rng.choice([1, -1])
+        places = support_places([(q, q)]) | {Place(p) for p in (3, 5, 7, 11, 13)}
+        for v in places:
+            want = reference_is_square_in_completion(q, v)
+            assert is_square_in_completion(q, v) == want, (q, v)
+            if not is_square(q):
+                assert splits_in_quadratic(v, q) == want, (q, v)
