@@ -25,7 +25,6 @@ from .forms import (
     det_square_class,
     diagonalize,
     hasse_witt,
-    isotropic_over_Q,
     isotropy_witness_ternary,
     represents,
     signature,
@@ -118,14 +117,14 @@ def _parse_gram(text: str) -> GramMatrix:
 
 
 def _form_report(f: DiagonalForm, rep: Fraction | None, fmt: str) -> None:
+    cert = anisotropy_certificate(f)
     data: dict = {
         "diagonal": [str(a) for a in f.entries],
         "det_class": det_square_class(f),
         "signature": list(signature(f)),
         "hasse_witt": hasse_witt(f).to_json(),
-        "isotropic_over_Q": isotropic_over_Q(f),
+        "isotropic_over_Q": cert is None,
     }
-    cert = anisotropy_certificate(f)
     if cert is not None:
         data["anisotropic_at"] = cert.to_json()
     elif f.rank == 3:

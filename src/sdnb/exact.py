@@ -278,7 +278,9 @@ def euler_criterion(a: int, p: int) -> int:
     return -1 if t == p - 1 else t  # t is 0, 1 or p - 1
 
 
+@lru_cache(maxsize=1 << 12)
 def euler_phi(m: int) -> int:
+    """Euler's totient; memoized, since the same orders recur in every decision."""
     if m < 1:
         raise ValueError("euler_phi needs m >= 1")
     out = 1

@@ -7,13 +7,11 @@ sums-of-squares decisions, and exact trace forms via Newton power sums.
 
 All arithmetic is exact.  Trace forms are built from integer power sums.  A
 Gram matrix is scaled to integers by the common denominator of its entries
-and reduced once, at construction, by fraction-free Bareiss elimination
-(Bareiss, Math. Comp. 22, 1968); the determinant and, when no leading
-principal minor vanishes, the diagonal form are read off that one pass.
-Only Gram matrices with a vanishing leading minor are diagonalized by the
-``Fraction`` pivot rule.  The Hasse-Witt class is summed over the square
-classes of the entries with their multiplicities, a handful of cup products
-rather than one per pair.
+and reduced once, at construction, by one symmetric fraction-free
+elimination (Bareiss, Math. Comp. 22, 1968, with a symmetric pivot rule);
+the determinant and the diagonal form are read off its integer pivots.  The
+Hasse-Witt class is summed over the square classes of the entries with their
+multiplicities, a handful of cup products rather than one per pair.
 
 The ternary witness search is a plain ``int`` scan of expanding boxes
 0 <= x, y <= 64, 512, 4096, ... up to the height cap, x first, then y, with z
@@ -89,51 +87,65 @@ def _integer_rows(
     return [[x.numerator * (lcd // x.denominator) for x in row] for row in rows], lcd
 
 
-def _bareiss(a: list[list[int]]) -> tuple[int, list[int] | None]:
-    """Fraction-free elimination of a square integer matrix (Bareiss 1968).
+def _pivots(a: list[list[int]]) -> list[int]:
+    """Pivots of symmetric fraction-free elimination of an integer matrix.
 
-    Eliminates in place.  Returns the determinant and, when none of them vanishes, the leading
-    principal minors D_1, ..., D_n: without row swaps the k-th pivot is D_k
-    and every division by the previous pivot is exact.  A zero pivot swaps
-    in the first row below with a nonzero entry in that column; the
-    determinant stays exact, but the pivots are no longer leading minors, so
-    the minors come back as None.
+    Step k takes the first nonzero diagonal entry at or below k, swapped in
+    by row and column; when there is none it repairs the first
+    (lexicographic) nonzero off-diagonal pair (i, j) of the remaining block
+    with e_i <- e_i + e_j, whose new diagonal entry is a_ii + 2 a_ij + a_jj,
+    and takes i.  Then the remaining block gets the Bareiss update (Bareiss,
+    Math. Comp. 22, 1968).  After k steps that block is p_k times the Schur
+    complement; swaps and repairs are congruences on indices >= k, which
+    commute with eliminating the first k, so every division by the previous
+    pivot is exact and p_n is the determinant.  Eliminates in place; raises
+    ValueError when the remaining block is all zero (a degenerate matrix).
     """
     n = len(a)
-    minors: list[int] | None = []
-    sign, prev = 1, 1
+    pivots: list[int] = []
+    prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0, None
-            a[k], a[swap] = a[swap], a[k]
-            sign, minors = -sign, None
+        piv = next((i for i in range(k, n) if a[i][i]), None)
+        if piv is None:
+            pair = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None
+            )
+            if pair is None:
+                raise ValueError("Gram matrix is degenerate")
+            piv, j = pair
+            dst, src = a[piv], a[j]
+            for m in range(k, n):
+                dst[m] += src[m]
+            for row in a[k:]:
+                row[piv] += row[j]
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for row in a[k:]:
+                row[k], row[piv] = row[piv], row[k]
         pivot_row = a[k]
-        piv = pivot_row[k]
-        if minors is not None:
-            minors.append(piv)
+        p = pivot_row[k]
         tail = pivot_row[k + 1:]
         for i in range(k + 1, n):
             row = a[i]
             c = row[k]
-            row[k + 1:] = [(piv * x - c * y) // prev for x, y in zip(row[k + 1:], tail)]
-        prev = piv
-    return sign * prev, minors
+            row[k + 1:] = [(p * x - c * y) // prev for x, y in zip(row[k + 1:], tail)]
+        pivots.append(p)
+        prev = p
+    return pivots
 
 
 @dataclass(frozen=True)
 class GramMatrix:
     """Symmetric nondegenerate matrix of rationals.
 
-    Construction runs one fraction-free elimination of the rows scaled to
-    integers; ``det`` and ``diagonalize`` read its result.
+    Construction scales the rows to integers by their common denominator L
+    and runs one symmetric fraction-free elimination (``_pivots``);
+    ``det`` and ``diagonalize`` read its pivots.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
-    _det: Fraction = field(init=False, repr=False, compare=False)
     _scale: int = field(init=False, repr=False, compare=False)
-    _minors: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    _pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
         coerced = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -145,75 +157,29 @@ class GramMatrix:
             for j in range(i):
                 if m[i][j] != m[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        det, minors = _bareiss(m)
-        if det == 0:
-            raise ValueError("Gram matrix is degenerate")
         object.__setattr__(self, "rows", coerced)
-        object.__setattr__(self, "_det", Fraction(det, lcd**n))
         object.__setattr__(self, "_scale", lcd)
-        object.__setattr__(self, "_minors", None if minors is None else tuple(minors))
+        object.__setattr__(self, "_pivots", tuple(_pivots(m)))
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
     def det(self) -> Fraction:
-        return self._det
+        """p_n / L^n: every step of the elimination is a unimodular congruence."""
+        return Fraction(self._pivots[-1], self._scale**self.n)
 
 
 def diagonalize(g: GramMatrix) -> DiagonalForm:
-    """Congruent diagonal form by symmetric elimination.
+    """Congruent diagonal form <p_1/L, p_2/(p_1 L), ..., p_n/(p_{n-1} L)>.
 
-    When every leading principal minor D_k of the integer matrix L * G (L the
-    common denominator of the entries) is nonzero, the result is read off the
-    elimination ``GramMatrix`` already ran: <D_1/L, D_2/(D_1 L), ...,
-    D_n/(D_{n-1} L)>.  Those are exactly the entries the pivot rule below
-    produces, since it never swaps when every pivot is nonzero.
-
-    The pivot rule itself runs in ``Fraction`` arithmetic only when some
-    leading minor vanishes.  Pivots are deterministic: first nonzero diagonal
-    entry at or below the current position, else the first (lexicographic)
-    nonzero off-diagonal pair (i, j), repaired with the move e_i <- e_i + e_j
-    whose new diagonal entry is a_ii + 2 a_ij + a_jj.  Deterministic output
-    keeps golden tests stable; the determinant is preserved modulo squares.
+    p_k are the pivots of the elimination ``GramMatrix`` ran on L * G (L
+    the common denominator of the entries), and p_k / p_{k-1} is the k-th
+    pivot of the same elimination in rational arithmetic.  The pivot rule
+    is deterministic, which keeps golden tests stable.
     """
-    minors, lcd = g._minors, g._scale
-    if minors is not None:
-        return DiagonalForm(
-            Fraction(d, prev * lcd) for prev, d in zip((1,) + minors, minors)
-        )
-    n = g.n
-    a = [list(row) for row in g.rows]
-
-    def add_row_col(dst: int, src: int, t: Fraction) -> None:
-        for j in range(n):
-            a[dst][j] += t * a[src][j]
-        for i in range(n):
-            a[i][dst] += t * a[i][src]
-
-    def swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
-        if piv is None:
-            found = next(
-                (i, j)
-                for i in range(k, n)
-                for j in range(i + 1, n)
-                if a[i][j] != 0
-            )
-            i, j = found
-            add_row_col(i, j, Fraction(1))
-            piv = i
-        if piv != k:
-            swap(k, piv)
-        for j in range(k + 1, n):
-            if a[k][j]:
-                add_row_col(j, k, -a[k][j] / a[k][k])
-    return DiagonalForm(a[i][i] for i in range(n))
+    lcd, pivots = g._scale, g._pivots
+    return DiagonalForm(Fraction(p, prev * lcd) for prev, p in zip((1,) + pivots, pivots))
 
 
 def det_square_class(f: DiagonalForm) -> int:

@@ -50,7 +50,7 @@ from math import gcd
 from typing import Sequence, Union
 
 from . import brauer
-from .brauer import BrauerClass, add, cup, is_trivial, restricts_trivially_to_quadratic
+from .brauer import BrauerClass, add, cup, is_trivial
 from .exact import BudgetExceededError, factor, is_square, parse_rational
 from .factors import (
     FactorDescriptor,
@@ -721,10 +721,7 @@ def trace_forms_isomorphic(s1: GaloisAlgebraSpec, s2: GaloisAlgebraSpec) -> bool
         raise ValueError("trace form comparison covers cyclic 2-power groups")
     if not (h1_condition(s1) and h1_condition(s2)):
         raise ValueError("both algebras must satisfy the degree-one vanishing condition")
-    diff = add(d_top(s1), d_top(s2))
-    if n == 3:
-        return restricts_trivially_to_quadratic(diff, 2)
-    return _res_trivial_real_cyclotomic(diff, 1 << n)
+    return _res_trivial_real_cyclotomic(add(d_top(s1), d_top(s2)), 1 << n)
 
 
 ELEMENTARY_YES = "yes"

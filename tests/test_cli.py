@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from sdnb import cli
+from sdnb import cli, forms
 from sdnb.cli import main
 
 
@@ -101,6 +101,24 @@ def test_form_gram_and_witness(capsys):
     code, out, _ = run(capsys, "form", "--diag", "1,1", "--represents", "5", "--format", "json")
     data = json.loads(out)
     assert data["represents"]["result"] is True
+
+
+def test_form_walks_each_local_test_once(monkeypatch, capsys):
+    # isotropy and the anisotropy certificate come from one walk over the
+    # form's places; the representation test walks a different form
+    seen = []
+    local = forms.isotropic_over_Qp
+
+    def counted(f, v):
+        seen.append((f, v))
+        return local(f, v)
+
+    monkeypatch.setattr(forms, "isotropic_over_Qp", counted)
+    code, out, _ = run(capsys, "form", "--diag", "1,1,1,-7", "--represents", "3", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["isotropic_over_Q"] is False and data["anisotropic_at"] == 2
+    assert len(seen) == len(set(seen)), seen
 
 
 def test_factors(capsys):

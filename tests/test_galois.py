@@ -1,10 +1,11 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from sdnb import forms, galois
+from sdnb import exact, factors, forms, galois
 from sdnb import (
     A4Quartic,
     A5Quadratic,
@@ -374,6 +375,24 @@ def test_trace_forms_isomorphic_c16():
     assert trace_forms_isomorphic(CyclicQuadratic(4, 3), CyclicQuadratic(4, 7))
 
 
+def test_trace_forms_isomorphic_c8_matches_quadratic_restriction():
+    # the real subfield of Q(zeta8) is Q(sqrt 2), so restriction to the real
+    # cyclotomic layer at conductor 8 is restriction to Q(sqrt 2)
+    rng = random.Random(88)
+    specs = []
+    while len(specs) < 60:
+        spec = random_quadratic_spec(rng) if rng.random() < 0.5 else random_quartic_spec(rng)
+        if h1_condition(spec):
+            specs.append(spec)
+    outcomes = []
+    for _ in range(600):
+        s1, s2 = rng.choice(specs), rng.choice(specs)
+        got = trace_forms_isomorphic(s1, s2)
+        assert got == restricts_trivially_to_quadratic(add(d_top(s1), d_top(s2)), 2), (s1, s2)
+        outcomes.append(got)
+    assert 100 <= sum(outcomes) <= 500
+
+
 # --- cost: the trace form is built once per decision ---------------------------
 
 
@@ -442,6 +461,32 @@ def test_local_data_called_at_most_once_per_certificate_row(monkeypatch):
         counts.clear()
         rows = [r for r in call(spec).certificate if r.factor in cyclotomic and r.place]
         assert rows and counts.get("local_data", 0) <= len(rows)
+
+
+def test_euler_phi_factors_each_order_once(monkeypatch):
+    # a repeated decision takes the same totients again; they are memoized,
+    # so no factor call comes from euler_phi the second time
+    specs = (
+        CyclicQuadratic(4, 7),
+        CyclicQuartic(3, 2, 1, 1, 2),
+        SplitAlgebra(GroupDescriptor("abelian", (2, 12))),
+    )
+    for spec in specs:
+        decide_global(spec)
+    counts, factor_callers = {}, {}
+    _count_calls(monkeypatch, counts, "euler_phi", exact, factors)
+    factor = exact.factor
+
+    def counted_factor(q):
+        caller = sys._getframe(1).f_code.co_name
+        factor_callers[caller] = factor_callers.get(caller, 0) + 1
+        return factor(q)
+
+    monkeypatch.setattr(exact, "factor", counted_factor)
+    for spec in specs:
+        decide_global(spec)
+    assert counts["euler_phi"] > 0 and factor_callers.get("mult_order", 0) > 0
+    assert "euler_phi" not in factor_callers, factor_callers
 
 
 def test_irreducibility_screen_stays_in_budget():
