@@ -203,12 +203,6 @@ class FactoredRational:
                 den *= p ** (-e)
         return Fraction(num, den)
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
 

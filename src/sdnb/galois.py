@@ -27,6 +27,10 @@ center stays a field.  Certificates list every filter decision.
 One certificate builder makes both decisions from a single pass over the
 factor table, the pass ``invariant_report`` makes: it walks the real place and
 the support of every invariant class, or one finite place for every factor.
+Each class has one route: ``c_invariants`` filters that report,
+``embedding_obstruction`` is ``d_top`` of the cyclic-poly algebra over twice
+the degree, and polynomial input is screened by Rabin's test along a single
+Frobenius orbit.
 
 Two computed-versus-quoted discrepancies are deliberate and unit-tested:
 
@@ -222,82 +226,75 @@ def _poly_eval(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def _pad(x: list[int], m: int) -> list[int]:
-    return x + [0] * (m - len(x))
+def _trim(x: Sequence[int], p: int) -> list[int]:
+    """x reduced mod p, without trailing zero coefficients."""
+    out = [c % p for c in x]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _polymulmod(u: list[int], v: list[int], f: Sequence[int], p: int) -> list[int]:
-    """u*v modulo the monic polynomial f and the prime p."""
+def _rem(u: Sequence[int], f: Sequence[int], p: int) -> list[int]:
+    """u modulo the prime p and the polynomial f, whose lead coefficient is 1 mod p."""
     m = len(f) - 1
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % p
-    for k in range(len(out) - 1, m - 1, -1):
-        c = out[k]
+    u = list(u)
+    for k in range(len(u) - 1, m - 1, -1):
+        c = u[k] % p
         if c:
-            for j in range(m + 1):
-                out[k - m + j] = (out[k - m + j] - c * f[j]) % p
-    del out[m:]
-    return _pad(out, m)
+            for j in range(m):
+                u[k - m + j] -= c * f[j]
+    return _trim(u[:m], p)
 
 
-def _frobenius_power(f: Sequence[int], p: int, k: int) -> list[int]:
-    """X^(p^k) mod (f, p), by k iterated p-th powers."""
-    m = len(f) - 1
-    t = _pad([0, 1], m)
+def _frobenius_power(t: list[int], f: Sequence[int], p: int, k: int) -> list[int]:
+    """t^(p^k) mod (f, p) for f monic mod p, by k iterated p-th powers."""
+
+    def mulmod(u: list[int], v: list[int]) -> list[int]:
+        out = [0] * (len(u) + len(v) - 1)
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    out[i + j] += a * b
+        return _rem(out, f, p)
+
     for _ in range(k):
-        acc = _pad([1], m)
-        base = list(t)
-        e = p
+        acc, base, e = [1], t, p
         while e:
             if e & 1:
-                acc = _polymulmod(acc, base, f, p)
-            base = _polymulmod(base, base, f, p)
+                acc = mulmod(acc, base)
             e >>= 1
+            if e:
+                base = mulmod(base, base)
         t = acc
     return t
 
 
 def _poly_gcd_degree(u: list[int], v: list[int], p: int) -> int:
     """Degree of gcd(u, v) over F_p; -1 for gcd of two zero polynomials."""
-
-    def norm(x: list[int]) -> list[int]:
-        x = [c % p for c in x]
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    a, b = norm(u), norm(v)
+    a, b = _trim(u, p), _trim(v, p)
     while b:
         inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            lead = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[i + shift] = (a[i + shift] - lead * c) % p
-            while a and a[-1] == 0:
-                a.pop()
-            if not a:
-                break
-        a, b = b, a
+        a, b = b, _rem(a, [c * inv % p for c in b], p)
     return len(a) - 1
 
 
 def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin's criterion for a monic polynomial of 2-power degree."""
+    """Rabin's criterion for a monic polynomial f of 2-power degree m.
+
+    f is irreducible mod p iff gcd(X^(p^(m/2)) - X, f) = 1 and
+    X^(p^m) = X mod (f, p).  One Frobenius orbit of X serves both: the gcd is
+    taken halfway, and the orbit goes on only if it is 1, so a call spends at
+    most m p-th-power steps.
+    """
     m = len(coeffs) - 1
     f = [c % p for c in coeffs]
-    x = _pad([0, 1], m)
-    top = _frobenius_power(f, p, m)
-    if top != x:
+    x = [0, 1]
+    half = _frobenius_power(x, f, p, m // 2)
+    diff = half + [0] * (2 - len(half))
+    diff[1] -= 1
+    if _poly_gcd_degree(diff, f, p) != 0:
         return False
-    half = _frobenius_power(f, p, m // 2)
-    diff = [(a - b) % p for a, b in zip(half, x)]
-    if not any(diff):
-        return False
-    return _poly_gcd_degree(diff, list(f), p) == 0
+    return _frobenius_power(half, f, p, m - m // 2) == x
 
 
 def _divisors(n: int) -> list[int]:
@@ -394,19 +391,15 @@ def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
     return diagonalize(trace_form(spec.coeffs))
 
 
-def _w2_plus_2d(q: DiagonalForm) -> BrauerClass:
-    """w2(q) + (2)(D), D the determinant of q."""
-    return add(hasse_witt(q), cup(2, det_square_class(q)))
-
-
 def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass:
     """The one possibly nonzero unitary invariant of a cyclic 2-power algebra.
 
-    Degree 1: trivial.  Degree 2: the cup product (z)(-1), computed directly
-    from the order-4 fibered extension.  Degree >= 4: w2(q_K) + (2)(D_K).
-    The degree-2 case genuinely differs from the trace-form expression,
-    which collapses to (2)(-1) = 0 there; see the module docstring.  ``q``
-    is ``family_trace_form(spec)`` when the caller already has it.
+    Degree 1: trivial.  Degree 2: the cup product (D_K)(-1), which for
+    Q(sqrt z) is (z)(-1), computed directly from the order-4 fibered
+    extension.  Degree >= 4: w2(q_K) + (2)(D_K).  The degree-2 case genuinely
+    differs from the trace-form expression, which collapses to (2)(-1) = 0
+    there; see the module docstring.  ``q`` is ``family_trace_form(spec)``
+    when the caller already has it.
     """
     n = group_of(spec).cyclic_two_power_exponent()
     if n is None:
@@ -416,13 +409,11 @@ def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass
     m = field_degree(spec)
     if m == 1:
         return brauer.TRIVIAL
-    if m == 2 and isinstance(spec, CyclicQuadratic):
-        return cup(spec.z, -1)
     if q is None:
         q = family_trace_form(spec)
     if m == 2:
         return cup(det_square_class(q), -1)
-    return _w2_plus_2d(q)
+    return add(hasse_witt(q), cup(2, det_square_class(q)))
 
 
 @dataclass(frozen=True)
@@ -453,12 +444,6 @@ class InvariantReport:
     det_class: int
     signature: tuple[int, int]
 
-    def entry(self, factor_id: str) -> InvariantEntry:
-        for e in self.entries:
-            if e.factor_id == factor_id:
-                return e
-        raise KeyError(factor_id)
-
     def to_json(self) -> dict:
         return {
             "h1": self.h1,
@@ -475,12 +460,9 @@ _A4_PAIR = "character pair without an attached invariant in the supported table"
 
 
 def _invariant_entry(
-    spec: GaloisAlgebraSpec, fd: FactorDescriptor, q: DiagonalForm | None
+    spec: GaloisAlgebraSpec, fd: FactorDescriptor, q: DiagonalForm
 ) -> InvariantEntry:
-    """The invariant of one factor, given the degree-one vanishing.
-
-    ``q`` is ``family_trace_form(spec)`` when the caller already has it.
-    """
+    """The invariant of one factor given the degree-one vanishing; q is the family trace form."""
     if fd.kind == FactorKind.UNITARY:
         n = group_of(spec).cyclic_two_power_exponent()
         if n is None:
@@ -491,8 +473,7 @@ def _invariant_entry(
     if isinstance(spec, D4Quadratic) and fd.id == "2dim":
         return InvariantEntry(fd.id, "c", "computed", cup(spec.z, -1))
     if isinstance(spec, A4Quartic) and fd.id == "std3":
-        cls = hasse_witt(family_trace_form(spec) if q is None else q)
-        return InvariantEntry(fd.id, "c", "computed", cls, note="conditional: " + fd.note)
+        return InvariantEntry(fd.id, "c", "computed", hasse_witt(q), note="conditional: " + fd.note)
     if isinstance(spec, A4Quartic) and fd.id.startswith("chi3"):
         return InvariantEntry(fd.id, "c", "not-computed", None, note=_A4_PAIR)
     if isinstance(spec, A5Quadratic) and fd.id == "3dim":
@@ -504,11 +485,7 @@ def c_invariants(spec: GaloisAlgebraSpec) -> tuple[InvariantEntry, ...]:
     """Orthogonal-factor invariants; requires the degree-one vanishing."""
     if not h1_condition(spec):
         raise ValueError("invariants undefined: degree-one invariants do not vanish")
-    return tuple(
-        _invariant_entry(spec, fd, None)
-        for fd in decompose(group_of(spec))
-        if fd.kind != FactorKind.UNITARY
-    )
+    return tuple(e for e in invariant_report(spec).entries if e.invariant == "c")
 
 
 def _report(
@@ -676,20 +653,17 @@ def decide_local(spec: GaloisAlgebraSpec, v: Place) -> Decision:
 def embedding_obstruction(coeffs: Sequence[int]) -> BrauerClass:
     """Obstruction to embedding a cyclic 2-power field into one of twice the degree.
 
-    For the field of a monic integer polynomial of 2-power degree m >= 4
-    (cyclicity asserted), the class w2(q_K) + (2)(D_K).  Trivial iff the
-    embedding exists, in which case the induced algebra has a self-dual
-    normal basis.
+    For the field K of a monic integer polynomial of 2-power degree m >= 4
+    (cyclicity asserted), the top invariant ``d_top`` of the algebra over
+    C(2m) induced from K, i.e. w2(q_K) + (2)(D_K); ``CyclicPoly`` validates
+    the polynomial.  Trivial iff the embedding exists, in which case the
+    induced algebra has a self-dual normal basis.
     """
     coeffs = tuple(int(c) for c in coeffs)
     m = len(coeffs) - 1
     if m < 4 or m & (m - 1):
         raise ValueError("embedding obstruction needs a 2-power degree >= 4")
-    if coeffs[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    if not _irreducible_over_Q(coeffs):
-        raise ValueError("polynomial is reducible")
-    return _w2_plus_2d(diagonalize(trace_form(coeffs)))
+    return d_top(CyclicPoly(m.bit_length(), coeffs, m))
 
 
 def _res_trivial_real_cyclotomic(cls: BrauerClass, conductor: int) -> bool:

@@ -308,3 +308,78 @@ def reference_hasse_invariant_at(f, v):
         for j in range(i + 1, f.rank):
             s *= hilbert(f.entries[i], f.entries[j], v)
     return s
+
+
+# --- reference copy of the two-orbit Rabin test ---------------------------------
+#
+# ``galois._irreducible_mod_p`` as it stood when it computed X^(p^m) and then
+# X^(p^(m/2)) again from X, with its own padded product and gcd.
+
+
+def _reference_polymulmod(u, v, f, p):
+    m = len(f) - 1
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                out[i + j] = (out[i + j] + a * b) % p
+    for k in range(len(out) - 1, m - 1, -1):
+        c = out[k]
+        if c:
+            for j in range(m + 1):
+                out[k - m + j] = (out[k - m + j] - c * f[j]) % p
+    del out[m:]
+    return out + [0] * (m - len(out))
+
+
+def _reference_frobenius_power(f, p, k):
+    m = len(f) - 1
+    t = [0, 1] + [0] * (m - 2)
+    for _ in range(k):
+        acc = [1] + [0] * (m - 1)
+        base = list(t)
+        e = p
+        while e:
+            if e & 1:
+                acc = _reference_polymulmod(acc, base, f, p)
+            base = _reference_polymulmod(base, base, f, p)
+            e >>= 1
+        t = acc
+    return t
+
+
+def _reference_gcd_degree(u, v, p):
+    def norm(x):
+        x = [c % p for c in x]
+        while x and x[-1] == 0:
+            x.pop()
+        return x
+
+    a, b = norm(u), norm(v)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            lead = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[i + shift] = (a[i + shift] - lead * c) % p
+            while a and a[-1] == 0:
+                a.pop()
+            if not a:
+                break
+        a, b = b, a
+    return len(a) - 1
+
+
+def reference_irreducible_mod_p(coeffs, p):
+    """Rabin's criterion along two orbits: X^(p^m), then X^(p^(m/2)) from scratch."""
+    m = len(coeffs) - 1
+    f = [c % p for c in coeffs]
+    x = [0, 1] + [0] * (m - 2)
+    if _reference_frobenius_power(f, p, m) != x:
+        return False
+    half = _reference_frobenius_power(f, p, m // 2)
+    diff = [(a - b) % p for a, b in zip(half, x)]
+    if not any(diff):
+        return False
+    return _reference_gcd_degree(diff, list(f), p) == 0

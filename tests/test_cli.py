@@ -294,3 +294,68 @@ def test_json_roundtrip_and_exit_codes_on_golden_suite(tmp_path, capsys):
         for row in data["certificate"]:
             assert set(row) == {"condition", "factor", "place", "passed", "detail"}
             assert isinstance(row["passed"], bool)
+
+
+# --- text output, byte for byte ---------------------------------------------------
+
+_NOTE_ONE = "(degree-one factor: finite unitary group, invariant absorbed by the squares condition)"
+_NOTE_LOWER = "(forced to vanish: below the top factor the fibered extension is split)"
+
+TEXT_GOLDEN = [
+    (
+        ["invariants", "--group", "C8", "--family", "cyclic-quartic",
+         "--a", "3", "--b", "3/2", "--c", "3/2", "--eps", "2"],
+        "h1: True\n"
+        "trace form: <1, 2, 3, 3>  det class 2  signature (4, 0)\n"
+        f"  c[triv]: zero trivial  {_NOTE_ONE}\n"
+        f"  c[chi2]: zero trivial  {_NOTE_ONE}\n"
+        f"  d[chi4]: zero trivial  {_NOTE_LOWER}\n"
+        "  d[chi8]: computed {2, 3}\n",
+    ),
+    (
+        ["factors", "--group", "C8"],
+        "{'id': 'triv', 'kind': 'orthogonal', 'conductor': 1, 'e': 'Q', 'split': True}\n"
+        "{'id': 'chi2', 'kind': 'orthogonal', 'conductor': 2, 'e': 'Q', 'split': True}\n"
+        "{'id': 'chi4', 'kind': 'unitary', 'conductor': 4, 'e': 'Q', 'split': True}\n"
+        "{'id': 'chi8', 'kind': 'unitary', 'conductor': 8, 'e': {'real-cyclotomic': 8}, "
+        "'split': True}\n",
+    ),
+    (
+        ["form", "--diag", "1,1,-3"],
+        "diagonal: ['1', '1', '-3']\n"
+        "det_class: -3\n"
+        "signature: [2, 1]\n"
+        "hasse_witt: []\n"
+        "isotropic_over_Q: False\n"
+        "anisotropic_at: 2\n",
+    ),
+    (
+        ["form", "--gram", "0,1;1,0"],
+        "diagonal: ['2', '-1/2']\n"
+        "det_class: -1\n"
+        "signature: [1, 1]\n"
+        "hasse_witt: []\n"
+        "isotropic_over_Q: True\n",
+    ),
+    (
+        ["form", "--diag", "1,1,-2", "--represents", "5"],
+        "diagonal: ['1', '1', '-2']\n"
+        "det_class: -2\n"
+        "signature: [2, 1]\n"
+        "hasse_witt: []\n"
+        "isotropic_over_Q: True\n"
+        "witness: [1, 1, 1]\n"
+        "represents: {'value': '5', 'result': True}\n",
+    ),
+    (["embed", "--poly", "2,0,-4,0,1"], "obstruction: trivial  trivial: True\n"),
+    (["embed", "--poly", "18,0,-12,0,1"], "obstruction: {2, 3}  trivial: False\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", TEXT_GOLDEN,
+    ids=["invariants", "factors", "form-diag", "form-gram", "form-witness", "embed", "embed-ramified"],
+)
+def test_text_output_golden(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")

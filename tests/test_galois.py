@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import sys
@@ -52,6 +53,7 @@ from helpers import (
     reference_decide_global,
     reference_decide_local,
     reference_invariant_report,
+    reference_irreducible_mod_p,
 )
 
 F = Fraction
@@ -344,6 +346,49 @@ def test_embedding_obstruction_monotone():
         checked += 1
 
 
+def _tower_shifts():
+    """The 2cos(2pi/2^k) tower at degrees 4, 8, 16, each shifted by -3..3."""
+    f4 = [2, 0, -4, 0, 1]
+    f8 = compose(f4, [-2, 0, 1])
+    return [compose(f, [t, 1]) for f in (f4, f8, compose(f8, [-2, 0, 1])) for t in range(-3, 4)]
+
+
+def test_embedding_obstruction_is_d_top_of_the_doubled_cyclic_poly():
+    shifts = _tower_shifts()
+    assert len(shifts) == 21
+    for f in shifts:
+        m = len(f) - 1
+        assert embedding_obstruction(f) == d_top(CyclicPoly(m.bit_length(), f, m))
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ([1, 0, 1], "embedding obstruction needs a 2-power degree >= 4"),
+        ([1, 0, 0, 1], "embedding obstruction needs a 2-power degree >= 4"),
+        ([2, 0, -4, 0, 3], "polynomial must be monic"),
+        ([1, 0, 2, 0, 1], "polynomial is reducible"),  # (x^2 + 1)^2
+        ([6, 0, -5, 0, 1], "polynomial is reducible"),  # (x^2 - 2)(x^2 - 3)
+    ],
+)
+def test_embedding_obstruction_errors(coeffs, message):
+    with pytest.raises(ValueError) as info:
+        embedding_obstruction(coeffs)
+    assert str(info.value) == message
+
+
+def test_d_top_degree2_poly_matches_quadratic_family():
+    # the generic degree-2 branch reads z off the determinant of <2, 2z>
+    checked = 0
+    for z in range(-30, 31):
+        if z == 0 or exact.is_square(z):
+            continue
+        for n in range(2, 5):
+            assert d_top(CyclicPoly(n, (-z, 0, 1), 2)) == d_top(CyclicQuadratic(n, z))
+            checked += 1
+    assert checked > 150
+
+
 # --- trace form comparison ------------------------------------------------------
 
 
@@ -498,6 +543,58 @@ def test_irreducibility_screen_stays_in_budget():
         galois._irreducible_over_Q([(a - b) ** 2, 0, -2 * (a + b), 0, 1])
     for n in list(range(-60, 0)) + list(range(1, 400)):
         assert galois._divisors(n) == [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
+def _random_monic(rng, degree):
+    return [rng.randint(-20, 20) for _ in range(degree)] + [1]
+
+
+def _multiply(g, h):
+    out = [0] * (len(g) + len(h) - 1)
+    for i, a in enumerate(g):
+        for j, b in enumerate(h):
+            out[i + j] += a * b
+    return out
+
+
+def test_rabin_one_orbit_matches_two_orbit_reference():
+    rng = random.Random(1980)
+    irreducible = reducible_products = 0
+    for case in range(1200):
+        m = rng.choice((2, 4, 8, 16)) if case % 2 else rng.randint(2, 16)
+        if case % 3 == 0:  # a product g*h, reducible over Q and mod every p
+            d = rng.randint(1, m - 1)
+            coeffs = _multiply(_random_monic(rng, d), _random_monic(rng, m - d))
+            reducible_products += 1
+        else:
+            coeffs = _random_monic(rng, m)
+        p = rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59))
+        got = galois._irreducible_mod_p(coeffs, p)
+        assert got == reference_irreducible_mod_p(coeffs, p), (coeffs, p)
+        if m & (m - 1) == 0:  # Rabin's halfway gcd is complete for 2-power m only
+            assert not (got and case % 3 == 0), (coeffs, p)
+            irreducible += got
+    assert irreducible > 100 and reducible_products == 400
+
+
+def test_rabin_spends_at_most_m_frobenius_steps(monkeypatch):
+    steps = []
+    original = galois._frobenius_power
+    signature = inspect.signature(original)
+
+    def counted(*args, **kwargs):
+        steps.append(signature.bind(*args, **kwargs).arguments["k"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(galois, "_frobenius_power", counted)
+    irreducible = 0
+    for f in _tower_shifts():
+        m = len(f) - 1
+        for p in (3, 5, 7, 11, 13, 17):
+            steps.clear()
+            irreducible += galois._irreducible_mod_p(f, p)
+            assert 0 < sum(steps) <= m, (f, p, steps)
+    assert irreducible > 0
 
 
 # --- one certificate builder: the JSON of the two former walks -----------------
