@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import is_square, squarefree_part
+from .exact import is_square
 from .symbols import Place, hilbert, is_square_in_completion, support_places
 
 
@@ -74,7 +74,7 @@ def equal(x: BrauerClass, y: BrauerClass) -> bool:
 
 def splits_in_quadratic(v: Place, d: Fraction | int) -> bool:
     """Does the place v split in Q(sqrt(d))?  d need not be squarefree."""
-    if squarefree_part(d) == 1:
+    if is_square(d):
         raise ValueError("Q(sqrt(d)) requires a nonsquare d")
     return is_square_in_completion(d, v)
 

@@ -30,6 +30,7 @@ from .forms import (
     signature,
 )
 from .galois import (
+    _FAMILY_TAGS,
     Decision,
     decide_global,
     decide_local,
@@ -78,13 +79,7 @@ def _spec_from_args(args: argparse.Namespace) -> dict:
 def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="path to a JSON spec file")
     p.add_argument("--group", help="group name, e.g. C8, D4, A4, A5")
-    p.add_argument(
-        "--family",
-        choices=[
-            "split", "cyclic-quadratic", "cyclic-quartic", "cyclic-poly",
-            "d4-quadratic", "a4-quartic", "a5-quadratic",
-        ],
-    )
+    p.add_argument("--family", choices=list(_FAMILY_TAGS.values()))
     p.add_argument("--z", help="rational z, e.g. 3 or -45/8")
     p.add_argument("--a", help="rational a of the quartic family")
     p.add_argument("--b", help="rational b of the quartic family")

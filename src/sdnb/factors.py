@@ -56,10 +56,7 @@ class GroupDescriptor:
     @property
     def order(self) -> int:
         if self.kind == "abelian":
-            n = 1
-            for d in self.invariant_factors:
-                n *= d
-            return n
+            return math.prod(self.invariant_factors)
         return {"D4": 8, "A4": 12, "A5demo": 60}[self.kind]
 
     @property
@@ -134,9 +131,7 @@ def _order_counts(invariant_factors: tuple[int, ...]) -> dict[int, int]:
     factorization; more divisors than ``_MAX_FACTORS`` is a ValueError, since
     each divisor gives at least one factor.
     """
-    exponent = 1
-    for d in invariant_factors:
-        exponent = exponent * d // math.gcd(exponent, d)
+    exponent = math.lcm(*invariant_factors)
     prime_powers = factor(exponent).factors
     if math.prod(e + 1 for _, e in prime_powers) > _MAX_FACTORS:
         raise ValueError(f"group exponent {exponent} gives more than {_MAX_FACTORS} factors")

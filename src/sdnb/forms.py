@@ -6,10 +6,12 @@ rank-stratified local isotropy, Hasse-Minkowski over Q, representation and
 sums-of-squares decisions, and exact trace forms via Newton power sums.
 
 All arithmetic is exact.  Trace forms are built from integer power sums.  A
-Gram matrix is scaled to integers by the common denominator of its entries
-and reduced once, at construction, by one symmetric fraction-free
-elimination (Bareiss, Math. Comp. 22, 1968, with a symmetric pivot rule);
-the determinant and the diagonal form are read off its integer pivots.  The
+Gram matrix keeps its ``int`` and ``Fraction`` entries as given, is scaled to
+integers by the least common multiple of their denominators and reduced once,
+at construction, by one symmetric fraction-free elimination (Bareiss, Math.
+Comp. 22, 1968, with a symmetric pivot rule); the determinant and the
+diagonal form are read off its integer pivots.  The determinant class is read
+off the cached factorizations of the entries, never of their product.  The
 Hasse-Witt class is summed over the square classes of the entries with their
 multiplicities, a handful of cup products rather than one per pair.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from . import brauer
@@ -63,28 +65,13 @@ class DiagonalForm:
 
     def scaled_integer_entries(self) -> tuple[int, ...]:
         """Entries of a rescaled form with the same zeros, all integers."""
-        lcd = 1
-        for a in self.entries:
-            lcd = lcd * a.denominator // gcd(lcd, a.denominator)
-        ints = [int(a * lcd) for a in self.entries]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        lcd = lcm(*(a.denominator for a in self.entries))
+        ints = [a.numerator * (lcd // a.denominator) for a in self.entries]
+        g = gcd(*ints)
         return tuple(v // g for v in ints)
 
     def __str__(self) -> str:
         return "<" + ", ".join(str(a) for a in self.entries) + ">"
-
-
-def _integer_rows(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[int]], int]:
-    """The rows scaled by their common denominator L, and L."""
-    lcd = 1
-    for row in rows:
-        for x in row:
-            lcd = lcd * x.denominator // gcd(lcd, x.denominator)
-    return [[x.numerator * (lcd // x.denominator) for x in row] for row in rows], lcd
 
 
 def _pivots(a: list[list[int]]) -> list[int]:
@@ -138,25 +125,29 @@ def _pivots(a: list[list[int]]) -> list[int]:
 class GramMatrix:
     """Symmetric nondegenerate matrix of rationals.
 
-    Construction scales the rows to integers by their common denominator L
-    and runs one symmetric fraction-free elimination (``_pivots``);
-    ``det`` and ``diagonalize`` read its pivots.
+    ``int`` and ``Fraction`` entries are kept as given; any other rational
+    type goes through ``Fraction``.  Construction checks symmetry on the
+    entries, scales the rows to integers by the least common multiple L of
+    the entries' denominators and runs one symmetric fraction-free
+    elimination (``_pivots``); ``det`` and ``diagonalize`` read its pivots.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Fraction | int, ...], ...]
     _scale: int = field(init=False, repr=False, compare=False)
     _pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
-        coerced = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        coerced = tuple(
+            tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row)
+            for row in rows
+        )
         n = len(coerced)
         if n == 0 or any(len(row) != n for row in coerced):
             raise ValueError("Gram matrix must be square and nonempty")
-        m, lcd = _integer_rows(coerced)
-        for i in range(n):
-            for j in range(i):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        if coerced != tuple(zip(*coerced)):
+            raise ValueError("Gram matrix must be symmetric")
+        lcd = lcm(*(x.denominator for row in coerced for x in row))
+        m = [[x.numerator * (lcd // x.denominator) for x in row] for row in coerced]
         object.__setattr__(self, "rows", coerced)
         object.__setattr__(self, "_scale", lcd)
         object.__setattr__(self, "_pivots", tuple(_pivots(m)))
@@ -183,11 +174,18 @@ def diagonalize(g: GramMatrix) -> DiagonalForm:
 
 
 def det_square_class(f: DiagonalForm) -> int:
-    """Squarefree representative of the determinant."""
-    prod = Fraction(1)
+    """Squarefree representative of the determinant.
+
+    The sign and the primes of odd exponent in the product of the entries,
+    taken from each entry's (cached) factorization: a prime's exponent in
+    the product is odd iff it is odd in an odd number of entries.
+    """
+    sign, odd = 1, set()
     for a in f.entries:
-        prod *= a
-    return squarefree_part(prod)
+        fa = factor(a)
+        sign *= fa.sign
+        odd ^= {p for p, e in fa.factors if e % 2}
+    return sign * prod(odd)
 
 
 def signature(f: DiagonalForm) -> tuple[int, int]:

@@ -30,7 +30,7 @@ the support of every invariant class, or one finite place for every factor.
 Each class has one route: ``c_invariants`` filters that report,
 ``embedding_obstruction`` is ``d_top`` of the cyclic-poly algebra over twice
 the degree, and polynomial input is screened by Rabin's test along a single
-Frobenius orbit.
+Frobenius orbit, charged to the work budget.
 
 Two computed-versus-quoted discrepancies are deliberate and unit-tested:
 
@@ -50,12 +50,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence, Union
 
 from . import brauer
 from .brauer import BrauerClass, add, cup, is_trivial
-from .exact import BudgetExceededError, factor, is_square, parse_rational
+from .exact import BudgetExceededError, WorkBudget, factor, is_square, parse_rational
 from .factors import (
     FactorDescriptor,
     FactorKind,
@@ -246,8 +246,11 @@ def _rem(u: Sequence[int], f: Sequence[int], p: int) -> list[int]:
     return _trim(u[:m], p)
 
 
-def _frobenius_power(t: list[int], f: Sequence[int], p: int, k: int) -> list[int]:
-    """t^(p^k) mod (f, p) for f monic mod p, by k iterated p-th powers."""
+def _frobenius_power(t: list[int], f: Sequence[int], p: int, k: int, budget: WorkBudget) -> list[int]:
+    """t^(p^k) mod (f, p) for f monic mod p, by k iterated p-th powers.
+
+    Each p-th power is charged (deg f)^2 units of ``budget`` before it runs.
+    """
 
     def mulmod(u: list[int], v: list[int]) -> list[int]:
         out = [0] * (len(u) + len(v) - 1)
@@ -258,6 +261,7 @@ def _frobenius_power(t: list[int], f: Sequence[int], p: int, k: int) -> list[int
         return _rem(out, f, p)
 
     for _ in range(k):
+        budget.spend((len(f) - 1) ** 2)
         acc, base, e = [1], t, p
         while e:
             if e & 1:
@@ -278,23 +282,23 @@ def _poly_gcd_degree(u: list[int], v: list[int], p: int) -> int:
     return len(a) - 1
 
 
-def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
+def _irreducible_mod_p(coeffs: Sequence[int], p: int, budget: WorkBudget) -> bool:
     """Rabin's criterion for a monic polynomial f of 2-power degree m.
 
     f is irreducible mod p iff gcd(X^(p^(m/2)) - X, f) = 1 and
     X^(p^m) = X mod (f, p).  One Frobenius orbit of X serves both: the gcd is
     taken halfway, and the orbit goes on only if it is 1, so a call spends at
-    most m p-th-power steps.
+    most m p-th-power steps, each charged to ``budget``.
     """
     m = len(coeffs) - 1
     f = [c % p for c in coeffs]
     x = [0, 1]
-    half = _frobenius_power(x, f, p, m // 2)
+    half = _frobenius_power(x, f, p, m // 2, budget)
     diff = half + [0] * (2 - len(half))
     diff[1] -= 1
     if _poly_gcd_degree(diff, f, p) != 0:
         return False
-    return _frobenius_power(half, f, p, m - m // 2) == x
+    return _frobenius_power(half, f, p, m - m // 2, budget) == x
 
 
 def _divisors(n: int) -> list[int]:
@@ -315,9 +319,9 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
     Integer roots first, then irreducibility modulo a fixed list of primes
     (conclusive when it holds for any of them), then a bounded search for
     monic quadratic factors (at most ``_QUADRATIC_SEARCH_BUDGET``
-    candidates).  Inputs that defeat all three, or whose constant term does
-    not factor within the work budget, raise BudgetExceededError rather than
-    guessing.
+    candidates).  The modular tests share one work budget.  Inputs that
+    defeat all three, or whose constant term or modular tests do not fit the
+    work budget, raise BudgetExceededError rather than guessing.
     """
     m = len(coeffs) - 1
     if m == 1:
@@ -328,10 +332,11 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
     for d in divisors:
         if _poly_eval(coeffs, d) == 0 or _poly_eval(coeffs, -d) == 0:
             return False
+    screen = WorkBudget(f"irreducibility screen of the polynomial {list(coeffs)}")
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
         if coeffs[0] % p == 0:
             continue
-        if _irreducible_mod_p(coeffs, p):
+        if _irreducible_mod_p(coeffs, p, screen):
             return True
     height = 4 * max(abs(c) for c in coeffs)
     budget = _QUADRATIC_SEARCH_BUDGET
@@ -734,9 +739,7 @@ def quartic_family_polynomial(
     polynomial defines their quartic field.
     """
     a, b, c, eps = Fraction(a), Fraction(b), Fraction(c), Fraction(eps)
-    lcd = 1
-    for x in (a, b, c):
-        lcd = lcd * x.denominator // gcd(lcd, x.denominator)
+    lcd = lcm(a.denominator, b.denominator, c.denominator)
     a, b, c = a * lcd, b * lcd, c * lcd
     s = (c * c * eps).denominator
     a, b, c = a * s, b * s, c * s
@@ -826,21 +829,25 @@ def spec_from_json(data: dict) -> GaloisAlgebraSpec:
     if family == "split":
         if group is None:
             raise ValueError("split family needs a group")
-        return SplitAlgebra(group)
-    if family == "cyclic-quadratic":
-        return CyclicQuadratic(cyclic_n(), _rational_field(data, "z"))
-    if family == "cyclic-quartic":
-        return CyclicQuartic(
+        spec = SplitAlgebra(group)
+    elif family == "cyclic-quadratic":
+        spec = CyclicQuadratic(cyclic_n(), _rational_field(data, "z"))
+    elif family == "cyclic-quartic":
+        spec = CyclicQuartic(
             cyclic_n(), *(_rational_field(data, key) for key in ("a", "b", "c", "eps"))
         )
-    if family == "cyclic-poly":
+    elif family == "cyclic-poly":
         coeffs = _integer_list_field(data, "poly")
         degree = _integer(data.get("degree", len(coeffs) - 1), "degree")
-        return CyclicPoly(cyclic_n(), coeffs, degree)
-    if family == "d4-quadratic":
-        return D4Quadratic(_rational_field(data, "z"))
-    if family == "a4-quartic":
-        return A4Quartic(_integer_list_field(data, "poly"))
-    if family == "a5-quadratic":
-        return A5Quadratic(_rational_field(data, "z"))
-    raise ValueError(f"unknown family {family!r}")
+        spec = CyclicPoly(cyclic_n(), coeffs, degree)
+    elif family == "d4-quadratic":
+        spec = D4Quadratic(_rational_field(data, "z"))
+    elif family == "a4-quartic":
+        spec = A4Quartic(_integer_list_field(data, "poly"))
+    elif family == "a5-quadratic":
+        spec = A5Quadratic(_rational_field(data, "z"))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    if group is not None and group != group_of(spec):
+        raise ValueError(f"family {family!r} has group {group_of(spec).name}, not {group.name}")
+    return spec

@@ -1,13 +1,13 @@
 """Places of Q, squares in the completions and the Hilbert symbol (a,b)_v.
 
-``hilbert`` evaluates the symbol from square-class data with the classical
-closed formulas: sign inspection at the real place, the unit/valuation split
-at odd p, and the mod-8 characters eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8
-at p = 2.  ``is_square_in_completion`` is the one test of squares in Q_v
-(a place splits in Q(sqrt d) exactly when d is a square there).  Callers pass
-arbitrary nonzero rationals; reduction to squarefree integer representatives
-happens here.  Both use Euler's criterion at odd p without testing p again:
-a ``Place`` verifies its prime once, at construction.
+``hilbert`` evaluates the symbol with the closed formulas of Serre, *A Course
+in Arithmetic*, III.1: signs at the real place, Euler's criterion at odd p,
+eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 at p = 2.  ``is_square_in_completion``
+is the one test of squares in Q_v (a place splits in Q(sqrt d) exactly when d
+is a square there).  Both take any nonzero rational n/d, strip p from n and d
+by trial division, and read the formulas off the parity of the valuation and
+the integer n'd', in the unit's square class; nothing is factored.  Neither
+tests p again: a ``Place`` verifies its prime once, at construction.
 
 ``hilbert_oracle`` is the independent cross-check: a brute-force search for a
 primitive solution of z^2 = a x^2 + b y^2 modulo p^N with N = v_p(4ab) + 3.
@@ -89,45 +89,48 @@ def _unit_and_valuation(s: int, p: int) -> tuple[int, int]:
     return s, v
 
 
+def _local_parts(q: Fraction | int, v: Place) -> tuple[int, int]:
+    """(k, n' d') for q = p^k n'/d' with n', d' prime to p; (0, sign of q) at real."""
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("local symbols need nonzero rationals")
+    if v.prime is None:
+        return 0, 1 if q > 0 else -1
+    n, k = _unit_and_valuation(q.numerator, v.prime)
+    d, j = _unit_and_valuation(q.denominator, v.prime)
+    return k - j, n * d
+
+
 def hilbert(a: Fraction | int, b: Fraction | int, v: Place) -> int:
     """The Hilbert symbol (a,b)_v, +1 or -1.
 
     Symmetric and bimultiplicative; depends only on the square classes of a
     and b.
     """
-    a0 = squarefree_part(a)
-    b0 = squarefree_part(b)
-    if v.is_real:
-        return -1 if (a0 < 0 and b0 < 0) else 1
+    alpha, u = _local_parts(a, v)
+    beta, w = _local_parts(b, v)
     p = v.prime
-    assert p is not None
-    u, alpha = _unit_and_valuation(abs(a0), p)
-    w, beta = _unit_and_valuation(abs(b0), p)
-    u = u if a0 > 0 else -u
-    w = w if b0 > 0 else -w
+    if p is None:
+        return -1 if (u < 0 and w < 0) else 1
     if p == 2:
         e = _eps2(u) * _eps2(w) + alpha * _omega2(w) + beta * _omega2(u)
         return -1 if e & 1 else 1
     s = 1
-    if beta:
+    if beta & 1:
         s *= euler_criterion(u, p)
-    if alpha:
+    if alpha & 1:
         s *= euler_criterion(w, p)
-    if alpha and beta and (p - 1) // 2 % 2 == 1:
+    if alpha & beta & 1 and (p - 1) // 2 % 2 == 1:
         s = -s
     return s
 
 
 def is_square_in_completion(q: Fraction | int, v: Place) -> bool:
     """Is the nonzero rational q a square in the completion of Q at v?"""
-    s = squarefree_part(q)
-    if v.is_real:
-        return s > 0
-    p = v.prime
-    assert p is not None
-    if p == 2:
-        return s % 8 == 1
-    return s % p != 0 and euler_criterion(s, p) == 1
+    k, u = _local_parts(q, v)
+    if v.prime is None:
+        return u > 0
+    return k % 2 == 0 and (u % 8 == 1 if v.prime == 2 else euler_criterion(u, v.prime) == 1)
 
 
 _ORACLE_MODULUS_CAP = 4_000_000

@@ -301,6 +301,44 @@ def reference_is_square_in_completion(q, v):
     return s % p != 0 and legendre(s, p) == 1
 
 
+def reference_hilbert(a, b, v):
+    """(a,b)_v as ``symbols.hilbert`` computed it from squarefree representatives."""
+    a0 = squarefree_part(a)
+    b0 = squarefree_part(b)
+    if v.is_real:
+        return -1 if (a0 < 0 and b0 < 0) else 1
+    p = v.prime
+
+    def unit_and_valuation(s):
+        k = 0
+        while s % p == 0:
+            s //= p
+            k += 1
+        return s, k
+
+    u, alpha = unit_and_valuation(abs(a0))
+    w, beta = unit_and_valuation(abs(b0))
+    u = u if a0 > 0 else -u
+    w = w if b0 > 0 else -w
+    if p == 2:
+        def eps(x):
+            return ((x - 1) // 2) & 1
+
+        def omega(x):
+            return ((x * x - 1) // 8) & 1
+
+        e = eps(u) * eps(w) + alpha * omega(w) + beta * omega(u)
+        return -1 if e & 1 else 1
+    s = 1
+    if beta:
+        s *= legendre(u, p)
+    if alpha:
+        s *= legendre(w, p)
+    if alpha and beta and (p - 1) // 2 % 2 == 1:
+        s = -s
+    return s
+
+
 def reference_hasse_invariant_at(f, v):
     """The Hasse invariant at v as the product of (a_i, a_j)_v over i < j."""
     s = 1

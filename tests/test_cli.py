@@ -198,6 +198,52 @@ def test_form_with_entries_beyond_64_bits_ends_cleanly(capsys):
         assert json.loads(err)["error"] == "budget-exceeded"
 
 
+_P1, _P2 = 2**64 - 59, 2**64 - 83
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["hilbert", str(_P1 * _P2), "3", "5"], "1\n"),
+        (
+            ["form", "--diag", f"{_P1},{_P2},-1,-1", "--format", "json"],
+            f'"det_class": {_P1 * _P2},',
+        ),
+        (
+            ["decide", "--group", "C8", "--family", "cyclic-quartic", "--a", str(2 * _P1),
+             "--b", str(_P1), "--c", str(_P1), "--eps", "2"],
+            "verdict: yes\n",
+        ),
+    ],
+    ids=["hilbert", "form", "decide"],
+)
+def test_products_of_64_bit_primes_answer_without_factoring(capsys, argv, expected):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "") and expected in out
+
+
+def test_rabin_screen_of_a_degree_128_polynomial_exits_66_in_time(capsys):
+    poly = ",".join(["2", "2"] + ["0"] * 126 + ["1"])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decide", "--group", "C256", "--family", "cyclic-poly", f"--poly={poly}")
+    assert time.perf_counter() - start < 5.0
+    assert code == 66 and out == ""
+    message = json.loads(err)["message"]
+    assert message.startswith("irreducibility screen of the polynomial [2, 2, 0,")
+    assert "work budget exhausted after" in message
+
+
+@pytest.mark.parametrize(
+    "group, family", [("C8", "d4-quadratic"), ("C4", "a5-quadratic")]
+)
+def test_group_contradicting_the_family_is_bad_input(capsys, group, family):
+    code, out, err = run(capsys, "decide", "--group", group, "--family", family, "--z", "3")
+    assert (code, out) == (65, "")
+    assert json.loads(err)["error"] == "bad-input" and f"not {group}" in err
+
+
 def test_factors_of_huge_cyclic_group_end_in_time(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "factors", "--group", "C1099511627776", "--format", "json")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -154,6 +155,17 @@ def _reference_diagonal(rows):
     return tuple(a[i][i] for i in range(n))
 
 
+def _assert_int_entries_agree(rows, g):
+    """Integral entries given as int, and L * rows as ints or Fractions, agree."""
+    mixed = GramMatrix([[int(x) if x.denominator == 1 else x for x in row] for row in rows])
+    assert (mixed.det(), diagonalize(mixed)) == (g.det(), diagonalize(g)), rows
+    lcd = math.lcm(*(x.denominator for row in rows for x in row))
+    as_ints = GramMatrix([[int(x * lcd) for x in row] for row in rows])
+    as_fractions = GramMatrix([[x * lcd for x in row] for row in rows])
+    assert as_ints.det() == as_fractions.det() == g.det() * lcd ** len(rows), rows
+    assert diagonalize(as_ints) == diagonalize(as_fractions), rows
+
+
 def _has_vanishing_leading_minor(rows):
     return any(_reference_det([row[:k] for row in rows[:k]]) == 0 for k in range(1, len(rows) + 1))
 
@@ -183,6 +195,7 @@ def test_diagonalize_and_det_match_pivot_rule():
         g = GramMatrix(rows)
         assert g.det() == ref_det, rows
         assert diagonalize(g).entries == _reference_diagonal(rows), rows
+        _assert_int_entries_agree(rows, g)
         cases += 1
         vanishing += _has_vanishing_leading_minor(rows)
     assert vanishing >= cases // 4, vanishing
@@ -241,6 +254,7 @@ def test_diagonalize_and_det_match_pivot_rule_at_ranks_7_to_10():
         g = GramMatrix(rows)
         assert g.det() == ref_det, rows
         assert diagonalize(g).entries == _reference_diagonal(rows), rows
+        _assert_int_entries_agree(rows, g)
         cases += 1
         vanishing += _has_vanishing_leading_minor(rows)
         k = _pivot_rule_repairs(rows)
@@ -278,6 +292,7 @@ def test_trace_form_tower_matches_fraction_reference():
             rows = [[s[i + j] for j in range(n)] for i in range(n)]
             g = trace_form(coeffs)
             assert g.rows == tuple(tuple(row) for row in rows)
+            assert all(type(x) is int for row in g.rows for x in row)
             assert g.det() == _reference_det(rows)
             assert diagonalize(g).entries == _reference_diagonal(rows)
 
@@ -289,6 +304,22 @@ def test_det_signature_golden():
     assert signature(DiagonalForm([1, -1])) == (1, 1)
     # <1, eps, a, a> has determinant class eps
     assert det_square_class(DiagonalForm([1, 2, 3, 3])) == 2
+
+
+def test_det_square_class_matches_product_route():
+    # the entries' odd-exponent primes, never a factorization of the product
+    rng = random.Random(1968)
+    for _ in range(500):
+        entries = [
+            F(rng.randint(1, 300), rng.randint(1, 40)) * rng.choice([1, -1])
+            * F(rng.choice((2, 3, 5, 7))) ** rng.randint(-4, 4)
+            for _ in range(rng.randint(1, 6))
+        ]
+        f = DiagonalForm(entries)
+        assert det_square_class(f) == squarefree_part(math.prod(entries)), entries
+    # a determinant of two 64-bit primes, which the product route cannot factor
+    f = DiagonalForm([2**64 - 59, 2**64 - 83, -1, -1])
+    assert det_square_class(f) == (2**64 - 59) * (2**64 - 83)
 
 
 # --- Hasse-Witt -----------------------------------------------------------

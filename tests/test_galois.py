@@ -545,6 +545,22 @@ def test_irreducibility_screen_stays_in_budget():
         assert galois._divisors(n) == [d for d in range(1, abs(n) + 1) if n % d == 0]
 
 
+def test_rabin_screen_is_charged_to_the_work_budget(monkeypatch):
+    # x^128 + 2x + 2 is Eisenstein at 2, but the screen skips p = 2 and is
+    # reducible modulo every prime it tries, one 128-step orbit after another
+    coeffs = [2, 2] + [0] * 126 + [1]
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "200000")
+    with pytest.raises(BudgetExceededError) as info:
+        galois._irreducible_over_Q(coeffs)
+    message = str(info.value)
+    assert message.startswith("irreducibility screen of the polynomial [2, 2, 0, 0,")
+    assert "work budget exhausted after 196608 of 200000 units" in message
+    # the degree-16 tower fits with room to spare
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", str(16 * 16 * 16 * 16))
+    for f in _tower_shifts():
+        assert galois._irreducible_over_Q(f)
+
+
 def _random_monic(rng, degree):
     return [rng.randint(-20, 20) for _ in range(degree)] + [1]
 
@@ -569,7 +585,7 @@ def test_rabin_one_orbit_matches_two_orbit_reference():
         else:
             coeffs = _random_monic(rng, m)
         p = rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59))
-        got = galois._irreducible_mod_p(coeffs, p)
+        got = galois._irreducible_mod_p(coeffs, p, exact.WorkBudget("Rabin differential"))
         assert got == reference_irreducible_mod_p(coeffs, p), (coeffs, p)
         if m & (m - 1) == 0:  # Rabin's halfway gcd is complete for 2-power m only
             assert not (got and case % 3 == 0), (coeffs, p)
@@ -592,7 +608,7 @@ def test_rabin_spends_at_most_m_frobenius_steps(monkeypatch):
         m = len(f) - 1
         for p in (3, 5, 7, 11, 13, 17):
             steps.clear()
-            irreducible += galois._irreducible_mod_p(f, p)
+            irreducible += galois._irreducible_mod_p(f, p, exact.WorkBudget("Rabin steps"))
             assert 0 < sum(steps) <= m, (f, p, steps)
     assert irreducible > 0
 
@@ -664,6 +680,24 @@ def test_spec_json_roundtrip():
     for spec in specs:
         data = spec_to_json(spec)
         assert spec_from_json(data) == spec
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"group": "C8", "family": "d4-quadratic", "z": "3"},
+        {"group": "C4", "family": "a5-quadratic", "z": "3"},
+        {"group": "D4", "family": "a4-quartic", "poly": [12, 8, 0, 0, 1]},
+        {"group": "A4", "family": "d4-quadratic", "z": "3"},
+    ],
+)
+def test_spec_from_json_rejects_a_group_the_family_contradicts(data):
+    with pytest.raises(ValueError, match="has group"):
+        spec_from_json(data)
+    del data["group"]
+    spec = spec_from_json(data)
+    data["group"] = galois.group_of(spec).name
+    assert spec_from_json(data) == spec
 
 
 def test_spec_from_json_golden():

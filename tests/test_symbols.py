@@ -7,6 +7,7 @@ from sdnb import (
     REAL,
     BudgetExceededError,
     Place,
+    exact,
     finite,
     hilbert,
     hilbert_oracle,
@@ -16,7 +17,7 @@ from sdnb import (
 )
 from sdnb.symbols import is_square_in_completion
 
-from helpers import reference_is_square_in_completion
+from helpers import reference_hilbert, reference_is_square_in_completion
 
 
 def test_place_validation():
@@ -114,3 +115,54 @@ def test_local_squares_match_reference():
             assert is_square_in_completion(q, v) == want, (q, v)
             if not is_square(q):
                 assert splits_in_quadratic(v, q) == want, (q, v)
+
+
+# at the places below, a rational prime to 2..13 has the square class of its
+# residue mod 8 * 3 * 5 * 7 * 11 * 13 (and its sign)
+_RESIDUE_MODULUS = 8 * 3 * 5 * 7 * 11 * 13
+_LOCAL_PLACES = [REAL] + [Place(p) for p in (2, 3, 5, 7, 11, 13)]
+
+
+def _rationals_with_valuations(rng, n):
+    """Seeded pairs (q, q') with v_p(q) in -6..6 at p = 2, 3, 5 and 7.
+
+    Every fifth q carries a factor B above 2^64 (2^89 - 1, or the product of
+    2^64 - 59 and 2^64 - 83) or just below it (2^64 - 59); q' has B mod
+    ``_RESIDUE_MODULUS`` in its place, so q' is small and has the square class
+    of q at every place of ``_LOCAL_PLACES``.
+    """
+    out = []
+    for i in range(n):
+        q = Fraction(rng.randint(1, 400), rng.randint(1, 60)) * rng.choice([1, -1])
+        q *= Fraction(rng.choice((2, 3, 5, 7))) ** rng.randint(-6, 6)
+        big = 1
+        if i % 5 == 0:
+            big = rng.choice((2**89 - 1, 2**64 - 59, (2**64 - 59) * (2**64 - 83)))
+        out.append((q * big, q * (big % _RESIDUE_MODULUS)))
+    return out
+
+
+def test_local_symbols_make_no_factor_call(monkeypatch):
+    rng = random.Random(1973)
+    qs = _rationals_with_valuations(rng, 600)
+    cases = [(a, b, v) for a, b in zip(qs, qs[1:] + qs[:1]) for v in _LOCAL_PLACES]
+
+    def no_factoring(*args):
+        raise AssertionError(f"factor called on {args}")
+
+    with monkeypatch.context() as m:
+        m.setattr(exact, "factor", no_factoring)
+        m.setattr(exact, "_factor_fraction", no_factoring)
+        got = [
+            (
+                hilbert(a, b, v),
+                is_square_in_completion(a, v),
+                None if is_square(a) else splits_in_quadratic(v, a),
+            )
+            for (a, _), (b, _), v in cases
+        ]
+    for ((a, a_small), (b, b_small), v), (symbol, square, splits) in zip(cases, got):
+        assert symbol == reference_hilbert(a_small, b_small, v), (a, b, v)
+        want = reference_is_square_in_completion(a_small, v)
+        assert square == want and splits in (None, want), (a, v)
+    assert {g[0] for g in got} == {1, -1} and sum(g[2] is not None for g in got) > 3000
