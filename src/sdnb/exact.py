@@ -92,6 +92,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
+@lru_cache(maxsize=1 << 10)  # a Place re-tests each prime that factor certified
 def is_prime(n: int) -> bool:
     """Strong-pseudoprime primality test, deterministic below 2**64."""
     if n < 2:

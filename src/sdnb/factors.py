@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .exact import euler_phi, factor, mult_order, mult_order_mod_pm1
+from .exact import euler_phi, factor, mult_order_mod_pm1
 from .symbols import Place
 
 
@@ -214,11 +214,11 @@ def local_data(conductor: int, real_subfield: bool, v: Place) -> LocalData:
     """Local degree parity and field/split bit at a finite place.
 
     For p coprime to the conductor m the local degree in Q(zeta_m) is the
-    order of p mod m, and in the real subfield the order of p in
-    (Z/m)^x/{+-1}; epsilon = 1 exactly when the two differ.  For p = 2 and m
-    a 2-power the extension is totally ramified: the real subfield has local
-    degree m/4 (degree 1 when m = 4) and epsilon = 1.  Ramified odd primes
-    of general conductors are not needed by any decision and are rejected.
+    order of p mod m, and in the real subfield the order h of p in
+    (Z/m)^x/{+-1}; epsilon = 1 exactly when the two differ (p^h = -1 mod m).
+    For p = 2 and a 2-power m the extension is totally ramified: the real
+    subfield has local degree m/4 (1 when m = 4) and epsilon = 1.  Ramified
+    odd primes of general conductors, which no decision needs, are rejected.
     """
     if v.is_real:
         raise ValueError("local_data is for finite places")
@@ -234,7 +234,7 @@ def local_data(conductor: int, real_subfield: bool, v: Place) -> LocalData:
             degree = m // 4 if real_subfield else m // 2
             return LocalData(degree % 2 == 1, 1)
         raise ValueError(f"ramified odd prime {p} for conductor {m} is unsupported")
-    full = mult_order(p, m)
     half = mult_order_mod_pm1(p, m)
-    n = half if real_subfield else full
-    return LocalData(n % 2 == 1, 1 if full != half else 0)
+    eps = int(pow(p, half, m) == m - 1)
+    n = half if real_subfield else half << eps
+    return LocalData(n % 2 == 1, eps)

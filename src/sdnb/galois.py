@@ -29,8 +29,9 @@ factor table, the pass ``invariant_report`` makes: it walks the real place and
 the support of every invariant class, or one finite place for every factor.
 Each class has one route: ``c_invariants`` filters that report,
 ``embedding_obstruction`` is ``d_top`` of the cyclic-poly algebra over twice
-the degree, and polynomial input is screened by Rabin's test along a single
-Frobenius orbit, charged to the work budget.
+the degree, and ``d_top`` reads its class off the trace form's entries.
+Polynomial input is screened by Rabin's test along a single Frobenius orbit,
+charged to the work budget; quadratics by their discriminant.
 
 Two computed-versus-quoted discrepancies are deliberate and unit-tested:
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence, Union
 
 from . import brauer
@@ -316,16 +317,19 @@ _QUADRATIC_SEARCH_BUDGET = 1 << 18
 def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
     """Irreducibility of a monic integer polynomial, desk-scale screen.
 
-    Integer roots first, then irreducibility modulo a fixed list of primes
-    (conclusive when it holds for any of them), then a bounded search for
-    monic quadratic factors (at most ``_QUADRATIC_SEARCH_BUDGET``
-    candidates).  The modular tests share one work budget.  Inputs that
-    defeat all three, or whose constant term or modular tests do not fit the
-    work budget, raise BudgetExceededError rather than guessing.
+    Quadratics by their discriminant.  Otherwise integer roots first, then
+    irreducibility modulo a fixed list of primes (conclusive when it holds
+    for any of them), then a bounded search for monic quadratic factors (at
+    most ``_QUADRATIC_SEARCH_BUDGET`` candidates).  The modular tests share
+    one work budget.  Inputs that defeat all three, or whose constant term or
+    modular tests do not fit the work budget, raise BudgetExceededError
+    rather than guessing.
     """
     m = len(coeffs) - 1
     if m == 1:
         return True
+    if m == 2:
+        return not is_square(coeffs[1] ** 2 - 4 * coeffs[0])
     if coeffs[0] == 0:
         return False
     divisors = _divisors(coeffs[0])
@@ -400,11 +404,12 @@ def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass
     """The one possibly nonzero unitary invariant of a cyclic 2-power algebra.
 
     Degree 1: trivial.  Degree 2: the cup product (D_K)(-1), which for
-    Q(sqrt z) is (z)(-1), computed directly from the order-4 fibered
-    extension.  Degree >= 4: w2(q_K) + (2)(D_K).  The degree-2 case genuinely
-    differs from the trace-form expression, which collapses to (2)(-1) = 0
-    there; see the module docstring.  ``q`` is ``family_trace_form(spec)``
-    when the caller already has it.
+    Q(sqrt z) is (z)(-1), from the order-4 fibered extension; D_K is the
+    product of the entries of q, factored numerator apart from denominator.
+    Degree >= 4: w2(q_K) + (2)(D_K) = w2(q_K + <2>) by bilinearity.  The
+    degree-2 case genuinely differs from the trace-form expression, which
+    collapses to (2)(-1) = 0 there; see the module docstring.  ``q`` is
+    ``family_trace_form(spec)`` when the caller already has it.
     """
     n = group_of(spec).cyclic_two_power_exponent()
     if n is None:
@@ -417,8 +422,8 @@ def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass
     if q is None:
         q = family_trace_form(spec)
     if m == 2:
-        return cup(det_square_class(q), -1)
-    return add(hasse_witt(q), cup(2, det_square_class(q)))
+        return cup(prod(q.entries), -1)
+    return hasse_witt(q.orthogonal_sum(DiagonalForm([2])))
 
 
 @dataclass(frozen=True)
@@ -671,17 +676,6 @@ def embedding_obstruction(coeffs: Sequence[int]) -> BrauerClass:
     return d_top(CyclicPoly(m.bit_length(), coeffs, m))
 
 
-def _res_trivial_real_cyclotomic(cls: BrauerClass, conductor: int) -> bool:
-    # restriction to the totally real cyclotomic layer dies exactly at the
-    # places of even local degree; the real place always has degree 1 there
-    for v in sorted(cls.ramified, key=Place.sort_key):
-        if v.is_real:
-            return False
-        if local_data(conductor, True, v).n_odd:
-            return False
-    return True
-
-
 def trace_forms_isomorphic(s1: GaloisAlgebraSpec, s2: GaloisAlgebraSpec) -> bool:
     """Are the G-trace forms of two cyclic 2-power algebras isomorphic?
 
@@ -700,7 +694,10 @@ def trace_forms_isomorphic(s1: GaloisAlgebraSpec, s2: GaloisAlgebraSpec) -> bool
         raise ValueError("trace form comparison covers cyclic 2-power groups")
     if not (h1_condition(s1) and h1_condition(s2)):
         raise ValueError("both algebras must satisfy the degree-one vanishing condition")
-    return _res_trivial_real_cyclotomic(add(d_top(s1), d_top(s2)), 1 << n)
+    diff = add(d_top(s1), d_top(s2))
+    # restriction to the totally real cyclotomic layer dies exactly at the
+    # places of even local degree; the real place always has degree 1 there
+    return not any(v.is_real or local_data(1 << n, True, v).n_odd for v in diff.ramified)
 
 
 ELEMENTARY_YES = "yes"

@@ -421,3 +421,29 @@ def reference_irreducible_mod_p(coeffs, p):
     if not any(diff):
         return False
     return _reference_gcd_degree(diff, list(f), p) == 0
+
+
+# --- reference copies of the determinant route to the top invariant ---------------
+#
+# ``galois.d_top`` as it stood when it reduced the trace form to the squarefree
+# integer of its determinant and cupped that integer, and the restriction loop
+# ``trace_forms_isomorphic`` ran on the sum of two top invariants.
+
+
+def reference_d_top(spec, q=None):
+    if galois.field_degree(spec) == 1:
+        return brauer.TRIVIAL
+    if q is None:
+        q = galois.family_trace_form(spec)
+    if galois.field_degree(spec) == 2:
+        return brauer.cup(det_square_class(q), -1)
+    return brauer.add(hasse_witt(q), brauer.cup(2, det_square_class(q)))
+
+
+def reference_res_trivial_real_cyclotomic(cls, conductor):
+    for v in sorted(cls.ramified, key=Place.sort_key):
+        if v.is_real:
+            return False
+        if local_data(conductor, True, v).n_odd:
+            return False
+    return True

@@ -1,12 +1,14 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from sdnb import cli, forms
+from sdnb import cli, forms, galois, restricts_trivially_to_quadratic
 from sdnb.cli import main
 
 
@@ -405,3 +407,68 @@ TEXT_GOLDEN = [
 def test_text_output_golden(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, expected, "")
+
+
+# two 64-bit primes with P * Q = B^2 + C^2, so eps = P/Q fits the quartic family
+_P, _Q = 9223372036854788173, 4611686018427389189
+_B, _C = 4432784591557224004, 4783901820686774041
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"group": "C8", "family": "cyclic-quartic", "a": str(_P), "b": str(_B), "c": str(_C),
+         "eps": f"{_P}/{_Q}"},
+        {"group": "C8", "family": "cyclic-quadratic", "z": f"{_P}/{_Q}"},
+    ],
+    ids=["quartic", "quadratic"],
+)
+def test_top_invariant_never_factors_the_product_of_the_data_primes(capsys, data):
+    flags = [x for key, value in data.items() for x in (f"--{key}", value)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decide", *flags)
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "") and out.startswith("verdict: yes\n")
+    code, out, err = run(capsys, "invariants", *flags)
+    assert (code, err) == (0, "") and f"det class {_P * _Q}" in out
+    spec = galois.spec_from_json(data)
+    assert galois.elementary_criterion(spec) == "yes"
+    assert restricts_trivially_to_quadratic(galois.d_top(spec), 2)
+
+
+def test_quadratic_poly_reducible_modulo_every_screening_prime_answers(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "decide", "--group", "C4", "--family", "cyclic-poly", "--poly=36765,1,1",
+        "--degree", "2",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (1, "") and out.startswith("verdict: no\n")
+    code, out, _ = run(capsys, "decide", "--group", "C4", "--family", "cyclic-quadratic", "--z=-147059")
+    assert code == 1 and out.startswith("verdict: no\n")
+
+
+def _readme_block(title: str, language: str) -> list[str]:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split(f"## {title}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    spec_lines = _readme_block("Command line", "json")
+    commands = [shlex.split(line, comments=True) for line in _readme_block("Command line", "sh")]
+    assert len(spec_lines) == 3 and len(commands) == 10
+    for argv in commands:
+        assert argv[0] == "sdnb"
+        runs = [argv[1:]]
+        if "myspec.json" in argv:
+            runs = []
+            for i, line in enumerate(spec_lines):
+                path = tmp_path / f"spec{i}.json"
+                path.write_text(line)
+                runs.append([str(path) if a == "myspec.json" else a for a in argv[1:]])
+        for args in runs:
+            code, out, err = run(capsys, *args)
+            assert code in (0, 1, 2) and out.strip(), (args, code, err)
+            if args[0] == "hilbert":
+                assert out == "-1\n"

@@ -14,6 +14,7 @@ from sdnb import (
     mult_order,
     mult_order_mod_pm1,
 )
+from sdnb import exact, factors
 from sdnb.exact import euler_phi
 from sdnb.factors import _order_counts
 
@@ -149,3 +150,35 @@ def test_epsilon_implies_degree_doubling():
             assert full == 2 * half
         else:
             assert full == half
+
+
+def test_local_data_computes_the_frobenius_order_once(monkeypatch):
+    calls = []
+    order = exact.mult_order
+
+    def counted(a, m):
+        calls.append((a, m))
+        return order(a, m)
+
+    monkeypatch.setattr(exact, "mult_order", counted)
+    monkeypatch.setattr(factors, "mult_order", counted, raising=False)  # if bound by name there
+    for m, p in ((8, 7), (16, 3), (15, 2), (63, 5), (97, 11)):
+        for real_subfield in (True, False):
+            calls.clear()
+            local_data(m, real_subfield, Place(p))
+            assert calls == [(p, m)]
+
+
+def test_local_data_matches_the_two_order_formula():
+    primes = [p for p in range(2, 300) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    checked = 0
+    for m in range(3, 400):
+        for p in primes:
+            if m % p == 0:
+                continue
+            full, half = mult_order(p, m), mult_order_mod_pm1(p, m)
+            for real_subfield in (True, False):
+                n = half if real_subfield else full
+                assert local_data(m, real_subfield, Place(p)) == (n % 2 == 1, int(full != half))
+                checked += 1
+    assert checked > 30000

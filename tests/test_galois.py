@@ -50,10 +50,12 @@ from helpers import (
     compose,
     random_quadratic_spec,
     random_quartic_spec,
+    reference_d_top,
     reference_decide_global,
     reference_decide_local,
     reference_invariant_report,
     reference_irreducible_mod_p,
+    reference_res_trivial_real_cyclotomic,
 )
 
 F = Fraction
@@ -387,6 +389,82 @@ def test_d_top_degree2_poly_matches_quadratic_family():
             assert d_top(CyclicPoly(n, (-z, 0, 1), 2)) == d_top(CyclicQuadratic(n, z))
             checked += 1
     assert checked > 150
+
+
+def test_quadratic_irreducibility_is_read_off_the_discriminant():
+    # the irreducible ones are reducible modulo every screening prime and have
+    # no monic quadratic factor for the search to find: only the discriminant
+    # (u^2 - 4v, not a square) answers
+    for coeffs in ((36765, 1, 1), (36767, 3, 1), (67180, 1, 1), (-2926704, 0, 1)):
+        assert galois._irreducible_over_Q(coeffs), coeffs
+    for coeffs in ((1, 2, 1), (-4, 0, 1), (6, 5, 1)):
+        assert not galois._irreducible_over_Q(coeffs), coeffs
+    assert d_top(CyclicPoly(2, (36765, 1, 1), 2)) == d_top(CyclicQuadratic(2, -147059))
+
+
+# --- the top invariant from the entries of the trace form -----------------------
+
+
+def _top_invariant_specs():
+    """Seeded quadratic and quartic specs at n = 2..5, and the 21 tower shifts."""
+    rng = random.Random(2016)
+    specs = [random_quadratic_spec(rng, n) for n in range(2, 6) for _ in range(40)]
+    specs += [
+        random_quartic_spec(rng, n, integral=i % 2 == 0) for n in range(3, 6) for i in range(40)
+    ]
+    f = [2, 0, -4, 0, 1]
+    for deg in (4, 8, 16):
+        specs += [CyclicPoly(deg.bit_length(), compose(f, [t, 1]), deg) for t in range(-3, 4)]
+        f = compose(f, [-2, 0, 1])
+    return specs
+
+
+def test_d_top_matches_the_determinant_route():
+    specs = _top_invariant_specs()
+    classes = [d_top(spec) for spec in specs]
+    assert classes == [reference_d_top(spec) for spec in specs]
+    assert 40 < sum(map(is_trivial, classes)) < len(specs) - 40
+
+
+def test_d_top_factors_only_the_entries_two_and_minus_one(monkeypatch):
+    # w2(q + <2>) needs the square classes of the entries and of 2, and cups
+    # among them and with -1; the determinant is never formed
+    cases = [
+        (spec, galois.family_trace_form(spec))
+        for spec in _top_invariant_specs()
+        if galois.field_degree(spec) >= 4
+    ]
+    factor_fraction = exact._factor_fraction
+    seen = []
+
+    def recorded(num, den):
+        seen.append(Fraction(num, den))
+        return factor_fraction(num, den)
+
+    monkeypatch.setattr(exact, "_factor_fraction", recorded)
+    for spec, q in cases:
+        forms.hasse_witt.cache_clear()
+        seen.clear()
+        d_top(spec, q)
+        allowed = set(q.entries) | {2, -1}
+        assert seen and set(seen) <= allowed, (spec, set(seen) - allowed)
+    assert len(cases) == 141
+
+
+def test_trace_forms_isomorphic_matches_the_restriction_loop():
+    rng = random.Random(2017)
+    outcomes = []
+    for n in (2, 3, 4):
+        pool = [random_quadratic_spec(rng, n) for _ in range(20)]
+        if n > 2:
+            pool += [random_quartic_spec(rng, n) for _ in range(20)]
+        for _ in range(200):
+            s1, s2 = rng.choice(pool), rng.choice(pool)
+            cls = add(reference_d_top(s1), reference_d_top(s2))
+            want = reference_res_trivial_real_cyclotomic(cls, 1 << n)
+            assert trace_forms_isomorphic(s1, s2) == want, (s1, s2)
+            outcomes.append(want)
+    assert 100 <= sum(outcomes) <= 500
 
 
 # --- trace form comparison ------------------------------------------------------

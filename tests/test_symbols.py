@@ -166,3 +166,23 @@ def test_local_symbols_make_no_factor_call(monkeypatch):
         want = reference_is_square_in_completion(a_small, v)
         assert square == want and splits in (None, want), (a, v)
     assert {g[0] for g in got} == {1, -1} and sum(g[2] is not None for g in got) > 3000
+
+
+def test_support_places_does_not_retest_the_primes_factor_certified(monkeypatch):
+    # factor certifies both primes of n; building their Places must not run
+    # the strong-pseudoprime test on them again
+    p1, p2 = 2147483647, 2147483629
+    exact._factor_fraction.cache_clear()
+    n = p1 * p2
+    assert exact.factor(n).factors == ((p2, 1), (p1, 1))
+    calls = []
+
+    def counted_pow(*args):
+        if len(args) == 3 and args[2] in (p1, p2):
+            calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(exact, "pow", counted_pow, raising=False)
+    places = support_places([(n, 3)])
+    assert calls == []
+    assert {v.prime for v in places} == {None, 2, 3, p1, p2}
