@@ -53,8 +53,9 @@ TRIVIAL = BrauerClass(frozenset())
 
 def cup(a: Fraction | int, b: Fraction | int) -> BrauerClass:
     """Class of the quaternion symbol (a, b)."""
-    if Fraction(a) == 0 or Fraction(b) == 0:
-        raise ValueError("cup product arguments must be nonzero")
+    for x in (a, b):
+        if (x if isinstance(x, (int, Fraction)) else Fraction(x)) == 0:
+            raise ValueError("cup product arguments must be nonzero")
     ram = {v for v in support_places([(a, b)]) if hilbert(a, b, v) == -1}
     return BrauerClass(frozenset(ram))
 

@@ -227,10 +227,12 @@ def factor(q: Fraction | int) -> FactoredRational:
     wrong).  Results are memoized, so repeated square-class reductions of
     the same value cost one factorization.
     """
-    q = Fraction(q)
-    if q == 0:
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    num = q.numerator
+    if num == 0:
         raise ValueError("cannot factor zero")
-    return _factor_fraction(q.numerator, q.denominator)
+    return _factor_fraction(num, q.denominator)
 
 
 def squarefree_part(q: Fraction | int) -> int:
@@ -249,7 +251,8 @@ def squarefree_part(q: Fraction | int) -> int:
 
 def is_square(q: Fraction | int) -> bool:
     """True iff q is the square of a rational (0 counts as a square)."""
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q < 0:
         return False
     n, d = q.numerator, q.denominator

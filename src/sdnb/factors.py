@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import euler_phi, factor, mult_order_mod_pm1
@@ -50,6 +51,7 @@ class GroupDescriptor:
             raise ValueError("invariant factors only apply to abelian groups")
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def cyclic(m: int) -> "GroupDescriptor":
         return GroupDescriptor("abelian", (m,))
 
@@ -159,13 +161,16 @@ def _abelian_factor(m: int, index: int, count: int) -> FactorDescriptor:
     return FactorDescriptor(fid, FactorKind.UNITARY, m, e_kind, e_param, True)
 
 
+@lru_cache(maxsize=64)
 def decompose(g: GroupDescriptor) -> tuple[FactorDescriptor, ...]:
     """Involution-stable factors of Q[G] with their typing.
 
     Abelian groups get one factor per character orbit (all commutative,
     hence split).  For a cyclic group of order 2^n this is exactly the
     tower Q, Q, Q(i), Q(zeta_8), ..., Q(zeta_{2^n}) with the top n-1 ones
-    unitary over their real subfields.
+    unitary over their real subfields.  The table is a tuple of frozen
+    descriptors, memoized per group, since every decision on the same group
+    walks the same table.
     """
     if g.kind == "abelian":
         orbits = {m: c // euler_phi(m) for m, c in _order_counts(g.invariant_factors).items()}

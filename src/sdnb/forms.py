@@ -49,7 +49,7 @@ class DiagonalForm:
     entries: tuple[Fraction, ...]
 
     def __init__(self, entries: Iterable[Fraction | int]) -> None:
-        coerced = tuple(Fraction(a) for a in entries)
+        coerced = tuple(a if isinstance(a, Fraction) else Fraction(a) for a in entries)
         if not coerced:
             raise ValueError("a diagonal form needs at least one entry")
         if any(a == 0 for a in coerced):
@@ -392,7 +392,7 @@ def quartic_family_form(
     Parameters must satisfy a^2 - b^2 eps = c^2 eps with c nonzero and eps
     not a square; the quartic field is Q(sqrt(a + b sqrt(eps))).
     """
-    a, b, c, eps = Fraction(a), Fraction(b), Fraction(c), Fraction(eps)
+    a, b, c, eps = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (a, b, c, eps))
     if c == 0:
         raise ValueError("quartic family needs c nonzero")
     if eps == 0 or is_square(eps):

@@ -51,7 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from functools import lru_cache
+from math import lcm
 from typing import Sequence, Union
 
 from . import brauer
@@ -87,7 +88,7 @@ VERDICT_UNKNOWN = "unknown"
 
 
 def _coerce_nonzero(value: Fraction | int | str, name: str) -> Fraction:
-    q = Fraction(value)
+    q = value if isinstance(value, Fraction) else Fraction(value)
     if q == 0:
         raise ValueError(f"{name} must be nonzero")
     return q
@@ -124,7 +125,7 @@ class CyclicQuartic:
     def __init__(self, n, a, b, c, eps) -> None:
         if n < 3:
             raise ValueError("cyclic quartic family needs n >= 3")
-        a, b, c, eps = (Fraction(x) for x in (a, b, c, eps))
+        a, b, c, eps = (x if isinstance(x, Fraction) else Fraction(x) for x in (a, b, c, eps))
         # raises on violated relation / zero c / square eps:
         quartic_family_form(a, b, c, eps)
         for key, val in (("n", n), ("a", a), ("b", b), ("c", c), ("eps", eps)):
@@ -191,16 +192,19 @@ GaloisAlgebraSpec = Union[
 ]
 
 
+_D4, _A4, _A5 = GroupDescriptor("D4"), GroupDescriptor("A4"), GroupDescriptor("A5demo")
+
+
 def group_of(spec: GaloisAlgebraSpec) -> GroupDescriptor:
     if isinstance(spec, SplitAlgebra):
         return spec.group
     if isinstance(spec, (CyclicQuadratic, CyclicQuartic, CyclicPoly)):
         return GroupDescriptor.cyclic(1 << spec.n)
     if isinstance(spec, D4Quadratic):
-        return GroupDescriptor("D4")
+        return _D4
     if isinstance(spec, A4Quartic):
-        return GroupDescriptor("A4")
-    return GroupDescriptor("A5demo")
+        return _A4
+    return _A5
 
 
 def field_degree(spec: GaloisAlgebraSpec) -> int:
@@ -396,7 +400,8 @@ def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
     if isinstance(spec, (CyclicQuadratic, D4Quadratic, A5Quadratic)):
         return DiagonalForm([2, 2 * spec.z])
     if isinstance(spec, CyclicQuartic):
-        return quartic_family_form(spec.a, spec.b, spec.c, spec.eps)
+        # the relation was checked when the spec was built
+        return DiagonalForm([1, spec.eps, spec.a, spec.a])
     return diagonalize(trace_form(spec.coeffs))
 
 
@@ -405,10 +410,12 @@ def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass
 
     Degree 1: trivial.  Degree 2: the cup product (D_K)(-1), which for
     Q(sqrt z) is (z)(-1), from the order-4 fibered extension; D_K is the
-    product of the entries of q, factored numerator apart from denominator.
-    Degree >= 4: w2(q_K) + (2)(D_K) = w2(q_K + <2>) by bilinearity.  The
-    degree-2 case genuinely differs from the trace-form expression, which
-    collapses to (2)(-1) = 0 there; see the module docstring.  ``q`` is
+    product of the entries of q, so by bilinearity the class is the sum of
+    (a)(-1) over the entries a, whose factorizations the determinant class
+    has already cached; the product itself is never factored.  Degree >= 4:
+    w2(q_K) + (2)(D_K) = w2(q_K + <2>) by bilinearity.  The degree-2 case
+    genuinely differs from the trace-form expression, which collapses to
+    (2)(-1) = 0 there; see the module docstring.  ``q`` is
     ``family_trace_form(spec)`` when the caller already has it.
     """
     n = group_of(spec).cyclic_two_power_exponent()
@@ -422,7 +429,10 @@ def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass
     if q is None:
         q = family_trace_form(spec)
     if m == 2:
-        return cup(prod(q.entries), -1)
+        out = brauer.TRIVIAL
+        for a in q.entries:
+            out = add(out, cup(a, -1))
+        return out
     return hasse_witt(q.orthogonal_sum(DiagonalForm([2])))
 
 
@@ -757,6 +767,7 @@ _FAMILY_TAGS = {
 }
 
 
+@lru_cache(maxsize=64)
 def parse_group(name: str) -> GroupDescriptor:
     name = name.strip()
     if name in ("D4", "A4"):

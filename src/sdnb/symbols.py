@@ -7,7 +7,8 @@ is the one test of squares in Q_v (a place splits in Q(sqrt d) exactly when d
 is a square there).  Both take any nonzero rational n/d, strip p from n and d
 by trial division, and read the formulas off the parity of the valuation and
 the integer n'd', in the unit's square class; nothing is factored.  Neither
-tests p again: a ``Place`` verifies its prime once, at construction.
+tests p again: a ``Place`` verifies its prime once, at construction, and
+``finite`` builds the place of each prime once.
 
 ``hilbert_oracle`` is the independent cross-check: a brute-force search for a
 primitive solution of z^2 = a x^2 + b y^2 modulo p^N with N = v_p(4ab) + 3.
@@ -63,7 +64,12 @@ class Place:
 REAL = Place()
 
 
+@lru_cache(maxsize=1 << 10, typed=True)
 def finite(p: int) -> Place:
+    """The place of the prime p, built and verified once per prime.
+
+    A non-prime raises ValueError on every call: exceptions are not cached.
+    """
     return Place(p)
 
 
@@ -91,12 +97,14 @@ def _unit_and_valuation(s: int, p: int) -> tuple[int, int]:
 
 def _local_parts(q: Fraction | int, v: Place) -> tuple[int, int]:
     """(k, n' d') for q = p^k n'/d' with n', d' prime to p; (0, sign of q) at real."""
-    q = Fraction(q)
-    if q == 0:
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    num = q.numerator
+    if num == 0:
         raise ValueError("local symbols need nonzero rationals")
     if v.prime is None:
-        return 0, 1 if q > 0 else -1
-    n, k = _unit_and_valuation(q.numerator, v.prime)
+        return 0, 1 if num > 0 else -1
+    n, k = _unit_and_valuation(num, v.prime)
     d, j = _unit_and_valuation(q.denominator, v.prime)
     return k - j, n * d
 
@@ -142,7 +150,7 @@ def _squares_mod(m: int) -> frozenset[int]:
     return frozenset(y * y % m for y in range(m // 2 + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _oracle_reduced(a: int, b: int, p: int) -> int:
     n = _unit_and_valuation(4 * abs(a * b), p)[1] + 3
     m = p**n
@@ -188,7 +196,9 @@ def support_places(pairs: Iterable[tuple[Fraction | int, Fraction | int]]) -> se
     primes: set[int] = {2}
     for a, b in pairs:
         for q in (a, b):
-            if Fraction(q) == 0:
+            if not isinstance(q, (int, Fraction)):
+                q = Fraction(q)
+            if q == 0:
                 raise ValueError("support of a zero entry is undefined")
             primes.update(p for p, _ in factor(q).factors)
-    return {REAL} | {Place(p) for p in primes}
+    return {REAL} | {finite(p) for p in primes}

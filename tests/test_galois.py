@@ -451,6 +451,34 @@ def test_d_top_factors_only_the_entries_two_and_minus_one(monkeypatch):
     assert len(cases) == 141
 
 
+def test_d_top_at_degree_two_factors_only_the_entries_and_minus_one(monkeypatch):
+    # (D_K)(-1) is the sum of (a)(-1) over the entries a of q = <2, 2z>, whose
+    # factorizations the determinant class caches; their product 4z is never
+    # factored
+    cases = [
+        (spec, galois.family_trace_form(spec))
+        for spec in _top_invariant_specs()
+        if galois.field_degree(spec) == 2
+    ]
+    factor_fraction = exact._factor_fraction
+    seen = []
+
+    def recorded(num, den):
+        seen.append(Fraction(num, den))
+        return factor_fraction(num, den)
+
+    monkeypatch.setattr(exact, "_factor_fraction", recorded)
+    for spec, q in cases:
+        want = reference_d_top(spec, q)
+        seen.clear()
+        forms.det_square_class(q)
+        allowed = set(seen) | {-1}
+        seen.clear()
+        assert d_top(spec, q) == want
+        assert seen and set(seen) <= allowed, (spec, set(seen) - allowed)
+    assert len(cases) == 160
+
+
 def test_trace_forms_isomorphic_matches_the_restriction_loop():
     rng = random.Random(2017)
     outcomes = []

@@ -1,0 +1,217 @@
+"""Per-group and per-prime tables are built once; rationals are coerced once.
+
+A repeated decision must not rebuild the factor table or the group, every
+memo in the package is bounded, and the coercion shortcuts for ``int`` and
+``Fraction`` arguments give the results and errors of ``Fraction(x)``.
+"""
+
+import json
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from sdnb import (
+    REAL,
+    A4Quartic,
+    A5Quadratic,
+    CyclicPoly,
+    CyclicQuadratic,
+    CyclicQuartic,
+    D4Quadratic,
+    DiagonalForm,
+    GroupDescriptor,
+    Place,
+    SplitAlgebra,
+    cup,
+    decide_global,
+    factor,
+    factors,
+    finite,
+    galois,
+    hilbert,
+    spec_from_json,
+    support_places,
+)
+from sdnb.symbols import is_square_in_completion
+
+F = Fraction
+
+
+# --- memo tables -----------------------------------------------------------------
+
+
+def _memoized():
+    """Every object with ``cache_info`` among the attributes of the sdnb modules and their classes."""
+    seen = {}
+    for name, module in list(sys.modules.items()):
+        if name != "sdnb" and not name.startswith("sdnb."):
+            continue
+        for attr, value in vars(module).items():
+            holders = [(f"{name}.{attr}", value)]
+            if isinstance(value, type) and value.__module__ == name:
+                holders += [(f"{name}.{attr}.{k}", getattr(value, k)) for k in vars(value)]
+            for where, obj in holders:
+                if hasattr(obj, "cache_info"):
+                    seen.setdefault(id(obj), (where, obj))
+    return list(seen.values())
+
+
+def test_every_memo_is_bounded():
+    memos = _memoized()
+    names = {where.rsplit(".", 1)[-1] for where, _ in memos}
+    assert {"_factor_fraction", "_oracle_reduced", "decompose", "cyclic", "finite"} <= names
+    for where, fn in memos:
+        assert fn.cache_info().maxsize is not None, where
+
+
+def test_finite_builds_each_place_once():
+    assert finite(7) is finite(7)
+    assert finite(7) == Place(7)
+    assert finite(2**61 - 1) is finite(2**61 - 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="4 is not prime"):
+            finite(4)
+    assert all(v is REAL or v is finite(v.prime) for v in support_places([(6, F(-5, 7))]))
+
+
+def _family_specs():
+    return [
+        SplitAlgebra(GroupDescriptor.cyclic(8)),
+        SplitAlgebra(GroupDescriptor("abelian", (2, 12))),
+        SplitAlgebra(GroupDescriptor("D4")),
+        CyclicQuadratic(3, 5),
+        CyclicQuadratic(4, F(-45, 8)),
+        CyclicQuartic(3, 3, F(3, 2), F(3, 2), 2),
+        CyclicPoly(3, (2, 0, -4, 0, 1), 4),
+        D4Quadratic(3),
+        A4Quartic((12, 8, 0, 0, 1)),
+        A5Quadratic(5),
+    ]
+
+
+def test_a_warm_decision_builds_no_group_and_no_factor_table(monkeypatch):
+    specs = _family_specs()
+    first = [json.dumps(decide_global(spec).to_json()) for spec in specs]
+    built = []
+    for cls in (factors.GroupDescriptor, factors.FactorDescriptor):
+        post_init = cls.__post_init__
+
+        def counted(self, post_init=post_init):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for spec, want in zip(specs, first):
+        assert json.dumps(decide_global(spec).to_json()) == want
+        assert built == [], (spec, built)
+
+
+def test_a_quartic_decision_checks_the_family_relation_once(monkeypatch):
+    calls = []
+    checked = galois.quartic_family_form
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(galois, "quartic_family_form", counted)
+    data = {"group": "C16", "family": "cyclic-quartic", "a": "-2", "b": "1", "c": "1", "eps": "2"}
+    decision = decide_global(spec_from_json(data))
+    assert decision.verdict in ("yes", "no")
+    assert calls == [(F(-2), F(1), F(1), F(2))]
+
+
+# --- coercion parity ---------------------------------------------------------------
+
+
+def _forms(q: Fraction) -> list:
+    """q as a Fraction, as strings (reduced and not), and as an int when integral."""
+    out = [q, str(q), f"{2 * q.numerator}/{2 * q.denominator}"]
+    if q.denominator == 1:
+        out.append(q.numerator)
+    if q == 1:
+        out.append(True)
+    return out
+
+
+def _grid():
+    rng = random.Random(2016)
+    qs = [F(1), F(-1), F(2), F(-3, 4), F(45, 8)]
+    qs += [F(rng.randint(-300, 300) or 1, rng.randint(1, 40)) for _ in range(40)]
+    qs += [F(rng.randint(-300, 300) or 7) for _ in range(20)]
+    return qs
+
+
+_PLACES = [REAL] + [Place(p) for p in (2, 3, 5, 7, 11)]
+
+
+def test_int_fraction_str_and_bool_arguments_agree():
+    qs = _grid()
+    for a, b in zip(qs, qs[1:] + qs[:1]):
+        want_cup = cup(a, b)
+        want_support = support_places([(a, b)])
+        want_form = DiagonalForm([a, b])
+        for x in _forms(a):
+            assert factor(x) == factor(a), x
+            for v in _PLACES:
+                assert is_square_in_completion(x, v) == is_square_in_completion(a, v), (x, v)
+            for y in _forms(b):
+                assert cup(x, y) == want_cup, (x, y)
+                assert support_places([(x, y)]) == want_support, (x, y)
+                form = DiagonalForm([x, y])
+                assert form == want_form and str(form) == str(want_form), (x, y)
+                assert all(type(e) is Fraction for e in form.entries)
+                for v in _PLACES:
+                    assert hilbert(x, y, v) == hilbert(a, b, v), (x, y, v)
+
+
+# the messages raised for a zero argument, as the parent of this change raised them
+_ZERO_TEXT = {
+    "factor": "cannot factor zero",
+    "hilbert": "local symbols need nonzero rationals",
+    "hilbert-second": "local symbols need nonzero rationals",
+    "cup": "cup product arguments must be nonzero",
+    "cup-second": "cup product arguments must be nonzero",
+    "square": "local symbols need nonzero rationals",
+    "support": "support of a zero entry is undefined",
+    "form": "diagonal entries must be nonzero",
+}
+
+_CALLS = {
+    "factor": lambda x: factor(x),
+    "hilbert": lambda x: hilbert(x, 3, Place(3)),
+    "hilbert-second": lambda x: hilbert(3, x, REAL),
+    "cup": lambda x: cup(x, 5),
+    "cup-second": lambda x: cup(5, x),
+    "square": lambda x: is_square_in_completion(x, Place(2)),
+    "support": lambda x: support_places([(3, x)]),
+    "form": lambda x: DiagonalForm([1, x]),
+}
+
+
+def _raised(fn, *args) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_zero_and_malformed_arguments_raise_as_before(name):
+    call = _CALLS[name]
+    for zero in (0, F(0), "0", "0/7", False):
+        assert _raised(call, zero) == (ValueError, _ZERO_TEXT[name]), zero
+    # anything that is not an int or a Fraction still goes through Fraction first
+    for bad in ("abc", "1/0", "", None, [1]):
+        assert _raised(call, bad) == _raised(Fraction, bad), bad
+
+
+def test_the_first_bad_argument_decides_the_error():
+    assert _raised(cup, 0, "abc") == (ValueError, _ZERO_TEXT["cup"])
+    assert _raised(cup, "abc", 0) == _raised(Fraction, "abc")
+    assert _raised(hilbert, 0, "abc", REAL) == (ValueError, _ZERO_TEXT["hilbert"])
+    assert _raised(support_places, [(0, "abc")]) == (ValueError, _ZERO_TEXT["support"])
+    # a diagonal form coerces every entry before it looks for a zero
+    assert _raised(DiagonalForm, [0, "abc"]) == _raised(Fraction, "abc")
+    assert _raised(DiagonalForm, []) == (ValueError, "a diagonal form needs at least one entry")
