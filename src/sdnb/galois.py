@@ -30,8 +30,9 @@ the support of every invariant class, or one finite place for every factor.
 Each class has one route: ``c_invariants`` filters that report,
 ``embedding_obstruction`` is ``d_top`` of the cyclic-poly algebra over twice
 the degree, and ``d_top`` reads its class off the trace form's entries.
-Polynomial input is screened by Rabin's test along a single Frobenius orbit,
-charged to the work budget; quadratics by their discriminant.
+Polynomial input is screened for integer roots, by Rabin's test along a
+single Frobenius orbit and by a search for quadratic factors, every stage
+charged to a work budget; quadratics by their discriminant.
 
 Two computed-versus-quoted discrepancies are deliberate and unit-tested:
 
@@ -52,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Sequence, Union
 
 from . import brauer
@@ -314,19 +315,18 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-# candidate quadratic factors X^2 + uX + v tried before giving up
-_QUADRATIC_SEARCH_BUDGET = 1 << 18
-
-
 def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
-    """Irreducibility of a monic integer polynomial, desk-scale screen.
+    """Irreducibility of a monic integer polynomial of degree m, desk-scale screen.
 
     Quadratics by their discriminant.  Otherwise integer roots first, then
     irreducibility modulo a fixed list of primes (conclusive when it holds
-    for any of them), then a bounded search for monic quadratic factors (at
-    most ``_QUADRATIC_SEARCH_BUDGET`` candidates).  The modular tests share
-    one work budget.  Inputs that defeat all three, or whose constant term or
-    modular tests do not fit the work budget, raise BudgetExceededError
+    for any of them), then a search for monic quadratic factors X^2 + uX + v
+    with v | f(0) and |u| <= 4 max |f_i|.  Every stage is charged to a work
+    budget before it runs: the root test to its own, 1 unit to list each
+    divisor d of f(0) and 2m to evaluate f(d) and f(-d), all before the first
+    is listed; the modular tests m^2 per Frobenius step and the search m per
+    candidate, one fixed v at a time, to a shared one.  Inputs that defeat
+    all three stages, or do not fit a budget, raise BudgetExceededError
     rather than guessing.
     """
     m = len(coeffs) - 1
@@ -336,6 +336,8 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
         return not is_square(coeffs[1] ** 2 - 4 * coeffs[0])
     if coeffs[0] == 0:
         return False
+    roots = WorkBudget(f"integer roots of the polynomial {list(coeffs)}")
+    roots.spend((2 * m + 1) * prod(e + 1 for _, e in factor(coeffs[0]).factors))
     divisors = _divisors(coeffs[0])
     for d in divisors:
         if _poly_eval(coeffs, d) == 0 or _poly_eval(coeffs, -d) == 0:
@@ -347,16 +349,10 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
         if _irreducible_mod_p(coeffs, p, screen):
             return True
     height = 4 * max(abs(c) for c in coeffs)
-    budget = _QUADRATIC_SEARCH_BUDGET
     for v in divisors:
         for sv in (v, -v):
+            screen.spend(m * (2 * height + 1))
             for u in range(-height, height + 1):
-                if budget == 0:
-                    raise BudgetExceededError(
-                        f"quadratic factor search exceeded {_QUADRATIC_SEARCH_BUDGET} "
-                        f"candidates (coefficient height {height})"
-                    )
-                budget -= 1
                 if _divides_exactly(coeffs, (sv, u, 1)):
                     return False
     raise BudgetExceededError(
@@ -410,9 +406,9 @@ def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass
 
     Degree 1: trivial.  Degree 2: the cup product (D_K)(-1), which for
     Q(sqrt z) is (z)(-1), from the order-4 fibered extension; D_K is the
-    product of the entries of q, so by bilinearity the class is the sum of
-    (a)(-1) over the entries a, whose factorizations the determinant class
-    has already cached; the product itself is never factored.  Degree >= 4:
+    product of the entries of q = <2, b> (its first entry is Tr(1) = 2), so by
+    bilinearity the class is (2)(-1) + (b)(-1) = (b)(-1), and only b and -1
+    are factored.  Degree >= 4:
     w2(q_K) + (2)(D_K) = w2(q_K + <2>) by bilinearity.  The degree-2 case
     genuinely differs from the trace-form expression, which collapses to
     (2)(-1) = 0 there; see the module docstring.  ``q`` is
@@ -429,10 +425,8 @@ def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass
     if q is None:
         q = family_trace_form(spec)
     if m == 2:
-        out = brauer.TRIVIAL
-        for a in q.entries:
-            out = add(out, cup(a, -1))
-        return out
+        # q = <2, b>, and (2)(-1) = 0 because 2 = 1 + 1 is a norm from Q(i)
+        return cup(q.entries[-1], -1)
     return hasse_witt(q.orthogonal_sum(DiagonalForm([2])))
 
 
@@ -508,23 +502,23 @@ def c_invariants(spec: GaloisAlgebraSpec) -> tuple[InvariantEntry, ...]:
     return tuple(e for e in invariant_report(spec).entries if e.invariant == "c")
 
 
-def _report(
+def _entries(
     spec: GaloisAlgebraSpec, q: DiagonalForm
-) -> tuple[InvariantReport, tuple[FactorDescriptor, ...]]:
-    """The invariant report and the factor table, entry i belonging to factor i.
+) -> tuple[tuple[InvariantEntry, ...], tuple[FactorDescriptor, ...]]:
+    """The invariant entries and the factor table, entry i belonging to factor i.
 
-    The one pass over the factor table per decision; the table is empty when
-    the degree-one invariants do not vanish.
+    The one pass over the factor table per decision; both are empty when the
+    degree-one invariants do not vanish.
     """
-    h1 = h1_condition(spec)
-    factors = decompose(group_of(spec)) if h1 else ()
-    entries = tuple(_invariant_entry(spec, fd, q) for fd in factors)
-    return InvariantReport(h1, entries, q, det_square_class(q), signature(q)), factors
+    factors = decompose(group_of(spec)) if h1_condition(spec) else ()
+    return tuple(_invariant_entry(spec, fd, q) for fd in factors), factors
 
 
 def invariant_report(spec: GaloisAlgebraSpec) -> InvariantReport:
     """Per-factor invariant classes, in factor order, plus the trace-form data."""
-    return _report(spec, family_trace_form(spec))[0]
+    q = family_trace_form(spec)
+    entries, _ = _entries(spec, q)
+    return InvariantReport(h1_condition(spec), entries, q, det_square_class(q), signature(q))
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +603,10 @@ def _decide(spec: GaloisAlgebraSpec, at: Place | None) -> Decision:
     ]
     if not h1:
         return Decision(VERDICT_NO, tuple(rows))
-    report, factors = _report(spec, family_trace_form(spec))
+    q = family_trace_form(spec)
+    entries, factors = _entries(spec, q)
     if at is None:
-        sig = report.signature
+        sig = signature(q)
         real_ok = sig[1] == 0
         rows.append(
             CertificateRow(
@@ -621,7 +616,7 @@ def _decide(spec: GaloisAlgebraSpec, at: Place | None) -> Decision:
             )
         )
     where = None if at is None else at.to_json()
-    for fd, entry in zip(factors, report.entries):
+    for fd, entry in zip(factors, entries):
         kind = "orthogonal-local" if entry.invariant == "c" else "unitary-local"
         cls = entry.value
         if cls is None:  # not computed

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from sdnb import CyclicQuadratic, CyclicQuartic, brauer, galois, is_square
 from sdnb.brauer import is_trivial
-from sdnb.exact import legendre, squarefree_part
+from sdnb.exact import BudgetExceededError, legendre, squarefree_part
 from sdnb.factors import FactorKind, decompose, local_data
 from sdnb.forms import det_square_class, hasse_witt, signature
 from sdnb.symbols import Place, hilbert
@@ -421,6 +422,49 @@ def reference_irreducible_mod_p(coeffs, p):
     if not any(diff):
         return False
     return _reference_gcd_degree(diff, list(f), p) == 0
+
+
+# --- reference copy of the capped irreducibility screen ---------------------------
+#
+# ``galois._irreducible_over_Q`` as it stood when only its modular tests drew on
+# a work budget: the integer-root test ran over every divisor of f(0), and the
+# quadratic-factor search stopped after 2^18 candidates.  The modular tests
+# run unbudgeted here: at most 16 primes x m steps x m^2 units, they could not
+# exhaust the default budget below degree 64.
+
+
+def reference_irreducible_over_Q(coeffs):
+    m = len(coeffs) - 1
+    if m == 1:
+        return True
+    if m == 2:
+        return not is_square(coeffs[1] ** 2 - 4 * coeffs[0])
+    if coeffs[0] == 0:
+        return False
+    n = abs(coeffs[0])
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    divisors = sorted(set(low + [n // d for d in low]))
+    if any(sum(c * x**i for i, c in enumerate(coeffs)) == 0 for d in divisors for x in (d, -d)):
+        return False
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+    if any(reference_irreducible_mod_p(coeffs, p) for p in primes if coeffs[0] % p):
+        return True
+    height = 4 * max(abs(c) for c in coeffs)
+    tried = 0
+    for v in divisors:
+        for sv in (v, -v):
+            for u in range(-height, height + 1):
+                if tried == 1 << 18:
+                    raise BudgetExceededError("2^18 candidate quadratic factors tried")
+                tried += 1
+                rem = list(coeffs)
+                for k in range(m, 1, -1):
+                    c = rem[k]
+                    rem[k - 2] -= c * sv
+                    rem[k - 1] -= c * u
+                if rem[0] == rem[1] == 0:
+                    return False
+    raise BudgetExceededError("irreducibility undetermined within the screening budget")
 
 
 # --- reference copies of the determinant route to the top invariant ---------------

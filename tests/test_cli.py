@@ -237,6 +237,20 @@ def test_rabin_screen_of_a_degree_128_polynomial_exits_66_in_time(capsys):
     assert "work budget exhausted after" in message
 
 
+def test_integer_roots_of_a_constant_term_with_many_divisors_exit_66_in_time(capsys):
+    # the constant term is the product of the 20 primes up to 71: 2^20 candidate
+    # roots, charged to the work budget before the first is listed
+    c0 = "557940830126698960967415390"
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "decide", "--group", "C8", "--family", "cyclic-poly", f"--poly={c0},1,0,0,1", "--degree", "4"
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 66 and out == ""
+    message = json.loads(err)["message"]
+    assert message.startswith(f"integer roots of the polynomial [{c0}, 1, 0, 0, 1]: work budget exhausted")
+
+
 @pytest.mark.parametrize(
     "group, family", [("C8", "d4-quadratic"), ("C4", "a5-quadratic")]
 )

@@ -1,7 +1,9 @@
 import inspect
 import json
+import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +57,7 @@ from helpers import (
     reference_decide_local,
     reference_invariant_report,
     reference_irreducible_mod_p,
+    reference_irreducible_over_Q,
     reference_res_trivial_real_cyclotomic,
 )
 
@@ -717,6 +720,107 @@ def test_rabin_spends_at_most_m_frobenius_steps(monkeypatch):
             irreducible += galois._irreducible_mod_p(f, p, exact.WorkBudget("Rabin steps"))
             assert 0 < sum(steps) <= m, (f, p, steps)
     assert irreducible > 0
+
+
+# --- every stage of the irreducibility screen draws on a work budget ---------------
+
+
+def test_integer_roots_are_charged_before_the_divisors_are_listed(monkeypatch):
+    # x^4 + x + c0, c0 the product of the 18 primes up to 61: the 2^18 divisors
+    # are counted off the factorization of c0 and charged before any is listed
+    c0 = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61))
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "1000")
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        galois._irreducible_over_Q([c0, 1, 0, 0, 1])
+    assert time.perf_counter() - start < 0.5
+    assert str(info.value).startswith(
+        f"integer roots of the polynomial [{c0}, 1, 0, 0, 1]: work budget exhausted after 0 of 1000"
+    )
+
+
+def test_quadratic_factor_search_draws_on_the_screen_budget():
+    # sqrt(a) + sqrt(b) again: one row of the search, 2 * 16000288 + 1
+    # candidates at 4 units each, overdraws the budget before it is scanned
+    a, b = 1000003, 1000033
+    coeffs = [(a - b) ** 2, 0, -2 * (a + b), 0, 1]
+    with pytest.raises(BudgetExceededError) as info:
+        galois._irreducible_over_Q(coeffs)
+    assert str(info.value).startswith(f"irreducibility screen of the polynomial {coeffs}: work budget")
+
+
+def test_screen_answers_wherever_the_capped_screen_did():
+    rng = random.Random(1209)
+
+    def monic(degree, height):
+        return [rng.randint(-height, height) for _ in range(degree)] + [1]
+
+    singles = [monic(4, 5) for _ in range(80)] + [monic(8, 3) for _ in range(40)]
+    products = [_multiply(monic(2, 8), monic(2, 8)) for _ in range(60)]
+    products += [_multiply(monic(2, 3), monic(6, 3)) for _ in range(20)]
+    pairs = [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(40)]
+    biquadratics = [[(a - b) ** 2, 0, -2 * (a + b), 0, 1] for a, b in pairs]
+    outcomes = {True: 0, False: 0, None: 0}
+    for f in singles + products + biquadratics + _tower_shifts():
+        try:
+            want = reference_irreducible_over_Q(f)
+        except BudgetExceededError:
+            want = None
+        try:
+            got = galois._irreducible_over_Q(f)
+        except BudgetExceededError:
+            got = None
+        assert got == want or want is None, f
+        assert not (got and f in products), f
+        outcomes[got] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 80 and outcomes[None] > 0, outcomes
+
+
+# --- the decision path reads only what it uses ------------------------------------
+
+
+def test_d_top_at_degree_two_takes_one_cup(monkeypatch):
+    rng = random.Random(2019)
+    specs = [random_quadratic_spec(rng, n) for n in range(2, 6) for _ in range(10)]
+    while len(specs) < 80:
+        v, u = rng.randint(-40, 40), rng.randint(-9, 9)
+        if not exact.is_square(u * u - 4 * v):
+            specs.append(CyclicPoly(rng.randint(2, 5), (v, u, 1), 2))
+    cases = [(spec, galois.family_trace_form(spec)) for spec in specs]
+    wants = [reference_d_top(spec, q) for spec, q in cases]
+    counts = {}
+    _count_calls(monkeypatch, counts, "cup", galois)
+    for (spec, q), want in zip(cases, wants):
+        counts.clear()
+        assert d_top(spec, q) == want, spec
+        assert counts == {"cup": 1}, spec
+
+
+@pytest.mark.parametrize(
+    "call, calls",
+    [
+        (decide_global, 0),
+        (lambda spec: decide_local(spec, Place(3)), 0),
+        (invariant_report, 1),
+    ],
+    ids=["decide_global", "decide_local", "invariant_report"],
+)
+def test_determinant_class_is_computed_for_the_report_only(monkeypatch, call, calls):
+    counts = {}
+    _count_calls(monkeypatch, counts, "det_square_class", galois)
+    for spec in (
+        CyclicQuadratic(4, 3),
+        CyclicQuartic(3, 2, 1, 1, 2),
+        CyclicPoly(5, _tower16(), 16),
+        CyclicPoly(3, (-3, 0, 1), 2),
+        D4Quadratic(3),
+        A4Quartic((12, 8, 0, 0, 1)),
+        A5Quadratic(-7),
+        SplitAlgebra(GroupDescriptor("abelian", (2, 12))),
+    ):
+        counts.clear()
+        call(spec)
+        assert counts.get("det_square_class", 0) == calls, spec
 
 
 # --- one certificate builder: the JSON of the two former walks -----------------
