@@ -31,7 +31,9 @@ Each class has one route: ``c_invariants`` filters that report,
 ``embedding_obstruction`` is ``d_top`` of the cyclic-poly algebra over twice
 the degree, and ``d_top`` reads its class off the trace form's entries.
 Polynomial input is screened for integer roots, by Rabin's test along a
-single Frobenius orbit and by a search for quadratic factors, every stage
+single Frobenius orbit at the first 16 odd primes not dividing f(0), each
+step one linear combination of the rows X^(ip) mod (f, p) built once per
+prime, and by a search for quadratic factors, every stage and row build
 charged to a work budget; quadratics by their discriminant.
 
 Two computed-versus-quoted discrepancies are deliberate and unit-tested:
@@ -53,12 +55,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import lcm, prod
 from typing import Sequence, Union
 
 from . import brauer
 from .brauer import BrauerClass, add, cup, is_trivial
-from .exact import BudgetExceededError, WorkBudget, factor, is_square, parse_rational
+from .exact import _SMALL_PRIMES, BudgetExceededError, WorkBudget, factor, is_square, parse_rational
 from .factors import (
     FactorDescriptor,
     FactorKind,
@@ -252,30 +255,21 @@ def _rem(u: Sequence[int], f: Sequence[int], p: int) -> list[int]:
     return _trim(u[:m], p)
 
 
-def _frobenius_power(t: list[int], f: Sequence[int], p: int, k: int, budget: WorkBudget) -> list[int]:
-    """t^(p^k) mod (f, p) for f monic mod p, by k iterated p-th powers.
+def _combine(t: Sequence[int], rows: Sequence[Sequence[int]], p: int) -> list[int]:
+    """Sum of t_i rows[i] mod p, without trailing zero coefficients."""
+    acc = [0] * len(rows[0])
+    for c, row in zip(t, rows):
+        if c:
+            acc = [a + c * r for a, r in zip(acc, row)]
+    return _trim(acc, p)
 
-    Each p-th power is charged (deg f)^2 units of ``budget`` before it runs.
-    """
 
-    def mulmod(u: list[int], v: list[int]) -> list[int]:
-        out = [0] * (len(u) + len(v) - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    out[i + j] += a * b
-        return _rem(out, f, p)
-
+def _frobenius_power(t: list[int], f: Sequence[int], p: int, k: int, budget: WorkBudget, rows: list) -> list[int]:
+    """t^(p^k) mod (f, p), f monic mod p: as t(X)^p = sum t_i X^(ip) over F_p, each p-th power
+    is one :func:`_combine` of the ``rows`` X^(ip) mod (f, p), charged (deg f)^2 units of ``budget``."""
     for _ in range(k):
         budget.spend((len(f) - 1) ** 2)
-        acc, base, e = [1], t, p
-        while e:
-            if e & 1:
-                acc = mulmod(acc, base)
-            e >>= 1
-            if e:
-                base = mulmod(base, base)
-        t = acc
+        t = _combine(t, rows, p)
     return t
 
 
@@ -291,20 +285,30 @@ def _poly_gcd_degree(u: list[int], v: list[int], p: int) -> int:
 def _irreducible_mod_p(coeffs: Sequence[int], p: int, budget: WorkBudget) -> bool:
     """Rabin's criterion for a monic polynomial f of 2-power degree m.
 
-    f is irreducible mod p iff gcd(X^(p^(m/2)) - X, f) = 1 and
-    X^(p^m) = X mod (f, p).  One Frobenius orbit of X serves both: the gcd is
-    taken halfway, and the orbit goes on only if it is 1, so a call spends at
-    most m p-th-power steps, each charged to ``budget``.
+    f is irreducible mod p iff gcd(X^(p^(m/2)) - X, f) = 1 and X^(p^m) = X mod
+    (f, p).  One Frobenius orbit of X serves both, the gcd taken halfway.  The
+    rows X^(ip) mod (f, p), i < m, are built once, by one walk over X^j for
+    j <= (m - 1)p charged ceil((m - 1)p / m) m^2 units of ``budget``; then at
+    most m p-th-power steps follow, each one linear combination of the rows.
     """
     m = len(coeffs) - 1
     f = [c % p for c in coeffs]
+    budget.spend(-(-(m - 1) * p // m) * m * m)
+    rows, power = [], [1] + [0] * (m - 1)
+    for j in range((m - 1) * p + 1):  # X^j mod (f, p), keeping X^(ip) for i < m
+        if j % p == 0:
+            rows.append(power[:])
+        top = power.pop()
+        power.insert(0, 0)
+        if top:  # X^m = -(f_0 + ... + f_(m-1) X^(m-1))
+            power = [(a - top * c) % p for a, c in zip(power, f)]
     x = [0, 1]
-    half = _frobenius_power(x, f, p, m // 2, budget)
+    half = _frobenius_power(x, f, p, m // 2, budget, rows)
     diff = half + [0] * (2 - len(half))
     diff[1] -= 1
     if _poly_gcd_degree(diff, f, p) != 0:
         return False
-    return _frobenius_power(half, f, p, m - m // 2, budget) == x
+    return _frobenius_power(half, f, p, m - m // 2, budget, rows) == x
 
 
 def _divisors(n: int) -> list[int]:
@@ -319,15 +323,15 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
     """Irreducibility of a monic integer polynomial of degree m, desk-scale screen.
 
     Quadratics by their discriminant.  Otherwise integer roots first, then
-    irreducibility modulo a fixed list of primes (conclusive when it holds
-    for any of them), then a search for monic quadratic factors X^2 + uX + v
-    with v | f(0) and |u| <= 4 max |f_i|.  Every stage is charged to a work
-    budget before it runs: the root test to its own, 1 unit to list each
-    divisor d of f(0) and 2m to evaluate f(d) and f(-d), all before the first
-    is listed; the modular tests m^2 per Frobenius step and the search m per
-    candidate, one fixed v at a time, to a shared one.  Inputs that defeat
-    all three stages, or do not fit a budget, raise BudgetExceededError
-    rather than guessing.
+    Rabin's test modulo each of the first 16 odd primes that do not divide
+    f(0) (conclusive once f is irreducible modulo one), then a search for
+    monic quadratic factors X^2 + uX + v with v | f(0) and |u| <= 4 max |f_i|.
+    Every stage is charged to a work budget before it runs: the root test to
+    its own, 1 unit per divisor d of f(0) and 2m for f(d) and f(-d), all before
+    the first is listed; to a shared one, ceil((m - 1)p / m) m^2 per prime's
+    row build, m^2 per Frobenius step and m per candidate factor, one v at a
+    time.  Inputs that defeat all three stages, or do not fit a budget, raise
+    BudgetExceededError rather than guessing.
     """
     m = len(coeffs) - 1
     if m == 1:
@@ -343,9 +347,7 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
         if _poly_eval(coeffs, d) == 0 or _poly_eval(coeffs, -d) == 0:
             return False
     screen = WorkBudget(f"irreducibility screen of the polynomial {list(coeffs)}")
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
-        if coeffs[0] % p == 0:
-            continue
+    for p in islice((p for p in _SMALL_PRIMES[1:] if coeffs[0] % p), 16):
         if _irreducible_mod_p(coeffs, p, screen):
             return True
     height = 4 * max(abs(c) for c in coeffs)

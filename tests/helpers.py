@@ -387,6 +387,21 @@ def _reference_frobenius_power(f, p, k):
     return t
 
 
+def reference_frobenius_of(t, f, p, k):
+    """t^(p^k) mod (f, p), padded to deg f coefficients, by square-and-multiply."""
+    m = len(f) - 1
+    t = [c % p for c in t] + [0] * (m - len(t))
+    for _ in range(k):
+        acc, base, e = [1] + [0] * (m - 1), t, p
+        while e:
+            if e & 1:
+                acc = _reference_polymulmod(acc, base, f, p)
+            base = _reference_polymulmod(base, base, f, p)
+            e >>= 1
+        t = acc
+    return t
+
+
 def _reference_gcd_degree(u, v, p):
     def norm(x):
         x = [c % p for c in x]

@@ -55,6 +55,7 @@ from helpers import (
     reference_d_top,
     reference_decide_global,
     reference_decide_local,
+    reference_frobenius_of,
     reference_invariant_report,
     reference_irreducible_mod_p,
     reference_irreducible_over_Q,
@@ -720,6 +721,84 @@ def test_rabin_spends_at_most_m_frobenius_steps(monkeypatch):
             irreducible += galois._irreducible_mod_p(f, p, exact.WorkBudget("Rabin steps"))
             assert 0 < sum(steps) <= m, (f, p, steps)
     assert irreducible > 0
+
+
+def test_frobenius_by_power_rows_matches_square_and_multiply():
+    rng = random.Random(1411)
+    for p in exact._SMALL_PRIMES[:17]:  # 2, 3, ..., 59
+        for m in range(2, 17):
+            f = [c % p for c in _random_monic(rng, m)]
+            t = [rng.randrange(p) for _ in range(rng.randint(1, m))]
+            if m % 3 == 0:
+                t = [0, 1]
+            k = rng.randint(1, m)
+            rows = [reference_frobenius_of([0] * i + [1], f, p, 1) for i in range(m)]
+            want = reference_frobenius_of(t, f, p, k)
+            while want and want[-1] == 0:
+                want.pop()
+            budget = exact.WorkBudget("Frobenius differential")
+            assert galois._frobenius_power(t, f, p, k, budget, rows) == want, (f, p, t, k)
+
+
+def test_power_rows_are_charged_once_and_no_step_reduces(monkeypatch):
+    class CountingBudget(exact.WorkBudget):
+        def __init__(self):
+            super().__init__("counted Rabin")
+            self.charges = []
+
+        def spend(self, units):
+            self.charges.append(units)
+            super().spend(units)
+
+    in_step, rem_calls = [], []
+    original_rem, original_power = galois._rem, galois._frobenius_power
+
+    def counted_rem(*args):
+        rem_calls.append(bool(in_step))
+        return original_rem(*args)
+
+    def stepping(*args):
+        in_step.append(True)
+        try:
+            return original_power(*args)
+        finally:
+            in_step.pop()
+
+    monkeypatch.setattr(galois, "_rem", counted_rem)
+    monkeypatch.setattr(galois, "_frobenius_power", stepping)
+    rng = random.Random(1414)
+    polys = _tower_shifts() + [_random_monic(rng, rng.choice((4, 8, 16))) for _ in range(20)]
+    for f in polys:
+        m = len(f) - 1
+        for p in (2, 3, 7, 59, 61):
+            budget = CountingBudget()
+            galois._irreducible_mod_p(f, p, budget)
+            steps = budget.charges[1:]
+            assert budget.charges[0] == math.ceil((m - 1) * p / m) * m * m, (f, p)
+            assert 0 < len(steps) <= m and set(steps) == {m * m}, (f, p, budget.charges)
+    assert rem_calls and not any(rem_calls)
+
+
+def test_screen_walks_past_primes_dividing_the_constant_term(monkeypatch):
+    # c0 = 3 * 5 * ... * 59: both quartics are Eisenstein at 3, but every
+    # prime of the first sixteen odd ones divides f(0)
+    c0 = math.prod(exact._SMALL_PRIMES[1:17])
+    assert c0 == 961380175077106319535
+    for coeffs in ([c0, 0, 0, 0, 1], [c0, 1, 0, 0, 1]):
+        start = time.perf_counter()
+        assert galois._irreducible_over_Q(coeffs)
+        assert time.perf_counter() - start < 0.5
+    # with f(0) prime to every odd prime up to 59 the same sixteen are tried
+    tried = []
+    original = galois._irreducible_mod_p
+
+    def recorded(coeffs, p, budget):
+        tried.append(p)
+        return original(coeffs, p, budget)
+
+    monkeypatch.setattr(galois, "_irreducible_mod_p", recorded)
+    assert not galois._irreducible_over_Q([4, 0, 5, 0, 1])  # (x^2 + 1)(x^2 + 4)
+    assert tried == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
 # --- every stage of the irreducibility screen draws on a work budget ---------------
