@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import get_args
 
 from .exact import BudgetExceededError, parse_rational
 from .forms import (
@@ -30,8 +31,8 @@ from .forms import (
     signature,
 )
 from .galois import (
-    _FAMILY_TAGS,
     Decision,
+    GaloisAlgebraSpec,
     decide_global,
     decide_local,
     embedding_obstruction,
@@ -61,12 +62,10 @@ def _spec_from_args(args: argparse.Namespace) -> dict:
         data["group"] = args.group
     if args.family:
         data["family"] = args.family
-    for key in ("z", "a", "b", "c"):
+    for key in ("z", "a", "b", "c", "eps"):
         val = getattr(args, key, None)
         if val is not None:
             data[key] = val
-    if getattr(args, "eps", None) is not None:
-        data["eps"] = args.eps
     if getattr(args, "poly", None) is not None:
         data["poly"] = [int(t) for t in args.poly.split(",")]
     if getattr(args, "degree", None) is not None:
@@ -79,7 +78,7 @@ def _spec_from_args(args: argparse.Namespace) -> dict:
 def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="path to a JSON spec file")
     p.add_argument("--group", help="group name, e.g. C8, D4, A4, A5")
-    p.add_argument("--family", choices=list(_FAMILY_TAGS.values()))
+    p.add_argument("--family", choices=[cls.family for cls in get_args(GaloisAlgebraSpec)])
     p.add_argument("--z", help="rational z, e.g. 3 or -45/8")
     p.add_argument("--a", help="rational a of the quartic family")
     p.add_argument("--b", help="rational b of the quartic family")
@@ -135,6 +134,22 @@ def _form_report(f: DiagonalForm, rep: Fraction | None, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
+def _devnull_onto(fd: int) -> None:
+    """Point fd at the null device: what is buffered for it goes nowhere, and the final flush cannot fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _report(error: dict) -> None:
+    """One JSON line on stderr; a closed stderr leaves stdout and the exit code alone."""
+    try:
+        if sys.stderr is not None:  # None when fd 2 was closed at start
+            print(json.dumps(error), file=sys.stderr, flush=True)
+    except OSError:
+        _devnull_onto(2)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sdnb",
@@ -179,18 +194,14 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()  # a reader that has gone fails here, not at exit
         return code
     except BudgetExceededError as exc:
-        print(json.dumps({"error": "budget-exceeded", "message": str(exc)}), file=sys.stderr)
+        _report({"error": "budget-exceeded", "message": str(exc)})
         return EX_BUDGET
     except BrokenPipeError as exc:
-        # what is still buffered for stdout goes nowhere, so the interpreter's
-        # final flush cannot fail a second time
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.close(devnull)
-        print(json.dumps({"error": "output-closed", "message": str(exc)}), file=sys.stderr)
+        _devnull_onto(1)
+        _report({"error": "output-closed", "message": str(exc)})
         return EX_IOERR
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": "bad-input", "message": str(exc)}), file=sys.stderr)
+        _report({"error": "bad-input", "message": str(exc)})
         return EX_DATA
     except Exception as exc:
         import traceback  # loaded here so that calls that succeed do not pay for it
@@ -201,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
             "message": f"{type(exc).__name__}: {exc}",
             "at": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
         }
-        print(json.dumps(report), file=sys.stderr)
+        _report(report)
         return EX_SOFTWARE
 
 

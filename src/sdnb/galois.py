@@ -24,12 +24,16 @@ where its fixed field has odd local degree and the factor is locally split, a
 unitary factor binds where the fixed field has odd local degree and the
 center stays a field.  Certificates list every filter decision.
 
-One certificate builder makes both decisions from a single pass over the
-factor table, the pass ``invariant_report`` makes: it walks the real place and
-the support of every invariant class, or one finite place for every factor.
-Each class has one route: ``c_invariants`` filters that report,
-``embedding_obstruction`` is ``d_top`` of the cyclic-poly algebra over twice
-the degree, and ``d_top`` reads its class off the trace form's entries.
+Each family class carries ``group``, ``degree`` (of the inducing field) and
+``family`` (its JSON/CLI tag); D4, A5 and A4 supply their own orthogonal
+classes through one hook, and A4 caps the verdict at unknown.  One
+certificate builder makes both decisions in one pass over the factor table,
+computing the group, its 2-power exponent, h1, the trace form and the table
+once: it walks the real place and the support of every invariant class, or
+one finite place for every factor.  ``c_invariants`` walks the orthogonal
+factors only, ``embedding_obstruction`` is ``d_top`` of the cyclic-poly
+algebra over twice the degree, and ``d_top`` reads its class off the trace
+form's entries.
 Polynomial input is screened for integer roots, by Rabin's test along a
 single Frobenius orbit at the first 16 odd primes not dividing f(0), each
 step one linear combination of the rows X^(ip) mod (f, p) built once per
@@ -98,15 +102,34 @@ def _coerce_nonzero(value: Fraction | int | str, name: str) -> Fraction:
     return q
 
 
+class _Family:
+    """Besides ``group``, ``degree`` and ``family``, each family carries the
+    verdict that caps its decisions (None: no cap) and its own orthogonal classes."""
+
+    verdict_cap: str | None = None
+
+    def _own_entry(self, fd: FactorDescriptor, q: DiagonalForm) -> InvariantEntry | None:
+        """The family's entry for the orthogonal factor fd given the trace form q, or None for zero."""
+        return None
+
+
+class _Cyclic(_Family):
+    @property
+    def group(self) -> GroupDescriptor:
+        return GroupDescriptor.cyclic(1 << self.n)
+
+
 @dataclass(frozen=True)
-class SplitAlgebra:
+class SplitAlgebra(_Family):
     group: GroupDescriptor
+    degree, family = 1, "split"
 
 
 @dataclass(frozen=True)
-class CyclicQuadratic:
+class CyclicQuadratic(_Cyclic):
     n: int
     z: Fraction
+    degree, family = 2, "cyclic-quadratic"
 
     def __init__(self, n: int, z: Fraction | int | str) -> None:
         if n < 2:
@@ -119,12 +142,13 @@ class CyclicQuadratic:
 
 
 @dataclass(frozen=True)
-class CyclicQuartic:
+class CyclicQuartic(_Cyclic):
     n: int
     a: Fraction
     b: Fraction
     c: Fraction
     eps: Fraction
+    degree, family = 4, "cyclic-quartic"
 
     def __init__(self, n, a, b, c, eps) -> None:
         if n < 3:
@@ -137,10 +161,11 @@ class CyclicQuartic:
 
 
 @dataclass(frozen=True)
-class CyclicPoly:
+class CyclicPoly(_Cyclic):
     n: int
     coeffs: tuple[int, ...]
     degree: int
+    family = "cyclic-poly"
 
     def __init__(self, n: int, coeffs: Sequence[int], degree: int) -> None:
         if n < 2:
@@ -163,16 +188,22 @@ class CyclicPoly:
 
 
 @dataclass(frozen=True)
-class D4Quadratic:
+class D4Quadratic(_Family):
     z: Fraction
+    group, degree, family = GroupDescriptor("D4"), 2, "d4-quadratic"
 
     def __init__(self, z) -> None:
         object.__setattr__(self, "z", _coerce_nonzero(z, "z"))
 
+    def _own_entry(self, fd, q):
+        return InvariantEntry(fd.id, "c", "computed", cup(self.z, -1)) if fd.id == "2dim" else None
+
 
 @dataclass(frozen=True)
-class A4Quartic:
+class A4Quartic(_Family):
     coeffs: tuple[int, ...]
+    group, degree, family = GroupDescriptor("A4"), 4, "a4-quartic"
+    verdict_cap = VERDICT_UNKNOWN
 
     def __init__(self, coeffs: Sequence[int]) -> None:
         coeffs = tuple(int(c) for c in coeffs)
@@ -181,13 +212,24 @@ class A4Quartic:
         trace_form(coeffs)  # rejects repeated roots
         object.__setattr__(self, "coeffs", coeffs)
 
+    def _own_entry(self, fd, q):
+        if fd.id == "std3":
+            return InvariantEntry(fd.id, "c", "computed", hasse_witt(q), note="conditional: " + fd.note)
+        if fd.id.startswith("chi3"):
+            return InvariantEntry(fd.id, "c", "not-computed", None, note=_A4_PAIR)
+        return None
+
 
 @dataclass(frozen=True)
-class A5Quadratic:
+class A5Quadratic(_Family):
     z: Fraction
+    group, degree, family = GroupDescriptor("A5demo"), 2, "a5-quadratic"
 
     def __init__(self, z) -> None:
         object.__setattr__(self, "z", _coerce_nonzero(z, "z"))
+
+    def _own_entry(self, fd, q):
+        return InvariantEntry(fd.id, "c", "computed", cup(-1, self.z)) if fd.id == "3dim" else None
 
 
 GaloisAlgebraSpec = Union[
@@ -196,32 +238,14 @@ GaloisAlgebraSpec = Union[
 ]
 
 
-_D4, _A4, _A5 = GroupDescriptor("D4"), GroupDescriptor("A4"), GroupDescriptor("A5demo")
-
-
 def group_of(spec: GaloisAlgebraSpec) -> GroupDescriptor:
-    if isinstance(spec, SplitAlgebra):
-        return spec.group
-    if isinstance(spec, (CyclicQuadratic, CyclicQuartic, CyclicPoly)):
-        return GroupDescriptor.cyclic(1 << spec.n)
-    if isinstance(spec, D4Quadratic):
-        return _D4
-    if isinstance(spec, A4Quartic):
-        return _A4
-    return _A5
+    """The group G of the algebra: the family's ``group`` attribute."""
+    return spec.group
 
 
 def field_degree(spec: GaloisAlgebraSpec) -> int:
-    """Degree over Q of the field (or etale algebra) inducing the algebra."""
-    if isinstance(spec, SplitAlgebra):
-        return 1
-    if isinstance(spec, (CyclicQuadratic, D4Quadratic, A5Quadratic)):
-        return 2
-    if isinstance(spec, CyclicQuartic):
-        return 4
-    if isinstance(spec, CyclicPoly):
-        return spec.degree
-    return 4
+    """Degree over Q of the field (or etale algebra) inducing the algebra: the family's ``degree``."""
+    return spec.degree
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +401,23 @@ def _divides_exactly(coeffs: Sequence[int], div: Sequence[int]) -> bool:
 # invariants
 
 
+def _group_and_h1(spec: GaloisAlgebraSpec) -> tuple[GroupDescriptor, int | None, bool]:
+    """The group, its 2-power exponent n (None unless cyclic of order 2^n) and h1, derived once."""
+    group = spec.group
+    n = group.cyclic_two_power_exponent()
+    return group, n, n is None or spec.degree <= 1 << (n - 1)
+
+
 def h1_condition(spec: GaloisAlgebraSpec) -> bool:
     """Do all degree-one invariants of the algebra vanish?
 
     Equivalent to the image of the classifying homomorphism lying in the
-    subgroup generated by squares: for cyclic 2-power groups the inducing
-    field must have degree at most half the group order; the order-8
-    dihedral family and the split algebra always qualify, as do A4 and A5
-    (no order-2 quotients).
+    subgroup generated by squares.  Read off the family's ``group`` and
+    ``degree`` m: true iff the group is not cyclic of 2-power order 2^n, or
+    m <= 2^(n - 1), half the group order.  So the order-8 dihedral family and
+    A4 and A5 (no order-2 quotients) always qualify, as does the split algebra.
     """
-    if isinstance(spec, (CyclicQuadratic, CyclicQuartic, CyclicPoly)):
-        return field_degree(spec) <= 1 << (spec.n - 1)
-    return True
+    return _group_and_h1(spec)[2]
 
 
 def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
@@ -403,33 +432,38 @@ def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
     return diagonalize(trace_form(spec.coeffs))
 
 
-def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass:
-    """The one possibly nonzero unitary invariant of a cyclic 2-power algebra.
-
-    Degree 1: trivial.  Degree 2: the cup product (D_K)(-1), which for
-    Q(sqrt z) is (z)(-1), from the order-4 fibered extension; D_K is the
-    product of the entries of q = <2, b> (its first entry is Tr(1) = 2), so by
-    bilinearity the class is (2)(-1) + (b)(-1) = (b)(-1), and only b and -1
-    are factored.  Degree >= 4:
-    w2(q_K) + (2)(D_K) = w2(q_K + <2>) by bilinearity.  The degree-2 case
-    genuinely differs from the trace-form expression, which collapses to
-    (2)(-1) = 0 there; see the module docstring.  ``q`` is
-    ``family_trace_form(spec)`` when the caller already has it.
-    """
-    n = group_of(spec).cyclic_two_power_exponent()
-    if n is None:
-        raise ValueError("the top unitary invariant lives on cyclic 2-power groups")
-    if not h1_condition(spec):
-        raise ValueError("invariant undefined: degree-one invariants do not vanish")
-    m = field_degree(spec)
+def _top_class(m: int, q: DiagonalForm | None) -> BrauerClass:
+    """The top unitary class of an algebra induced from a degree-m field with trace form q."""
     if m == 1:
         return brauer.TRIVIAL
-    if q is None:
-        q = family_trace_form(spec)
     if m == 2:
         # q = <2, b>, and (2)(-1) = 0 because 2 = 1 + 1 is a norm from Q(i)
         return cup(q.entries[-1], -1)
     return hasse_witt(q.orthogonal_sum(DiagonalForm([2])))
+
+
+def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass:
+    """The one possibly nonzero unitary invariant of a cyclic 2-power algebra.
+
+    It depends only on the family's ``degree`` m and the trace form q, and
+    the decisions compute it from the same core with the q they hold.
+    Degree 1: trivial.  Degree 2: the cup product (D_K)(-1), which for
+    Q(sqrt z) is (z)(-1), from the order-4 fibered extension; D_K is the
+    product of the entries of q = <2, b> (its first entry is Tr(1) = 2), so by
+    bilinearity the class is (2)(-1) + (b)(-1) = (b)(-1), and only b and -1
+    are factored.  Degree >= 4: w2(q_K) + (2)(D_K) = w2(q_K + <2>) by
+    bilinearity.  The degree-2 case genuinely differs from the trace-form
+    expression, which collapses to (2)(-1) = 0 there; see the module
+    docstring.  ``q`` is ``family_trace_form(spec)`` when the caller has it.
+    """
+    _, n, h1 = _group_and_h1(spec)
+    if n is None:
+        raise ValueError("the top unitary invariant lives on cyclic 2-power groups")
+    if not h1:
+        raise ValueError("invariant undefined: degree-one invariants do not vanish")
+    if q is None and spec.degree > 1:
+        q = family_trace_form(spec)
+    return _top_class(spec.degree, q)
 
 
 @dataclass(frozen=True)
@@ -476,51 +510,38 @@ _A4_PAIR = "character pair without an attached invariant in the supported table"
 
 
 def _invariant_entry(
-    spec: GaloisAlgebraSpec, fd: FactorDescriptor, q: DiagonalForm
+    spec: GaloisAlgebraSpec, fd: FactorDescriptor, n: int | None, q: DiagonalForm
 ) -> InvariantEntry:
-    """The invariant of one factor given the degree-one vanishing; q is the family trace form."""
-    if fd.kind == FactorKind.UNITARY:
-        n = group_of(spec).cyclic_two_power_exponent()
-        if n is None:
-            return InvariantEntry(fd.id, "d", "not-computed", None, note="outside the supported tables")
-        if fd.conductor == 1 << n:
-            return InvariantEntry(fd.id, "d", "computed", d_top(spec, q))
-        return InvariantEntry(fd.id, "d", "zero", brauer.TRIVIAL, note=_ZERO_LOWER_UNITARY)
-    if isinstance(spec, D4Quadratic) and fd.id == "2dim":
-        return InvariantEntry(fd.id, "c", "computed", cup(spec.z, -1))
-    if isinstance(spec, A4Quartic) and fd.id == "std3":
-        return InvariantEntry(fd.id, "c", "computed", hasse_witt(q), note="conditional: " + fd.note)
-    if isinstance(spec, A4Quartic) and fd.id.startswith("chi3"):
-        return InvariantEntry(fd.id, "c", "not-computed", None, note=_A4_PAIR)
-    if isinstance(spec, A5Quadratic) and fd.id == "3dim":
-        return InvariantEntry(fd.id, "c", "computed", cup(-1, spec.z))
-    return InvariantEntry(fd.id, "c", "zero", brauer.TRIVIAL, note=_ZERO_DEGREE_ONE)
+    """The invariant of one factor given the degree-one vanishing; n is the
+    group's 2-power exponent and q the family trace form."""
+    if fd.kind != FactorKind.UNITARY:
+        own = spec._own_entry(fd, q)
+        return own or InvariantEntry(fd.id, "c", "zero", brauer.TRIVIAL, note=_ZERO_DEGREE_ONE)
+    if n is None:
+        return InvariantEntry(fd.id, "d", "not-computed", None, note="outside the supported tables")
+    if fd.conductor == 1 << n:
+        return InvariantEntry(fd.id, "d", "computed", _top_class(spec.degree, q))
+    return InvariantEntry(fd.id, "d", "zero", brauer.TRIVIAL, note=_ZERO_LOWER_UNITARY)
 
 
 def c_invariants(spec: GaloisAlgebraSpec) -> tuple[InvariantEntry, ...]:
-    """Orthogonal-factor invariants; requires the degree-one vanishing."""
-    if not h1_condition(spec):
+    """Orthogonal-factor invariants; requires the degree-one vanishing.  Only the
+    orthogonal and degree-one factors are walked: no unitary class is computed."""
+    group, n, h1 = _group_and_h1(spec)
+    if not h1:
         raise ValueError("invariants undefined: degree-one invariants do not vanish")
-    return tuple(e for e in invariant_report(spec).entries if e.invariant == "c")
-
-
-def _entries(
-    spec: GaloisAlgebraSpec, q: DiagonalForm
-) -> tuple[tuple[InvariantEntry, ...], tuple[FactorDescriptor, ...]]:
-    """The invariant entries and the factor table, entry i belonging to factor i.
-
-    The one pass over the factor table per decision; both are empty when the
-    degree-one invariants do not vanish.
-    """
-    factors = decompose(group_of(spec)) if h1_condition(spec) else ()
-    return tuple(_invariant_entry(spec, fd, q) for fd in factors), factors
+    q = family_trace_form(spec)
+    return tuple(
+        _invariant_entry(spec, fd, n, q) for fd in decompose(group) if fd.kind != FactorKind.UNITARY
+    )
 
 
 def invariant_report(spec: GaloisAlgebraSpec) -> InvariantReport:
-    """Per-factor invariant classes, in factor order, plus the trace-form data."""
+    """Per-factor invariant classes, in factor order (none unless h1 holds), plus the trace-form data."""
+    group, n, h1 = _group_and_h1(spec)
     q = family_trace_form(spec)
-    entries, _ = _entries(spec, q)
-    return InvariantReport(h1_condition(spec), entries, q, det_square_class(q), signature(q))
+    entries = tuple(_invariant_entry(spec, fd, n, q) for fd in decompose(group)) if h1 else ()
+    return InvariantReport(h1, entries, q, det_square_class(q), signature(q))
 
 
 # ---------------------------------------------------------------------------
@@ -593,44 +614,33 @@ def _decide(spec: GaloisAlgebraSpec, at: Place | None) -> Decision:
     With ``at`` None it walks the real place and every finite place in the
     support of each invariant class; with a finite ``at`` it walks that one
     place for every factor, ramified or not.  The verdict is yes iff every
-    row passes, and unknown for the A4 family.
+    row passes, unless the family caps it (A4: unknown).  The group, its
+    2-power exponent, h1, the trace form (built only when h1 holds) and the
+    factor table are computed once here and passed down.
     """
-    h1 = h1_condition(spec)
-    rows = [
-        CertificateRow(
-            "h1", None, "H1", h1,
-            "degree-one invariants vanish" if h1
-            else "image of the classifying map is not inside the squares subgroup",
-        )
-    ]
+    group, n, h1 = _group_and_h1(spec)
+    detail = "image of the classifying map is not inside the squares subgroup"
+    rows = [CertificateRow("h1", None, "H1", h1, "degree-one invariants vanish" if h1 else detail)]
     if not h1:
         return Decision(VERDICT_NO, tuple(rows))
     q = family_trace_form(spec)
-    entries, factors = _entries(spec, q)
     if at is None:
         sig = signature(q)
         real_ok = sig[1] == 0
-        rows.append(
-            CertificateRow(
-                "real-split", None, "real", real_ok,
-                f"trace form signature {sig}: "
-                + ("positive definite, split at the real place" if real_ok else "not totally real"),
-            )
-        )
+        state = "positive definite, split at the real place" if real_ok else "not totally real"
+        detail = f"trace form signature {sig}: {state}"
+        rows.append(CertificateRow("real-split", None, "real", real_ok, detail))
     where = None if at is None else at.to_json()
-    for fd, entry in zip(factors, entries):
+    for fd in decompose(group):
+        entry = _invariant_entry(spec, fd, n, q)
         kind = "orthogonal-local" if entry.invariant == "c" else "unitary-local"
         cls = entry.value
         if cls is None:  # not computed
             rows.append(CertificateRow(kind, fd.id, where, True, entry.note))
             continue
         if at is None and is_trivial(cls):
-            rows.append(
-                CertificateRow(
-                    kind, fd.id, None, True,
-                    "invariant class trivial; conditions hold at every place",
-                )
-            )
+            detail = "invariant class trivial; conditions hold at every place"
+            rows.append(CertificateRow(kind, fd.id, None, True, detail))
             continue
         # the real place is governed by the real-split condition
         places = [at] if at is not None else sorted(cls.ramified - {REAL}, key=Place.sort_key)
@@ -643,9 +653,8 @@ def _decide(spec: GaloisAlgebraSpec, at: Place | None) -> Decision:
             else:
                 detail += f"; local invariant {'-1' if ramified else '+1'}"
             rows.append(CertificateRow(kind, fd.id, v.to_json(), passed, detail))
-    if isinstance(spec, A4Quartic):
-        return Decision(VERDICT_UNKNOWN, tuple(rows))
-    return Decision(VERDICT_YES if all(r.passed for r in rows) else VERDICT_NO, tuple(rows))
+    verdict = VERDICT_YES if all(r.passed for r in rows) else VERDICT_NO
+    return Decision(spec.verdict_cap or verdict, tuple(rows))
 
 
 def decide_global(spec: GaloisAlgebraSpec) -> Decision:
@@ -693,13 +702,12 @@ def trace_forms_isomorphic(s1: GaloisAlgebraSpec, s2: GaloisAlgebraSpec) -> bool
     particular two algebras that both admit self-dual normal bases compare
     equal even when the inducing fields differ.)
     """
-    g1, g2 = group_of(s1), group_of(s2)
+    (g1, n, h1), (g2, _, h2) = _group_and_h1(s1), _group_and_h1(s2)
     if g1 != g2:
         raise ValueError("trace form comparison needs a common group")
-    n = g1.cyclic_two_power_exponent()
     if n is None or n < 2:
         raise ValueError("trace form comparison covers cyclic 2-power groups")
-    if not (h1_condition(s1) and h1_condition(s2)):
+    if not (h1 and h2):
         raise ValueError("both algebras must satisfy the degree-one vanishing condition")
     diff = add(d_top(s1), d_top(s2))
     # restriction to the totally real cyclotomic layer dies exactly at the
@@ -753,17 +761,6 @@ def quartic_family_polynomial(
     return coeffs, (a, b, c)
 
 
-_FAMILY_TAGS = {
-    SplitAlgebra: "split",
-    CyclicQuadratic: "cyclic-quadratic",
-    CyclicQuartic: "cyclic-quartic",
-    CyclicPoly: "cyclic-poly",
-    D4Quadratic: "d4-quadratic",
-    A4Quartic: "a4-quartic",
-    A5Quadratic: "a5-quadratic",
-}
-
-
 @lru_cache(maxsize=64)
 def parse_group(name: str) -> GroupDescriptor:
     name = name.strip()
@@ -780,7 +777,7 @@ def parse_group(name: str) -> GroupDescriptor:
 
 
 def spec_to_json(spec: GaloisAlgebraSpec) -> dict:
-    out: dict = {"group": group_of(spec).name, "family": _FAMILY_TAGS[type(spec)]}
+    out: dict = {"group": spec.group.name, "family": spec.family}
     if isinstance(spec, (CyclicQuadratic, D4Quadratic, A5Quadratic)):
         out["z"] = str(spec.z)
     elif isinstance(spec, CyclicQuartic):
@@ -838,9 +835,7 @@ def spec_from_json(data: dict) -> GaloisAlgebraSpec:
     elif family == "cyclic-quadratic":
         spec = CyclicQuadratic(cyclic_n(), _rational_field(data, "z"))
     elif family == "cyclic-quartic":
-        spec = CyclicQuartic(
-            cyclic_n(), *(_rational_field(data, key) for key in ("a", "b", "c", "eps"))
-        )
+        spec = CyclicQuartic(cyclic_n(), *(_rational_field(data, key) for key in ("a", "b", "c", "eps")))
     elif family == "cyclic-poly":
         coeffs = _integer_list_field(data, "poly")
         degree = _integer(data.get("degree", len(coeffs) - 1), "degree")
@@ -853,6 +848,6 @@ def spec_from_json(data: dict) -> GaloisAlgebraSpec:
         spec = A5Quadratic(_rational_field(data, "z"))
     else:
         raise ValueError(f"unknown family {family!r}")
-    if group is not None and group != group_of(spec):
-        raise ValueError(f"family {family!r} has group {group_of(spec).name}, not {group.name}")
+    if group is not None and group != spec.group:
+        raise ValueError(f"family {family!r} has group {spec.group.name}, not {group.name}")
     return spec

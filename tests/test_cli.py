@@ -322,6 +322,47 @@ def test_closed_stdout_exits_74(argv, unbuffered):
     assert "Exception ignored" not in result.stderr and "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["decide", "--group", "C8", "--family", "cyclic-quadratic", "--z", "3"], 74),
+        (["factors", "--group", "C1099511627776"], 74),
+        (["decide", "--group", "C8", "--family", "cyclic-quadratic", "--z", "0"], 65),
+    ],
+    ids=["decide", "factors", "bad-input"],
+)
+def test_stdout_and_stderr_on_one_closed_pipe_keep_the_documented_exit(argv, code, unbuffered):
+    # as in `sdnb ... 2>&1 | grep -q x`: the report on stderr fails too, and
+    # must not turn the outcome into an exit 1, which reads as "no"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "sdnb.cli", *argv],
+            stdout=write_end, stderr=write_end, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == code
+
+
+def test_stderr_closed_at_start_keeps_the_report_off_stdout():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "sdnb.cli", "decide", "--group", "C8", "--family",
+         "cyclic-quadratic", "--z", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=lambda: os.close(2),
+    )
+    assert result.returncode == 65 and result.stdout == ""
+
+
 def test_stdout_closed_at_start_keeps_the_verdict_exit():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     result = subprocess.run(

@@ -294,6 +294,38 @@ def test_route_agreement_smoke():
         assert verdict == ("yes" if cor_route else "no")
 
 
+def _cross_family_pairs(rng):
+    """A family spec and the cyclic-poly spec of its field, seeded, n = 2..5.
+
+    Quartic (a, b, c, eps) against x^4 - 2a x^2 + c^2 eps after rescaling;
+    quadratic z = u/d against x^2 - u d, which defines Q(sqrt z).
+    """
+    for n in range(2, 6):
+        for _ in range(30):
+            spec = random_quadratic_spec(rng, n)
+            d = spec.z.denominator
+            yield spec, CyclicPoly(n, (int(-spec.z * d * d), 0, 1), 2)
+            if n >= 3:
+                spec = random_quartic_spec(rng, n, integral=rng.random() < 0.5)
+                poly, _ = quartic_family_polynomial(spec.a, spec.b, spec.c, spec.eps)
+                yield spec, CyclicPoly(n, poly, 4)
+
+
+def test_a_family_and_the_polynomial_of_its_field_get_the_same_verdicts():
+    pairs = list(_cross_family_pairs(random.Random(2016)))
+    assert len(pairs) == 210
+    verdicts = set()
+    for spec, poly in pairs:
+        got = decide_global(spec).verdict
+        assert decide_global(poly).verdict == got, (spec, poly)
+        verdicts.add(got)
+        for p in (2, 3, 7):
+            got = decide_local(spec, Place(p)).verdict
+            assert decide_local(poly, Place(p)).verdict == got, (spec, poly, p)
+            verdicts.add(got)
+    assert verdicts == {VERDICT_YES, VERDICT_NO}
+
+
 def test_d4_route_agreement():
     rng = random.Random(53)
     for _ in range(40):
@@ -581,6 +613,17 @@ def test_trace_form_built_once_per_decision(monkeypatch, call):
     assert counts == {"family_trace_form": 1, "trace_form": 1}
     if call is decide_global:
         assert result.verdict == VERDICT_YES
+
+
+def test_a_decision_without_degree_one_vanishing_builds_no_trace_form(monkeypatch):
+    # a field of degree m in C(m): the h1 row answers no, and q is never needed
+    specs = [CyclicPoly(2, (2, 0, -4, 0, 1), 4), CyclicPoly(4, _tower16(), 16)]
+    counts = {}
+    _count_calls(monkeypatch, counts, "family_trace_form", galois)
+    _count_calls(monkeypatch, counts, "trace_form", forms, galois)
+    for spec in specs:
+        assert decide_global(spec).verdict == VERDICT_NO
+    assert counts == {}
 
 
 @pytest.mark.parametrize(
@@ -873,6 +916,23 @@ def test_d_top_at_degree_two_takes_one_cup(monkeypatch):
         counts.clear()
         assert d_top(spec, q) == want, spec
         assert counts == {"cup": 1}, spec
+
+
+def test_c_invariants_computes_no_unitary_class(monkeypatch):
+    # both orthogonal entries are zero by the table; the top unitary class
+    # would factor 2PQ, a 128-bit product of two 64-bit primes
+    P, Q = 9223372036854775837, 4611686018427388039
+    assert exact.is_prime(P) and exact.is_prime(Q)
+    spec = CyclicQuartic(3, 2 * P * Q, P * Q, P * Q, 2)
+    counts = {}
+    for name in ("d_top", "hasse_witt", "det_square_class"):
+        _count_calls(monkeypatch, counts, name, galois)
+    start = time.perf_counter()
+    entries = c_invariants(spec)
+    assert time.perf_counter() - start < 0.5
+    assert [(e.factor_id, e.status) for e in entries] == [("triv", "zero"), ("chi2", "zero")]
+    assert all(is_trivial(e.value) for e in entries)
+    assert counts == {}
 
 
 @pytest.mark.parametrize(
