@@ -5,15 +5,22 @@ class, signature, Hasse-Witt class w2 = sum of (a_i, a_j) over i < j),
 rank-stratified local isotropy, Hasse-Minkowski over Q, representation and
 sums-of-squares decisions, and exact trace forms via Newton power sums.
 
-All arithmetic is exact.  Trace forms are built from integer power sums.  A
-Gram matrix keeps its ``int`` and ``Fraction`` entries as given, is scaled to
-integers by the least common multiple of their denominators and reduced once,
-at construction, by one symmetric fraction-free elimination (Bareiss, Math.
-Comp. 22, 1968, with a symmetric pivot rule); the determinant and the
-diagonal form are read off its integer pivots.  The determinant class is read
-off the cached factorizations of the entries, never of their product.  The
-Hasse-Witt class is summed over the square classes of the entries with their
-multiplicities, a handful of cup products rather than one per pair.
+All arithmetic is exact.  A Gram matrix keeps its ``int`` and ``Fraction``
+entries as given, is scaled to integers by the least common multiple of their
+denominators and reduced once, at construction, by one symmetric
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968, with a symmetric
+pivot rule); the determinant and the diagonal form are read off its integer
+pivots.  A trace form is the Hankel matrix of the integer power sums of the
+roots of f, and when f is monic its leading principal minors are, up to sign,
+the principal subresultant coefficients of f and f' (Hermite; Basu, Pollack
+and Roy, Algorithms in Real Algebraic Geometry, ch. 9).  So ``trace_form``
+reads its pivots off the subresultant sequence of f and f' in O(m^2)
+operations, with no elimination, whenever every remainder drops the degree
+by exactly one; otherwise (a vanishing leading minor, or repeated roots) it
+runs the elimination.  The determinant class is read off the cached
+factorizations of the entries, never of their product.  The Hasse-Witt class
+is summed over the square classes of the entries with their multiplicities, a
+handful of cup products rather than one per pair.
 
 The ternary witness search is a plain ``int`` scan of expanding boxes
 0 <= x, y <= 64, 512, 4096, ... up to the height cap, x first, then y, with z
@@ -151,6 +158,19 @@ class GramMatrix:
         object.__setattr__(self, "rows", coerced)
         object.__setattr__(self, "_scale", lcd)
         object.__setattr__(self, "_pivots", tuple(_pivots(m)))
+
+    @classmethod
+    def _of_pivots(cls, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]) -> "GramMatrix":
+        """The matrix of integer ``rows`` whose elimination pivots are known.
+
+        The caller vouches that ``rows`` is symmetric and that ``pivots`` are
+        what ``_pivots`` would return for it; nothing is checked or run.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "rows", rows)
+        object.__setattr__(g, "_scale", 1)
+        object.__setattr__(g, "_pivots", pivots)
+        return g
 
     @property
     def n(self) -> int:
@@ -353,22 +373,74 @@ def sum_of_two_squares_over_sqrt2(z: Fraction | int) -> bool:
     return all(e % 2 == 0 for p, e in factor(z).factors if p % 8 == 7)
 
 
+def _integer_coefficients(coeffs: Iterable[int]) -> tuple[int, ...]:
+    """The coefficients as ints, refusing any value ``int()`` would change.
+
+    Ints, integer strings and integral values such as 4.0 or Fraction(4)
+    pass; 4.5, Fraction(5, 2) or an infinite float raise ValueError instead
+    of being truncated.
+    """
+    out = []
+    for c in coeffs:
+        try:
+            v = int(c)
+        except OverflowError:
+            v = None
+        if v != c and not isinstance(c, str):
+            raise ValueError("polynomial must have integer coefficients")
+        out.append(v)
+    return tuple(out)
+
+
+def _subresultant_pivots(coeffs: Sequence[int]) -> tuple[int, ...] | None:
+    """Leading principal minors D_1, ..., D_m of the trace form of monic f, or None.
+
+    F_0 = f, F_1 = f' and F_{k+1} = prem(F_{k-1}, F_k) / lc(F_{k-1})^2 is the
+    subresultant sequence of f and f' while every F_k has degree m - k (the
+    normal case, where each division is exact), and then
+    D_k = (-1)^(k(k-1)/2) lc(F_k): the minors of the Hankel matrix of power
+    sums are the principal subresultant coefficients of (f, f') up to sign.
+    All D_k are then nonzero, so they are the pivots ``_pivots`` takes on
+    the diagonal without a swap or repair.  Returns None at the first F_k of
+    lower degree, where some D_k vanishes or f has repeated roots.  O(m^2)
+    integer operations.
+    """
+    m = len(coeffs) - 1
+    a = list(coeffs[::-1])  # F_{k-1}, leading coefficient first
+    b = [(m - i) * c for i, c in enumerate(a[:-1])]  # F_k
+    minors = [b[0]]
+    div = 1  # lc(F_{k-1})^2, and lc(f) = 1
+    while len(b) > 1:
+        la, lb = a[0], b[0]
+        # prem(F_{k-1}, F_k) = lb^2 F_{k-1} - (q_1 x + q_0) F_k, one leading term at a time
+        r = [lb * x - la * y for x, y in zip(a[1:], b[1:])]
+        r.append(lb * a[-1])
+        lr = r[0]
+        r = [(lb * x - lr * y) // div for x, y in zip(r[1:], b[1:])]
+        if not r[0]:
+            return None
+        minors.append(-r[0] if (len(minors) + 1) & 2 else r[0])
+        a, b, div = b, r, lb * lb
+    return tuple(minors)
+
+
 def trace_form(coeffs: Sequence[int]) -> GramMatrix:
     """Gram matrix of the trace form of Q[X]/(f), f monic integer, squarefree.
 
     ``coeffs`` lists f constant term first, leading coefficient 1.  The
     entries are the power sums s_{i+j} of the roots, computed by Newton's
-    identities in plain integers (they are integers for a monic integer f);
-    a zero determinant means repeated roots and is rejected.
+    identities in plain integers (they are integers for a monic integer f).
+    The pivots come from the subresultant sequence of f and f'
+    (``_subresultant_pivots``) when it is normal; otherwise the matrix is
+    reduced by the elimination, as for any Gram matrix, and a zero
+    determinant means repeated roots and is rejected.
     """
     coeffs = list(coeffs)
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree >= 1")
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
-    if any(int(c) != c for c in coeffs):
-        raise ValueError("polynomial must have integer coefficients")
-    coeffs = [int(c) for c in coeffs]
+    coeffs = _integer_coefficients(coeffs)
     n = len(coeffs) - 1
     s = [0] * (2 * n - 1)
     s[0] = n
@@ -377,7 +449,10 @@ def trace_form(coeffs: Sequence[int]) -> GramMatrix:
         if k <= n:
             acc += k * coeffs[n - k]
         s[k] = -acc
-    rows = [s[i:i + n] for i in range(n)]
+    rows = tuple(tuple(s[i:i + n]) for i in range(n))
+    pivots = _subresultant_pivots(coeffs)
+    if pivots is not None:
+        return GramMatrix._of_pivots(rows, pivots)
     try:
         return GramMatrix(rows)
     except ValueError as exc:

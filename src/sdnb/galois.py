@@ -75,6 +75,7 @@ from .factors import (
 )
 from .forms import (
     DiagonalForm,
+    _integer_coefficients,
     det_square_class,
     diagonalize,
     hasse_witt,
@@ -170,7 +171,7 @@ class CyclicPoly(_Cyclic):
     def __init__(self, n: int, coeffs: Sequence[int], degree: int) -> None:
         if n < 2:
             raise ValueError("cyclic polynomial family needs n >= 2")
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = _integer_coefficients(coeffs)
         m = len(coeffs) - 1
         if m != degree:
             raise ValueError(f"declared degree {degree} but polynomial has degree {m}")
@@ -206,7 +207,7 @@ class A4Quartic(_Family):
     verdict_cap = VERDICT_UNKNOWN
 
     def __init__(self, coeffs: Sequence[int]) -> None:
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = _integer_coefficients(coeffs)
         if len(coeffs) != 5 or coeffs[-1] != 1:
             raise ValueError("the A4 family needs a monic integer quartic")
         trace_form(coeffs)  # rejects repeated roots
@@ -685,7 +686,7 @@ def embedding_obstruction(coeffs: Sequence[int]) -> BrauerClass:
     the polynomial.  Trivial iff the embedding exists, in which case the
     induced algebra has a self-dual normal basis.
     """
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = _integer_coefficients(coeffs)
     m = len(coeffs) - 1
     if m < 4 or m & (m - 1):
         raise ValueError("embedding obstruction needs a 2-power degree >= 4")

@@ -10,7 +10,7 @@ from sdnb import CyclicQuadratic, CyclicQuartic, brauer, galois, is_square
 from sdnb.brauer import is_trivial
 from sdnb.exact import BudgetExceededError, legendre, squarefree_part
 from sdnb.factors import FactorKind, decompose, local_data
-from sdnb.forms import det_square_class, hasse_witt, signature
+from sdnb.forms import GramMatrix, det_square_class, hasse_witt, signature
 from sdnb.symbols import Place, hilbert
 
 
@@ -506,3 +506,34 @@ def reference_res_trivial_real_cyclotomic(cls, conductor):
         if local_data(conductor, True, v).n_odd:
             return False
     return True
+
+
+# --- reference copy of the elimination-only trace form ----------------------------
+#
+# ``forms.trace_form`` as it stood when every trace form was reduced by the
+# symmetric elimination that ``GramMatrix`` runs, before its pivots were read
+# off the subresultant sequence of f and f'.
+
+
+def reference_trace_form(coeffs):
+    coeffs = list(coeffs)
+    if len(coeffs) < 2:
+        raise ValueError("polynomial must have degree >= 1")
+    if coeffs[-1] != 1:
+        raise ValueError("polynomial must be monic")
+    if any(int(c) != c for c in coeffs):
+        raise ValueError("polynomial must have integer coefficients")
+    coeffs = [int(c) for c in coeffs]
+    n = len(coeffs) - 1
+    s = [0] * (2 * n - 1)
+    s[0] = n
+    for k in range(1, 2 * n - 1):
+        acc = sum(coeffs[n - j] * s[k - j] for j in range(1, min(k - 1, n) + 1))
+        if k <= n:
+            acc += k * coeffs[n - k]
+        s[k] = -acc
+    rows = [s[i:i + n] for i in range(n)]
+    try:
+        return GramMatrix(rows)
+    except ValueError as exc:
+        raise ValueError("polynomial has repeated roots") from exc

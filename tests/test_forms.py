@@ -32,7 +32,12 @@ from sdnb import (
     trace_form,
 )
 
-from helpers import compose, numpy_witness_ternary, reference_hasse_invariant_at
+from helpers import (
+    compose,
+    numpy_witness_ternary,
+    reference_hasse_invariant_at,
+    reference_trace_form,
+)
 
 F = Fraction
 
@@ -521,6 +526,88 @@ def test_trace_form_input_validation():
         trace_form([2])
     with pytest.raises(ValueError):
         trace_form([1, 0, 2])  # not monic
+
+
+def _poly_mul(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return out
+
+
+def _tower_shifts():
+    """f(x + t), t = -3..3, for the minimal polynomials of 2cos(2pi/2^k), k = 4, 5, 6."""
+    f = [2, 0, -4, 0, 1]
+    towers = [f]
+    for _ in range(2):
+        towers.append(compose(towers[-1], [-2, 0, 1]))
+    return [compose(f, [t, 1]) for f in towers for t in range(-3, 4)]
+
+
+def _differential_polynomials():
+    """Seeded monic integer polynomials of degree 1-16.
+
+    Dense ones of heights 3, 50 and 10^6; sparse ones, most of them with a
+    vanishing leading minor of the trace form; and products g^2 h, which have
+    repeated roots.
+    """
+    rng = random.Random(1301)
+    polys = []
+    for _ in range(2400):
+        h = rng.choice((3, 50, 10**6))
+        polys.append([rng.randint(-h, h) for _ in range(rng.randint(1, 16))] + [1])
+    for _ in range(400):
+        m = rng.randint(2, 16)
+        c = [0] * m + [1]
+        for i in rng.sample(range(m), rng.randint(1, 2)):
+            c[i] = rng.choice((-2, -1, 1, 2, 3))
+        polys.append(c)
+    for _ in range(300):
+        g = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [1]
+        h = [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))] + [1]
+        polys.append(_poly_mul(_poly_mul(g, g), h))
+    return polys + _tower_shifts()
+
+
+def test_trace_form_matches_the_elimination():
+    routes = {"subresultant": 0, "elimination": 0, "repeated roots": 0}
+    for coeffs in _differential_polynomials():
+        try:
+            want = reference_trace_form(coeffs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                trace_form(coeffs)
+            assert str(got.value) == str(exc), coeffs
+            routes["repeated roots"] += 1
+            continue
+        g = trace_form(coeffs)
+        assert g.rows == want.rows, coeffs
+        assert all(type(x) is int for row in g.rows for x in row)
+        assert (g._scale, g._pivots) == (want._scale, want._pivots), coeffs
+        assert g.det() == want.det(), coeffs
+        assert diagonalize(g) == diagonalize(want), coeffs
+        normal = forms._subresultant_pivots(coeffs) is not None
+        routes["subresultant" if normal else "elimination"] += 1
+    # every route is exercised, the normal one by far the most
+    assert routes["subresultant"] >= 2000, routes
+    assert routes["elimination"] >= 50, routes
+    assert routes["repeated roots"] >= 200, routes
+
+
+def test_trace_form_of_the_tower_runs_no_elimination(monkeypatch):
+    calls = []
+    eliminate = forms._pivots
+
+    def counted(a):
+        calls.append(len(a))
+        return eliminate(a)
+
+    monkeypatch.setattr(forms, "_pivots", counted)
+    g = trace_form(_tower_shifts()[17])  # the degree-16 tower itself, t = 0
+    assert calls == [] and g.n == 16
+    trace_form([1, 0, 0, 0, 1])  # x^4 + 1: s_1 = s_2 = 0, so D_2 = 0
+    assert calls == [4]
 
 
 def _sturm_real_roots(coeffs):

@@ -42,6 +42,7 @@ from sdnb import (
     is_trivial,
     quartic_family_polynomial,
     restricts_trivially_to_quadratic,
+    signature,
     spec_from_json,
     spec_to_json,
     sum_of_four_squares,
@@ -324,6 +325,63 @@ def test_a_family_and_the_polynomial_of_its_field_get_the_same_verdicts():
             assert decide_local(poly, Place(p)).verdict == got, (spec, poly, p)
             verdicts.add(got)
     assert verdicts == {VERDICT_YES, VERDICT_NO}
+
+
+def _shift_answers(coeffs, n):
+    """Everything a cyclic-poly spec answers that depends only on its field."""
+    spec = CyclicPoly(n, coeffs, len(coeffs) - 1)
+    try:
+        top = d_top(spec)
+    except ValueError as exc:
+        top = str(exc)
+    return (
+        decide_global(spec).verdict,
+        tuple(decide_local(spec, Place(p)).verdict for p in (2, 3, 7)),
+        top,
+        signature(galois.family_trace_form(spec)),
+    )
+
+
+def test_shifted_polynomials_get_the_same_answers():
+    # f(x) and f(x + k) define the same field; the tower at degrees 4, 8, 16
+    # is decided over C(2 deg) and C(deg), x^2 - z over C4 and C8 (C2 is
+    # outside the cyclic-poly family, which needs n >= 2)
+    cases = []
+    f = [2, 0, -4, 0, 1]
+    for e in (2, 3, 4):
+        cases += [(f, e + 1), (f, e)]
+        f = compose(f, [-2, 0, 1])
+    for z in range(-30, 31):
+        if z and not (z > 0 and math.isqrt(z) ** 2 == z):
+            cases += [([-z, 0, 1], 2), ([-z, 0, 1], 3)]
+    verdicts = set()
+    for f, n in cases:
+        want = _shift_answers(f, n)
+        verdicts.add(want[0])
+        for k in range(-3, 4):
+            assert _shift_answers(compose(f, [k, 1]), n) == want, (f, n, k)
+    assert verdicts == {VERDICT_YES, VERDICT_NO}
+
+
+def test_non_integral_coefficients_are_refused_not_truncated():
+    message = "polynomial must have integer coefficients"
+    refused = [
+        lambda: CyclicPoly(3, [2, 0, -4.5, 0, 1], 4),
+        lambda: CyclicPoly(3, [F(5, 2), 0, -4, 0, 1], 4),
+        lambda: A4Quartic([F(-3, 2), 0, 0, -1.9, 1]),
+        lambda: A4Quartic([-1, 0, 0, -1, F(3, 2)]),
+        lambda: embedding_obstruction([2, 0, -4.5, 0, 1]),
+        lambda: embedding_obstruction([F(5, 2), 0, -4, 0, 1]),
+        lambda: embedding_obstruction([2, 0, float("-inf"), 0, 1]),
+    ]
+    for build in refused:
+        with pytest.raises(ValueError, match=message):
+            build()
+    # ints, integer strings and integral values keep their meaning
+    tower4 = (2, 0, -4, 0, 1)
+    assert CyclicPoly(3, ["2", 0, -4.0, 0, F(1)], 4) == CyclicPoly(3, tower4, 4)
+    assert A4Quartic(["-1", 0, 0.0, F(-1), 1]).coeffs == (-1, 0, 0, -1, 1)
+    assert embedding_obstruction(["2", 0, F(-4), 0, 1.0]) == embedding_obstruction(tower4)
 
 
 def test_d4_route_agreement():
