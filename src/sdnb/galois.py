@@ -38,7 +38,9 @@ Polynomial input is screened for integer roots, by Rabin's test along a
 single Frobenius orbit at the first 16 odd primes not dividing f(0), each
 step one linear combination of the rows X^(ip) mod (f, p) built once per
 prime, and by a search for quadratic factors, every stage and row build
-charged to a work budget; quadratics by their discriminant.
+charged to a work budget; quadratics by their discriminant.  The verdict is
+memoized per process, keyed on the coefficients and the budget setting;
+errors are never cached.
 
 Two computed-versus-quoted discrepancies are deliberate and unit-tested:
 
@@ -56,6 +58,7 @@ Two computed-versus-quoted discrepancies are deliberate and unit-tested:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,7 +68,7 @@ from typing import Sequence, Union
 
 from . import brauer
 from .brauer import BrauerClass, add, cup, is_trivial
-from .exact import _SMALL_PRIMES, BudgetExceededError, WorkBudget, factor, is_square, parse_rational
+from .exact import _BUDGET_ENV, _SMALL_PRIMES, BudgetExceededError, WorkBudget, factor, is_square, parse_rational
 from .factors import (
     FactorDescriptor,
     FactorKind,
@@ -76,6 +79,7 @@ from .factors import (
 from .forms import (
     DiagonalForm,
     _integer_coefficients,
+    _subresultant_pivots,
     det_square_class,
     diagonalize,
     hasse_witt,
@@ -181,7 +185,7 @@ class CyclicPoly(_Cyclic):
             raise ValueError(f"degree {m} exceeds the group order 2^{n}")
         if coeffs[-1] != 1:
             raise ValueError("polynomial must be monic")
-        if m > 1 and not _irreducible_over_Q(coeffs):
+        if m > 1 and not _screened_irreducible(coeffs, os.environ.get(_BUDGET_ENV)):
             raise ValueError("polynomial is reducible")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
@@ -210,7 +214,9 @@ class A4Quartic(_Family):
         coeffs = _integer_coefficients(coeffs)
         if len(coeffs) != 5 or coeffs[-1] != 1:
             raise ValueError("the A4 family needs a monic integer quartic")
-        trace_form(coeffs)  # rejects repeated roots
+        # nonzero pivots make disc(f) = D_4 nonzero; otherwise the trace form rejects repeated roots
+        if _subresultant_pivots(coeffs) is None:
+            trace_form(coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     def _own_entry(self, fd, q):
@@ -385,6 +391,18 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
     raise BudgetExceededError(
         "irreducibility undetermined within the screening budget"
     )
+
+
+@lru_cache(maxsize=256)
+def _screened_irreducible(coeffs: tuple[int, ...], budget_setting: str | None) -> bool:
+    """``_irreducible_over_Q(coeffs)``, memoized per process.
+
+    ``budget_setting`` is the raw ``SDNB_FACTOR_BUDGET`` value, so a cached
+    verdict is the one a fresh screen under the same budget would give.
+    Only verdicts are kept: a ``BudgetExceededError``, or the ValueError of a
+    malformed budget, is raised afresh on every call.
+    """
+    return _irreducible_over_Q(coeffs)
 
 
 def _divides_exactly(coeffs: Sequence[int], div: Sequence[int]) -> bool:

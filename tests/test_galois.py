@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from sdnb import exact, factors, forms, galois
+from sdnb import cli, exact, factors, forms, galois
 from sdnb import (
     A4Quartic,
     A5Quadratic,
@@ -673,6 +673,22 @@ def test_trace_form_built_once_per_decision(monkeypatch, call):
         assert result.verdict == VERDICT_YES
 
 
+def test_an_a4_decision_builds_the_trace_form_once(monkeypatch, capsys):
+    counts = {}
+    _count_calls(monkeypatch, counts, "trace_form", forms, galois)
+    spec = spec_from_json({"group": "A4", "family": "a4-quartic", "poly": [-1, 0, 0, -1, 1]})
+    assert decide_global(spec).verdict == VERDICT_UNKNOWN
+    assert counts == {"trace_form": 1}
+    # repeated roots are still refused, whether or not the subresultant sequence is normal
+    for coeffs in ((1, 0, -2, 0, 1), (1, -2, 2, -2, 1), (0, 0, 0, 0, 1)):
+        assert forms._subresultant_pivots(coeffs) is None
+        with pytest.raises(ValueError, match="^polynomial has repeated roots$"):
+            A4Quartic(coeffs)
+    argv = ["decide", "--group", "A4", "--family", "a4-quartic", "--poly=1,0,-2,0,1"]
+    assert cli.main(argv) == 65
+    assert "polynomial has repeated roots" in capsys.readouterr().err
+
+
 def test_a_decision_without_degree_one_vanishing_builds_no_trace_form(monkeypatch):
     # a field of degree m in C(m): the h1 row answers no, and q is never needed
     specs = [CyclicPoly(2, (2, 0, -4, 0, 1), 4), CyclicPoly(4, _tower16(), 16)]
@@ -954,6 +970,30 @@ def test_screen_answers_wherever_the_capped_screen_did():
         assert not (got and f in products), f
         outcomes[got] += 1
     assert outcomes[True] > 50 and outcomes[False] > 80 and outcomes[None] > 0, outcomes
+
+
+# --- the screen's verdict is memoized per coefficients and budget setting ---------
+
+
+def test_a_warm_screen_answers_as_a_cold_one(monkeypatch):
+    tower = _tower16()
+    CyclicPoly(5, tower, 16)  # warm, under the default budget
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "1000")
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="work budget exhausted after 768 of 1000 units"):
+            CyclicPoly(5, tower, 16)
+    monkeypatch.delenv("SDNB_FACTOR_BUDGET")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^polynomial is reducible$"):
+            CyclicPoly(3, (4, 0, 5, 0, 1), 4)  # (x^2 + 1)(x^2 + 4)
+    # a malformed budget: x^4 + x is refused before any budget is read, the
+    # tower is not, and the budget error is raised again on every call
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "abc")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^polynomial is reducible$"):
+            CyclicPoly(3, (0, 1, 0, 0, 1), 4)
+        with pytest.raises(ValueError, match="SDNB_FACTOR_BUDGET must be an integer, got 'abc'"):
+            CyclicPoly(5, tower, 16)
 
 
 # --- the decision path reads only what it uses ------------------------------------

@@ -66,6 +66,25 @@ def test_every_memo_is_bounded():
         assert fn.cache_info().maxsize is not None, where
 
 
+def test_a_polynomial_is_screened_once_per_process(monkeypatch):
+    assert "_screened_irreducible" in {where.rsplit(".", 1)[-1] for where, _ in _memoized()}
+    galois._screened_irreducible.cache_clear()
+    tried = []
+    screen = galois._irreducible_mod_p
+
+    def recorded(coeffs, p, budget):
+        tried.append(p)
+        return screen(coeffs, p, budget)
+
+    monkeypatch.setattr(galois, "_irreducible_mod_p", recorded)
+    tower8 = [2, 0, -16, 0, 20, 0, -8, 0, 1]  # minimal polynomial of 2cos(2pi/32)
+    spec_from_json({"group": "C16", "family": "cyclic-poly", "poly": tower8})
+    assert tried == [3]
+    spec_from_json({"group": "C8", "family": "cyclic-poly", "poly": tower8})
+    galois.embedding_obstruction(tower8)
+    assert tried == [3]
+
+
 def test_finite_builds_each_place_once():
     assert finite(7) is finite(7)
     assert finite(7) == Place(7)
