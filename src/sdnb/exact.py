@@ -6,11 +6,19 @@ canonical form we need (positive denominator, reduced, 0 == 0/1), so it *is*
 our rational type.
 
 Factoring is deterministic and complete whenever numerator and denominator fit
-in 64 bits: trial division by a fixed table of small primes, then Brent's cycle
-method with a fixed parameter sweep, with strong-pseudoprime certification of
-the cofactors (the 12-base test is deterministic below 2**64; larger cofactors
-use an extended fixed base list, which is the documented envelope of the
-guarantee).  Work is capped by a budget so an oversized input fails loudly with
+in 64 bits.  Trial division runs over the primes below 10**4 in blocks of 40:
+one gcd with a block's product skips the block when it divides nothing, and a
+cofactor below 9973**2 with no table prime left in it is prime.  Larger
+cofactors are certified by the strong-pseudoprime test, or split by Brent's
+cycle method with a fixed parameter sweep, which multiplies the differences
+two steps at a time and reduces once per pair.  Below 2**64 the test uses the
+first k of the bases 2, 3, ..., 37, with k read off the Sorenson-Webster
+bounds psi_k (the least strong pseudoprime to those k bases): 1 base below
+2047, 2 below 1373653, 3 below 25326001, 4 below 3215031751, 5 below
+2152302898747, 6 below 3474749660383, 7 below 341550071728321, 9 below
+3825123056546413051 and 12 up to 2**64, so every answer there is exact.
+Larger cofactors use 25 fixed bases, which is the documented envelope of the
+guarantee.  Work is capped by a budget so an oversized input fails loudly with
 :class:`BudgetExceededError` instead of spinning or silently dropping factors.
 """
 
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,11 +94,23 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(10_000)
+# (primes, their product) in blocks of 40: a gcd skips a block that divides nothing
+_PRIME_BLOCKS = tuple(
+    (block, math.prod(block))
+    for block in (_SMALL_PRIMES[i : i + 40] for i in range(0, len(_SMALL_PRIMES), 40))
+)
 
-# Deterministic for n < 2**64 (Sorenson-Webster); the tail bases extend the
-# fixed test to larger inputs without a completeness claim.
+# Sorenson-Webster: n below _MR_BOUNDS[i] is decided exactly by the first k
+# primes _MR_BASE_SETS[i], the bound being psi_k (the least strong pseudoprime
+# to those k bases) or 2**64 < psi_12.  From 2**64 on, the tail bases extend
+# the fixed test without a completeness claim.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_MR_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 1 << 64)
+_MR_BASE_SETS = tuple(_MR_BASES[:k] for k in (1, 2, 3, 4, 5, 6, 7, 9, 12)) + (
+    _MR_BASES + _MR_EXTRA_BASES,
+)
 
 
 @lru_cache(maxsize=1 << 10)  # a Place re-tests each prime that factor certified
@@ -103,8 +124,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    bases = _MR_BASES if n < 1 << 64 else _MR_BASES + _MR_EXTRA_BASES
-    for a in bases:
+    for a in _MR_BASE_SETS[bisect_right(_MR_BOUNDS, n)]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -118,7 +138,11 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_split(n: int, budget: WorkBudget) -> int:
-    """Return a nontrivial factor of odd composite ``n`` (deterministic sweep)."""
+    """Return a nontrivial factor of odd composite ``n`` (deterministic sweep).
+
+    The differences x - y are multiplied two steps at a time, with one
+    reduction per pair; their signs do not change gcd(q, n).
+    """
     batch = 128
     for c in range(1, 64):
         y, r, q = 2, 1, 1
@@ -131,11 +155,15 @@ def _brent_split(n: int, budget: WorkBudget) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                steps = min(batch, r - k)
+                steps = min(batch, r - k)  # a power of two
                 budget.spend(steps)
-                for _ in range(steps):
+                if steps == 1:
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
+                for _ in range(steps >> 1):
+                    z = (y * y + c) % n
+                    y = (z * z + c) % n
+                    q = q * (x - z) * (x - y) % n
                 g = math.gcd(q, n)
                 k += steps
             r *= 2
@@ -143,7 +171,7 @@ def _brent_split(n: int, budget: WorkBudget) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise BudgetExceededError(
@@ -154,13 +182,20 @@ def _brent_split(n: int, budget: WorkBudget) -> int:
 def _factor_int(n: int, budget: WorkBudget) -> dict[int, int]:
     """Factor ``n >= 1`` into a prime -> exponent map."""
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
+    for block, product in _PRIME_BLOCKS:
+        if block[0] * block[0] > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
+        if math.gcd(n, product) == 1:
+            continue
+        for p in block:
+            if p * p > n:
+                break
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+    if n < _SMALL_PRIMES[-1] ** 2:  # no table prime divides n, so n is 1 or prime
+        if n > 1:
+            out[n] = 1
         return out
     stack = [n]
     while stack:

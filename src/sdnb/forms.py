@@ -424,6 +424,28 @@ def _subresultant_pivots(coeffs: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(minors)
 
 
+def _has_repeated_roots(coeffs: Sequence[int]) -> bool:
+    """True iff the integer polynomial f (constant term first) shares a root with f'.
+
+    Euclid's algorithm on primitive integer remainders: the last nonzero one
+    is gcd(f, f') up to a constant, of positive degree exactly when f has a
+    repeated root.
+    """
+    a = list(coeffs)
+    b = [k * c for k, c in enumerate(a)][1:]
+    while b:
+        while len(a) >= len(b):  # a := lc(b) a - lc(a) X^shift b, until deg a < deg b
+            la, lb, shift = a[-1], b[-1], len(a) - len(b)
+            a = [lb * x for x in a]
+            for i, y in enumerate(b):
+                a[i + shift] -= la * y
+            while a and not a[-1]:
+                a.pop()
+        g = gcd(*a)
+        a, b = b, [x // g for x in a]
+    return len(a) > 1
+
+
 def trace_form(coeffs: Sequence[int]) -> GramMatrix:
     """Gram matrix of the trace form of Q[X]/(f), f monic integer, squarefree.
 

@@ -78,8 +78,8 @@ from .factors import (
 )
 from .forms import (
     DiagonalForm,
+    _has_repeated_roots,
     _integer_coefficients,
-    _subresultant_pivots,
     det_square_class,
     diagonalize,
     hasse_witt,
@@ -214,9 +214,8 @@ class A4Quartic(_Family):
         coeffs = _integer_coefficients(coeffs)
         if len(coeffs) != 5 or coeffs[-1] != 1:
             raise ValueError("the A4 family needs a monic integer quartic")
-        # nonzero pivots make disc(f) = D_4 nonzero; otherwise the trace form rejects repeated roots
-        if _subresultant_pivots(coeffs) is None:
-            trace_form(coeffs)
+        if _has_repeated_roots(coeffs):
+            raise ValueError("polynomial has repeated roots")
         object.__setattr__(self, "coeffs", coeffs)
 
     def _own_entry(self, fd, q):

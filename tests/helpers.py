@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from sdnb import CyclicQuadratic, CyclicQuartic, brauer, galois, is_square
 from sdnb.brauer import is_trivial
-from sdnb.exact import BudgetExceededError, legendre, squarefree_part
+from sdnb.exact import _SMALL_PRIMES, BudgetExceededError, legendre, squarefree_part
 from sdnb.factors import FactorKind, decompose, local_data
 from sdnb.forms import GramMatrix, det_square_class, hasse_witt, signature
 from sdnb.symbols import Place, hilbert
@@ -537,3 +537,95 @@ def reference_trace_form(coeffs):
         return GramMatrix(rows)
     except ValueError as exc:
         raise ValueError("polynomial has repeated roots") from exc
+
+
+# --- reference copy of the factoring kernel -----------------------------------
+#
+# ``exact.is_prime``, ``exact._brent_split`` and ``exact._factor_int`` as they
+# stood before trial division ran in blocks, the strong-pseudoprime test took
+# as many bases as the size of n needs, and Brent's products were paired: every
+# table prime tried in turn, 12 bases below 2**64 (25 above), one reduction
+# per cycle step.
+
+_REFERENCE_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_REFERENCE_MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def reference_is_prime(n):
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES[:25]:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    bases = _REFERENCE_MR_BASES
+    if n >= 1 << 64:
+        bases += _REFERENCE_MR_EXTRA_BASES
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def reference_brent_split(n, budget):
+    batch = 128
+    for c in range(1, 64):
+        y, r, q = 2, 1, 1
+        g = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(batch, r - k)
+                budget.spend(steps)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise BudgetExceededError(
+        f"{budget.task}: cycle search failed to split {n} after {budget.spent} units"
+    )
+
+
+def reference_factor_int(n, budget):
+    out = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n == 1:
+        return out
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if reference_is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = reference_brent_split(m, budget)
+        stack.append(d)
+        stack.append(m // d)
+    return out

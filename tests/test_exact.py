@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_factor_int, reference_is_prime
+from sdnb import exact
 from sdnb import (
     BudgetExceededError,
     FactoredRational,
@@ -16,6 +18,7 @@ from sdnb import (
     parse_rational,
     squarefree_part,
 )
+from sdnb.exact import WorkBudget
 
 
 def test_factor_golden():
@@ -149,3 +152,121 @@ def test_parse_rational():
     assert parse_rational("3") == 3
     assert parse_rational("-45/8") == Fraction(-45, 8)
     assert str(Fraction(-45, 8)) == "-45/8"
+
+
+# --- the factoring kernel against its reference copy -------------------------
+
+_PSI = (  # psi_k: the least strong pseudoprime to each of the first k prime bases
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+_CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+               1461241, 2433601, 5148001, 10024561)
+
+
+def _random_prime(rng, bits):
+    while True:
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if reference_is_prime(n):
+            return n
+
+
+def _chernick(lo, hi):
+    """The first three Carmichael numbers (6k+1)(12k+1)(18k+1) in [lo, hi)."""
+    def chernick(k):
+        return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+    k, out = 1, []
+    while chernick(2 * k) < lo:
+        k *= 2
+    while chernick(k) < hi and len(out) < 3:
+        if chernick(k) >= lo and all(reference_is_prime(6 * j * k + 1) for j in (1, 2, 3)):
+            out.append(chernick(k))
+        k += 1
+    return out
+
+
+def _factoring_inputs():
+    rng = random.Random(1515)
+    out = [rng.randrange(1 << 62, 1 << 64) for _ in range(120)]
+    out += [_random_prime(rng, b) * _random_prime(rng, b) for b in range(20, 33)]
+    out += [_random_prime(rng, b) * _random_prime(rng, b + 1) for b in range(20, 32, 3)]
+    out += [_random_prime(rng, rng.randint(14, 30)) ** k for k in (2, 3, 4) for _ in range(4)]
+    above = [p for p in range(10_001, 10_300) if reference_is_prime(p)]
+    out += [p * p for p in above[:20]] + [9973 * p for p in above[:5]] + [above[0] * above[1]]
+    out += [2**40 * 3**5 * q for q in (1, 9973, 10_007, *(_random_prime(rng, b) for b in (20, 40, 60)))]
+    edge = 9973**2  # below it, a cofactor with no table prime left is prime
+    out += list(range(edge - 200, edge + 200)) + list(range(10**8 - 200, 10**8))
+    out += [2 * n for n in range(edge - 50, edge + 50)] + [97 * n for n in range(10**8 - 50, 10**8)]
+    return out
+
+
+def _factor_both(n, task="differential"):
+    budgets, results = [WorkBudget(task), WorkBudget(task)], []
+    for run, budget in zip((reference_factor_int, exact._factor_int), budgets):
+        try:
+            results.append(list(run(n, budget).items()))
+        except BudgetExceededError as exc:
+            results.append(("budget", str(exc)))
+    return results, [b.spent for b in budgets]
+
+
+def test_factoring_matches_the_reference_kernel():
+    inputs = _factoring_inputs()
+    assert len(set(inputs)) > 900
+    for n in inputs:
+        (ref, new), (ref_spent, new_spent) = _factor_both(n)
+        assert new == ref, n
+        assert new_spent == ref_spent, n
+        assert math.prod(p**e for p, e in new) == n
+
+
+def test_factoring_matches_the_reference_kernel_under_a_small_budget(monkeypatch):
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "100")
+    p = 340282366920938463463374607431768211297
+    q = 170141183460469231731687303715884105727
+    for n in (p * q, 7 * p * q, 2**40 * p * q, 3**5 * q * q):
+        (ref, new), (ref_spent, new_spent) = _factor_both(n, f"factoring {n}")
+        assert new == ref and new_spent == ref_spent, n
+        assert new[0] == "budget" and 0 < new_spent <= 100, n
+
+
+def test_every_psi_k_is_composite():
+    for n in _PSI:
+        assert not is_prime(n), n
+        assert not reference_is_prime(n), n
+
+
+def test_graded_bases_agree_with_the_full_test_in_every_band():
+    rng = random.Random(2017)
+    bounds = (5, *_PSI[:8], 1 << 64, 1 << 80)
+    checked = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        band = [rng.randrange(lo, hi) | 1 for _ in range(300)]
+        band += [_random_prime(rng, rng.randint(lo.bit_length(), hi.bit_length() - 1)) for _ in range(5)]
+        band += [n for n in range(hi - 400, hi) if lo <= n] + [n for n in range(lo, lo + 400) if n < hi]
+        band += [n for n in _CARMICHAEL if lo <= n < hi] + _chernick(lo, hi)
+        for n in band:
+            assert is_prime(n) == reference_is_prime(n), n
+            checked += 1
+    for n in (2**63 - 25, 2**64 - 59):  # the largest primes below 2**63 and 2**64
+        assert is_prime(n) and reference_is_prime(n)
+        assert not is_prime(n + 2) and not is_prime(n - 2)
+    assert all(is_prime(n) == reference_is_prime(n) for n in range(200_000))
+    assert checked > 6000
+
+
+def test_is_prime_runs_as_many_rounds_as_the_size_of_n_needs(monkeypatch):
+    exact.is_prime.cache_clear()
+    bases = []
+
+    def counted_pow(a, *args):
+        bases.append(a)
+        return pow(a, *args)
+
+    monkeypatch.setattr(exact, "pow", counted_pow, raising=False)
+    for n, rounds in ((2**40 - 87, 5), (2**63 - 25, 12), (2**64 - 59, 12), (2**31 - 1, 4), (1009, 1)):
+        bases.clear()
+        assert is_prime(n)
+        assert bases == list(exact._MR_BASES[:rounds]), n

@@ -689,6 +689,44 @@ def test_an_a4_decision_builds_the_trace_form_once(monkeypatch, capsys):
     assert "polynomial has repeated roots" in capsys.readouterr().err
 
 
+def test_an_a4_quartic_with_a_vanishing_minor_builds_the_trace_form_once(monkeypatch, capsys):
+    # x^4 + 8x + 12 has s_1 = s_2 = 0, so its subresultant sequence is not normal
+    assert forms._subresultant_pivots((12, 8, 0, 0, 1)) is None
+    counts = {}
+    _count_calls(monkeypatch, counts, "trace_form", forms, galois)
+    spec = spec_from_json({"group": "A4", "family": "a4-quartic", "poly": [12, 8, 0, 0, 1]})
+    assert counts == {}
+    assert decide_global(spec).verdict == VERDICT_UNKNOWN
+    assert counts == {"trace_form": 1}
+    # a repeated root is refused without a trace form, with the same message and exit code
+    for coeffs in ((4, 0, -4, 0, 1), (0, 0, 1, 0, 1), (-3, 8, -6, 0, 1)):
+        with pytest.raises(ValueError, match="^polynomial has repeated roots$"):
+            A4Quartic(coeffs)
+    assert counts == {"trace_form": 1}
+    argv = ["decide", "--group", "A4", "--family", "a4-quartic", "--poly=-3,8,-6,0,1"]
+    assert cli.main(argv) == 65
+    assert "polynomial has repeated roots" in capsys.readouterr().err
+
+
+def test_repeated_roots_agree_with_the_trace_form():
+    rng = random.Random(15)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 6))] + [1]
+        if rng.random() < 0.3:  # multiply by (x - r)^2
+            r = rng.randint(-3, 3)
+            for _ in range(2):
+                coeffs = [-r * coeffs[0]] + [a - r * b for a, b in zip(coeffs, coeffs[1:])] + [1]
+        try:
+            forms.trace_form(coeffs)
+            repeated = False
+        except ValueError:
+            repeated = True
+        assert forms._has_repeated_roots(coeffs) == repeated, coeffs
+        seen[repeated] += 1
+    assert min(seen.values()) > 500, seen
+
+
 def test_a_decision_without_degree_one_vanishing_builds_no_trace_form(monkeypatch):
     # a field of degree m in C(m): the h1 row answers no, and q is never needed
     specs = [CyclicPoly(2, (2, 0, -4, 0, 1), 4), CyclicPoly(4, _tower16(), 16)]
