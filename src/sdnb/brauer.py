@@ -22,22 +22,20 @@ This module reports the computed table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import is_square
+from .exact import frozen, is_square
 from .symbols import Place, hilbert, is_square_in_completion, support_places
 
 
-@dataclass(frozen=True)
+@frozen
 class BrauerClass:
     """Element of Br_2(Q): the set of places with local invariant -1."""
 
-    ramified: frozenset[Place]
-
-    def __post_init__(self) -> None:
-        if len(self.ramified) % 2 != 0:
+    def __init__(self, ramified: frozenset[Place]) -> None:
+        if len(ramified) % 2 != 0:
             raise ValueError("ramified set must have even size (product formula)")
+        object.__setattr__(self, "ramified", ramified)
 
     def to_json(self) -> list[str | int]:
         return [v.to_json() for v in sorted(self.ramified, key=Place.sort_key)]

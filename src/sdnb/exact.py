@@ -20,6 +20,12 @@ bounds psi_k (the least strong pseudoprime to those k bases): 1 base below
 Larger cofactors use 25 fixed bases, which is the documented envelope of the
 guarantee.  Work is capped by a budget so an oversized input fails loudly with
 :class:`BudgetExceededError` instead of spinning or silently dropping factors.
+
+Value classes are plain classes under :func:`frozen`: their fields are the
+parameters of their own ``__init__``, which sets them with ``object.__setattr__``,
+and ``frozen`` adds closures for ``__eq__`` (same class, equal fields), ``__hash__``
+(of the field tuple), ``__repr__`` and a ``__setattr__``/``__delattr__`` that
+raise AttributeError.  Unlike a dataclass, it compiles no code at import time.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 Rational = Fraction
 
@@ -209,7 +215,33 @@ def _factor_int(n: int, budget: WorkBudget) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
+def frozen(cls):
+    """Make ``cls`` an immutable value class whose fields are its ``__init__`` parameters."""
+    code = cls.__init__.__code__
+    names = code.co_varnames[1:code.co_argcount]
+    key, one = attrgetter(*names), len(names) == 1  # attrgetter of one name gives no tuple
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((key(self),) if one else key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+@frozen
 class FactoredRational:
     """A nonzero rational as sign times a product of prime powers.
 
@@ -218,16 +250,15 @@ class FactoredRational:
     is canonical: two equal rationals factor to equal objects.
     """
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]) -> None:
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if any(e == 0 for _, e in self.factors):
+        if any(e == 0 for _, e in factors):
             raise ValueError("zero exponent in factorization")
-        if list(self.factors) != sorted(self.factors):
+        if list(factors) != sorted(factors):
             raise ValueError("factors must be sorted by prime")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
 
     def value(self) -> Fraction:
         """Reconstruct the rational exactly."""

@@ -16,12 +16,11 @@ Frobenius in (Z/m)^x and its quotient by {+-1}; no number field arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import euler_phi, factor, mult_order_mod_pm1
+from .exact import euler_phi, factor, frozen, mult_order_mod_pm1
 from .symbols import Place
 
 
@@ -31,12 +30,14 @@ class FactorKind(str, Enum):
     DEGREE_ONE = "degree-one"
 
 
-@dataclass(frozen=True)
+@frozen
 class GroupDescriptor:
     """A supported group: abelian by invariant factors, or D4 / A4 / A5demo."""
 
-    kind: str
-    invariant_factors: tuple[int, ...] = ()
+    def __init__(self, kind: str, invariant_factors: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        self.__post_init__()  # the checks, a hook of their own so that a test can count constructions
 
     def __post_init__(self) -> None:
         if self.kind not in ("abelian", "D4", "A4", "A5demo"):
@@ -78,7 +79,7 @@ class GroupDescriptor:
         return n if m == 1 << n and n >= 1 else None
 
 
-@dataclass(frozen=True)
+@frozen
 class FactorDescriptor:
     """One involution-stable factor: id, type, center data, split flag.
 
@@ -89,13 +90,12 @@ class FactorDescriptor:
     ("quadratic", d).
     """
 
-    id: str
-    kind: FactorKind
-    conductor: int
-    e_kind: str
-    e_param: int | None
-    split: bool
-    note: str = ""
+    def __init__(self, id: str, kind: FactorKind, conductor: int, e_kind: str, e_param: int | None,
+                 split: bool, note: str = "") -> None:
+        for key, val in (("id", id), ("kind", kind), ("conductor", conductor), ("e_kind", e_kind),
+                         ("e_param", e_param), ("split", split), ("note", note)):
+            object.__setattr__(self, key, val)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.e_kind not in ("Q", "real-cyclotomic", "quadratic"):

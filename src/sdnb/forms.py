@@ -37,7 +37,6 @@ box neither spins nor overflows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
@@ -45,15 +44,13 @@ from typing import Iterable, Sequence
 
 from . import brauer
 from .brauer import BrauerClass
-from .exact import WorkBudget, factor, is_square, squarefree_part
+from .exact import WorkBudget, factor, frozen, is_square, squarefree_part
 from .symbols import Place, hilbert, is_square_in_completion, support_places
 
 
-@dataclass(frozen=True)
+@frozen
 class DiagonalForm:
     """Nondegenerate diagonal form <a_1, ..., a_n>, entries nonzero rationals."""
-
-    entries: tuple[Fraction, ...]
 
     def __init__(self, entries: Iterable[Fraction | int]) -> None:
         coerced = tuple(a if isinstance(a, Fraction) else Fraction(a) for a in entries)
@@ -128,7 +125,7 @@ def _pivots(a: list[list[int]]) -> list[int]:
     return pivots
 
 
-@dataclass(frozen=True)
+@frozen
 class GramMatrix:
     """Symmetric nondegenerate matrix of rationals.
 
@@ -137,11 +134,8 @@ class GramMatrix:
     entries, scales the rows to integers by the least common multiple L of
     the entries' denominators and runs one symmetric fraction-free
     elimination (``_pivots``); ``det`` and ``diagonalize`` read its pivots.
+    ``_scale`` and ``_pivots`` are not fields: equality and repr see ``rows`` only.
     """
-
-    rows: tuple[tuple[Fraction | int, ...], ...]
-    _scale: int = field(init=False, repr=False, compare=False)
-    _pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
         coerced = tuple(

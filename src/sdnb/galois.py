@@ -59,7 +59,6 @@ Two computed-versus-quoted discrepancies are deliberate and unit-tested:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -68,7 +67,7 @@ from typing import Sequence, Union
 
 from . import brauer
 from .brauer import BrauerClass, add, cup, is_trivial
-from .exact import _BUDGET_ENV, _SMALL_PRIMES, BudgetExceededError, WorkBudget, factor, is_square, parse_rational
+from .exact import _BUDGET_ENV, _SMALL_PRIMES, BudgetExceededError, WorkBudget, factor, frozen, is_square, parse_rational
 from .factors import (
     FactorDescriptor,
     FactorKind,
@@ -124,16 +123,16 @@ class _Cyclic(_Family):
         return GroupDescriptor.cyclic(1 << self.n)
 
 
-@dataclass(frozen=True)
+@frozen
 class SplitAlgebra(_Family):
-    group: GroupDescriptor
     degree, family = 1, "split"
 
+    def __init__(self, group: GroupDescriptor) -> None:
+        object.__setattr__(self, "group", group)
 
-@dataclass(frozen=True)
+
+@frozen
 class CyclicQuadratic(_Cyclic):
-    n: int
-    z: Fraction
     degree, family = 2, "cyclic-quadratic"
 
     def __init__(self, n: int, z: Fraction | int | str) -> None:
@@ -146,13 +145,8 @@ class CyclicQuadratic(_Cyclic):
         object.__setattr__(self, "z", z)
 
 
-@dataclass(frozen=True)
+@frozen
 class CyclicQuartic(_Cyclic):
-    n: int
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    eps: Fraction
     degree, family = 4, "cyclic-quartic"
 
     def __init__(self, n, a, b, c, eps) -> None:
@@ -165,11 +159,8 @@ class CyclicQuartic(_Cyclic):
             object.__setattr__(self, key, val)
 
 
-@dataclass(frozen=True)
+@frozen
 class CyclicPoly(_Cyclic):
-    n: int
-    coeffs: tuple[int, ...]
-    degree: int
     family = "cyclic-poly"
 
     def __init__(self, n: int, coeffs: Sequence[int], degree: int) -> None:
@@ -192,9 +183,8 @@ class CyclicPoly(_Cyclic):
         object.__setattr__(self, "degree", m)
 
 
-@dataclass(frozen=True)
+@frozen
 class D4Quadratic(_Family):
-    z: Fraction
     group, degree, family = GroupDescriptor("D4"), 2, "d4-quadratic"
 
     def __init__(self, z) -> None:
@@ -204,9 +194,8 @@ class D4Quadratic(_Family):
         return InvariantEntry(fd.id, "c", "computed", cup(self.z, -1)) if fd.id == "2dim" else None
 
 
-@dataclass(frozen=True)
+@frozen
 class A4Quartic(_Family):
-    coeffs: tuple[int, ...]
     group, degree, family = GroupDescriptor("A4"), 4, "a4-quartic"
     verdict_cap = VERDICT_UNKNOWN
 
@@ -226,9 +215,8 @@ class A4Quartic(_Family):
         return None
 
 
-@dataclass(frozen=True)
+@frozen
 class A5Quadratic(_Family):
-    z: Fraction
     group, degree, family = GroupDescriptor("A5demo"), 2, "a5-quadratic"
 
     def __init__(self, z) -> None:
@@ -263,6 +251,31 @@ def _poly_eval(coeffs: Sequence[int], x: int) -> int:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _ceil_root(n: int, k: int) -> int:
+    """The least r >= 0 with r^k >= n, for n >= 0: Newton's method from above gives the floor."""
+    if n == 0:
+        return 0
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r if r**k >= n else r + 1
+
+
+def _has_integer_root(coeffs: Sequence[int], divisors: Sequence[int]) -> bool:
+    """Is f(d) or f(-d) zero for one of the sorted positive ``divisors`` of f(0)?  f is monic of
+    degree m, so the scan stops above Fujiwara's root bound 2 max(|f_(m-1)|, |f_(m-2)|^(1/2), ...,
+    |f_1|^(1/(m-1)), |f_0 / 2|^(1/m)), each term an integer root rounded up."""
+    m = len(coeffs) - 1
+    terms = [abs(coeffs[m - k]) for k in range(1, m)] + [-(-abs(coeffs[0]) // 2)]
+    bound = 2 * max(_ceil_root(t, k) for k, t in enumerate(terms, 1))
+    for d in divisors:
+        if d > bound:
+            return False
+        if _poly_eval(coeffs, d) == 0 or _poly_eval(coeffs, -d) == 0:
+            return True
+    return False
 
 
 def _trim(x: Sequence[int], p: int) -> list[int]:
@@ -352,7 +365,8 @@ def _divisors(n: int) -> list[int]:
 def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
     """Irreducibility of a monic integer polynomial of degree m, desk-scale screen.
 
-    Quadratics by their discriminant.  Otherwise integer roots first, then
+    Quadratics by their discriminant.  Otherwise integer roots first (the
+    divisors of f(0) up to a root bound), then
     Rabin's test modulo each of the first 16 odd primes that do not divide
     f(0) (conclusive once f is irreducible modulo one), then a search for
     monic quadratic factors X^2 + uX + v with v | f(0) and |u| <= 4 max |f_i|.
@@ -373,9 +387,8 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
     roots = WorkBudget(f"integer roots of the polynomial {list(coeffs)}")
     roots.spend((2 * m + 1) * prod(e + 1 for _, e in factor(coeffs[0]).factors))
     divisors = _divisors(coeffs[0])
-    for d in divisors:
-        if _poly_eval(coeffs, d) == 0 or _poly_eval(coeffs, -d) == 0:
-            return False
+    if _has_integer_root(coeffs, divisors):
+        return False
     screen = WorkBudget(f"irreducibility screen of the polynomial {list(coeffs)}")
     for p in islice((p for p in _SMALL_PRIMES[1:] if coeffs[0] % p), 16):
         if _irreducible_mod_p(coeffs, p, screen):
@@ -484,13 +497,17 @@ def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass
     return _top_class(spec.degree, q)
 
 
-@dataclass(frozen=True)
+@frozen
 class InvariantEntry:
-    factor_id: str
-    invariant: str  # "c" for orthogonal factors, "d" for unitary ones
-    status: str  # "computed" | "zero" | "not-computed"
-    value: BrauerClass | None
-    note: str = ""
+    """One factor's invariant: ``invariant`` is "c" for orthogonal factors and "d" for
+    unitary ones, ``status`` is "computed", "zero" or "not-computed"."""
+
+    def __init__(self, factor_id: str, invariant: str, status: str, value: BrauerClass | None, note: str = "") -> None:
+        object.__setattr__(self, "factor_id", factor_id)
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "note", note)
 
     def to_json(self) -> dict:
         out = {
@@ -504,13 +521,13 @@ class InvariantEntry:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class InvariantReport:
-    h1: bool
-    entries: tuple[InvariantEntry, ...]
-    trace_diagonal: DiagonalForm
-    det_class: int
-    signature: tuple[int, int]
+    def __init__(self, h1: bool, entries: tuple[InvariantEntry, ...], trace_diagonal: DiagonalForm,
+                 det_class: int, signature: tuple[int, int]) -> None:
+        for key, val in (("h1", h1), ("entries", entries), ("trace_diagonal", trace_diagonal),
+                         ("det_class", det_class), ("signature", signature)):
+            object.__setattr__(self, key, val)
 
     def to_json(self) -> dict:
         return {
@@ -566,13 +583,14 @@ def invariant_report(spec: GaloisAlgebraSpec) -> InvariantReport:
 # decisions
 
 
-@dataclass(frozen=True)
+@frozen
 class CertificateRow:
-    condition: str
-    factor: str | None
-    place: str | int | None
-    passed: bool
-    detail: str
+    def __init__(self, condition: str, factor: str | None, place: str | int | None, passed: bool, detail: str) -> None:
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     def to_json(self) -> dict:
         return {
@@ -584,16 +602,15 @@ class CertificateRow:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class Decision:
-    verdict: str
-    certificate: tuple[CertificateRow, ...]
-
-    def __post_init__(self) -> None:
-        if self.verdict == VERDICT_NO and all(r.passed for r in self.certificate):
+    def __init__(self, verdict: str, certificate: tuple[CertificateRow, ...]) -> None:
+        if verdict == VERDICT_NO and all(r.passed for r in certificate):
             raise ValueError("a negative decision must record a failing condition")
-        if self.verdict == VERDICT_YES and not all(r.passed for r in self.certificate):
+        if verdict == VERDICT_YES and not all(r.passed for r in certificate):
             raise ValueError("a positive decision cannot carry failing conditions")
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "certificate", certificate)
 
     def to_json(self) -> dict:
         return {

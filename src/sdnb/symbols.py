@@ -29,23 +29,21 @@ raises :class:`BudgetExceededError` before any search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .exact import BudgetExceededError, euler_criterion, is_prime, factor, squarefree_part
+from .exact import BudgetExceededError, euler_criterion, factor, frozen, is_prime, squarefree_part
 
 
-@dataclass(frozen=True)
+@frozen
 class Place:
     """A place of Q: the real place (prime None) or a verified finite prime."""
 
-    prime: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.prime is not None and not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
+    def __init__(self, prime: int | None = None) -> None:
+        if prime is not None and not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        object.__setattr__(self, "prime", prime)
 
     @property
     def is_real(self) -> bool:

@@ -1192,3 +1192,61 @@ def test_spec_from_json_golden():
         spec_from_json({"group": "D4", "family": "cyclic-quadratic", "z": "3"})
     with pytest.raises(ValueError):
         spec_from_json({"group": "C8", "family": "nope"})
+
+
+def test_ceil_root_is_the_least_integer_root_at_or_above():
+    for k in range(1, 7):
+        for n in list(range(300)) + [10**40 - 1, 10**40, 10**40 + 1, 2**127 - 1]:
+            r = galois._ceil_root(n, k)
+            assert r**k >= n and (r == 0 or (r - 1) ** k < n), (n, k)
+
+
+def test_bounded_integer_root_scan_matches_the_unbounded_scan():
+    rng = random.Random(1607)
+
+    def monic(degree, height, constant):
+        return [constant] + [rng.randint(-height, height) for _ in range(degree - 1)] + [1]
+
+    cases = []
+    for _ in range(150):
+        m = rng.choice((3, 4, 8))
+        kind = rng.choice(("one", "f0", "small", "none"))
+        if kind == "one":  # root +-1
+            f = _multiply([-rng.choice((1, -1)), 1], monic(m - 1, 9, rng.choice((-6, -2, 3, 5, 30))))
+        elif kind == "f0":  # g(0) = +-1, so the root r is +-f(0)
+            r = rng.choice((1, -1)) * rng.randint(2, 10**6)
+            f = _multiply([-r, 1], monic(m - 1, 9, rng.choice((1, -1))))
+            assert abs(f[0]) == abs(r)
+        elif kind == "small":
+            r = rng.choice((1, -1)) * rng.randint(2, 60)
+            f = _multiply([-r, 1], monic(m - 1, 20, rng.randint(1, 500) * rng.choice((1, -1))))
+        else:
+            f = monic(m, 50, rng.randint(1, 10**6) * rng.choice((1, -1)))
+        cases.append((kind, f))
+    seen = {True: 0, False: 0}
+    for kind, f in cases:
+        divisors = galois._divisors(f[0])
+        want = any(galois._poly_eval(f, d) == 0 or galois._poly_eval(f, -d) == 0 for d in divisors)
+        assert galois._has_integer_root(f, divisors) == want, f
+        assert want or kind == "none", f
+        if kind != "none":
+            assert not galois._irreducible_over_Q(f), f
+        seen[want] += 1
+    assert seen[True] > 80 and seen[False] > 10, seen
+
+
+def test_integer_root_scan_stops_at_the_root_bound(monkeypatch):
+    # f(0) = 3 * 5 * 7 * ... * 59 has 2^16 divisors; Fujiwara's bound for
+    # x^4 + f(0) is 2 * ceil((f(0) / 2)^(1/4)) = 296142, and 2128 divisors lie below it
+    f = [961380175077106319535, 0, 0, 0, 1]
+    assert len(galois._divisors(f[0])) == 1 << 16
+    calls = []
+    evaluate = galois._poly_eval
+
+    def counted(coeffs, x):
+        calls.append(x)
+        return evaluate(coeffs, x)
+
+    monkeypatch.setattr(galois, "_poly_eval", counted)
+    assert galois._irreducible_over_Q(f)
+    assert len(calls) == 2 * 2128 and max(calls) <= 296142
