@@ -59,6 +59,7 @@ Two computed-versus-quoted discrepancies are deliberate and unit-tested:
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -269,13 +270,8 @@ def _has_integer_root(coeffs: Sequence[int], divisors: Sequence[int]) -> bool:
     |f_1|^(1/(m-1)), |f_0 / 2|^(1/m)), each term an integer root rounded up."""
     m = len(coeffs) - 1
     terms = [abs(coeffs[m - k]) for k in range(1, m)] + [-(-abs(coeffs[0]) // 2)]
-    bound = 2 * max(_ceil_root(t, k) for k, t in enumerate(terms, 1))
-    for d in divisors:
-        if d > bound:
-            return False
-        if _poly_eval(coeffs, d) == 0 or _poly_eval(coeffs, -d) == 0:
-            return True
-    return False
+    below = divisors[:bisect_right(divisors, 2 * max(_ceil_root(t, k) for k, t in enumerate(terms, 1)))]
+    return any(_poly_eval(coeffs, d) == 0 or _poly_eval(coeffs, -d) == 0 for d in below)
 
 
 def _trim(x: Sequence[int], p: int) -> list[int]:
