@@ -4,7 +4,9 @@ A class is stored as the finite set of places where its local invariant is
 -1; by the product formula that set always has even size.  Equality and
 triviality are set comparisons, and identities such as (z,z) = (z,-1) hold
 automatically because both sides produce the same table.  Classes are never
-stored as symbol lists.
+stored as symbol lists.  ``cup`` takes its table from
+``symbols.ramified_places``, which reads the cached factorizations of its two
+arguments; no place is tested one by one.
 
 ``restricts_trivially_to_quadratic`` answers whether a class dies in the
 Brauer group of a quadratic field Q(sqrt(d)).  Restriction multiplies each
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import frozen, is_square
-from .symbols import Place, hilbert, is_square_in_completion, support_places
+from .symbols import Place, is_square_in_completion, ramified_places
 
 
 @frozen
@@ -49,13 +51,17 @@ class BrauerClass:
 TRIVIAL = BrauerClass(frozenset())
 
 
+def _nonzero(x: Fraction | int) -> Fraction | int:
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    if x == 0:
+        raise ValueError("cup product arguments must be nonzero")
+    return x
+
+
 def cup(a: Fraction | int, b: Fraction | int) -> BrauerClass:
     """Class of the quaternion symbol (a, b)."""
-    for x in (a, b):
-        if (x if isinstance(x, (int, Fraction)) else Fraction(x)) == 0:
-            raise ValueError("cup product arguments must be nonzero")
-    ram = {v for v in support_places([(a, b)]) if hilbert(a, b, v) == -1}
-    return BrauerClass(frozenset(ram))
+    a = _nonzero(a)
+    return BrauerClass(ramified_places(a, _nonzero(b)))
 
 
 def add(x: BrauerClass, y: BrauerClass) -> BrauerClass:

@@ -19,8 +19,12 @@ operations, with no elimination, whenever every remainder drops the degree
 by exactly one; otherwise (a vanishing leading minor, or repeated roots) it
 runs the elimination.  The determinant class is read off the cached
 factorizations of the entries, never of their product.  The Hasse-Witt class
-is summed over the square classes of the entries with their multiplicities, a
-handful of cup products rather than one per pair.
+is summed over the square classes of the entries with their multiplicities:
+the ramified sets of a few symbols (a, -1) and (a, b), one per odd count
+rather than one per pair, each read off the cached factorizations by
+``symbols.ramified_places``, are added into one class.  The local isotropy
+tests read the Hasse invariant at a place off that class; their square tests
+and remaining symbols work at that one place, by trial division.
 
 The ternary witness search is a plain ``int`` scan of expanding boxes
 0 <= x, y <= 64, 512, 4096, ... up to the height cap, x first, then y, with z
@@ -42,10 +46,9 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
-from . import brauer
 from .brauer import BrauerClass
 from .exact import WorkBudget, factor, frozen, is_square, squarefree_part
-from .symbols import Place, hilbert, is_square_in_completion, support_places
+from .symbols import Place, hilbert, is_square_in_completion, ramified_places, support_places
 
 
 @frozen
@@ -218,8 +221,9 @@ def hasse_witt(f: DiagonalForm) -> BrauerClass:
     and (a, b) counts m_a * m_b times across two, and only odd counts
     contribute.  The class of 1 contributes nothing.  Each class is
     represented by its first entry, whose factorization is already cached.
-    The result is memoized per form, so the local tests at every place of
-    one form share one computation.
+    The ramified sets of the symbols are added (symmetric difference) and
+    one class is built at the end.  The result is memoized per form, so the
+    local tests at every place of one form share one computation.
     """
     classes: dict[int, list] = {}  # square class -> [first entry, multiplicity]
     for a in f.entries:
@@ -227,14 +231,14 @@ def hasse_witt(f: DiagonalForm) -> BrauerClass:
         if c != 1:
             classes.setdefault(c, [a, 0])[1] += 1
     reps = list(classes.values())
-    out = brauer.TRIVIAL
+    ramified: set[Place] = set()
     for i, (a, m) in enumerate(reps):
         if m * (m - 1) // 2 % 2:
-            out = brauer.add(out, brauer.cup(a, -1))
+            ramified ^= ramified_places(a, -1)
         for b, k in reps[i + 1:]:
             if m * k % 2:
-                out = brauer.add(out, brauer.cup(a, b))
-    return out
+                ramified ^= ramified_places(a, b)
+    return BrauerClass(frozenset(ramified))
 
 
 def _hasse_invariant_at(f: DiagonalForm, v: Place) -> int:

@@ -63,7 +63,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import lcm, prod
+from math import inf, lcm, prod
 from typing import Sequence, Union
 
 from . import brauer
@@ -264,13 +264,18 @@ def _ceil_root(n: int, k: int) -> int:
     return r if r**k >= n else r + 1
 
 
-def _has_integer_root(coeffs: Sequence[int], divisors: Sequence[int]) -> bool:
-    """Is f(d) or f(-d) zero for one of the sorted positive ``divisors`` of f(0)?  f is monic of
-    degree m, so the scan stops above Fujiwara's root bound 2 max(|f_(m-1)|, |f_(m-2)|^(1/2), ...,
-    |f_1|^(1/(m-1)), |f_0 / 2|^(1/m)), each term an integer root rounded up."""
+def _root_bound(coeffs: Sequence[int]) -> int:
+    """Fujiwara's bound on the roots of the monic f of degree m: 2 max(|f_(m-1)|,
+    |f_(m-2)|^(1/2), ..., |f_1|^(1/(m-1)), |f_0 / 2|^(1/m)), each term an integer root rounded up."""
     m = len(coeffs) - 1
     terms = [abs(coeffs[m - k]) for k in range(1, m)] + [-(-abs(coeffs[0]) // 2)]
-    below = divisors[:bisect_right(divisors, 2 * max(_ceil_root(t, k) for k, t in enumerate(terms, 1)))]
+    return 2 * max(_ceil_root(t, k) for k, t in enumerate(terms, 1))
+
+
+def _has_integer_root(coeffs: Sequence[int], divisors: Sequence[int]) -> bool:
+    """Is f(d) or f(-d) zero for one of the sorted positive ``divisors`` of f(0)?  f is monic,
+    so the scan stops above :func:`_root_bound`."""
+    below = divisors[:bisect_right(divisors, _root_bound(coeffs))]
     return any(_poly_eval(coeffs, d) == 0 or _poly_eval(coeffs, -d) == 0 for d in below)
 
 
@@ -350,11 +355,12 @@ def _irreducible_mod_p(coeffs: Sequence[int], p: int, budget: WorkBudget) -> boo
     return _frobenius_power(half, f, p, m - m // 2, budget, rows) == x
 
 
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of a nonzero integer, from its budgeted factorization."""
+def _divisors(n: int, bound: float = inf) -> list[int]:
+    """Sorted positive divisors up to ``bound`` of a nonzero integer, from its budgeted
+    factorization; a product above the bound is dropped at once, so only the bounded ones are listed."""
     out = [1]
     for p, e in factor(n).factors:
-        out = [d * p**k for d in out for k in range(e + 1)]
+        out = [q for d in out for k in range(e + 1) if (q := d * p**k) <= bound]
     return sorted(out)
 
 
@@ -382,15 +388,14 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
         return False
     roots = WorkBudget(f"integer roots of the polynomial {list(coeffs)}")
     roots.spend((2 * m + 1) * prod(e + 1 for _, e in factor(coeffs[0]).factors))
-    divisors = _divisors(coeffs[0])
-    if _has_integer_root(coeffs, divisors):
+    if _has_integer_root(coeffs, _divisors(coeffs[0], _root_bound(coeffs))):
         return False
     screen = WorkBudget(f"irreducibility screen of the polynomial {list(coeffs)}")
     for p in islice((p for p in _SMALL_PRIMES[1:] if coeffs[0] % p), 16):
         if _irreducible_mod_p(coeffs, p, screen):
             return True
     height = 4 * max(abs(c) for c in coeffs)
-    for v in divisors:
+    for v in _divisors(coeffs[0]):
         for sv in (v, -v):
             screen.spend(m * (2 * height + 1))
             for u in range(-height, height + 1):

@@ -1,14 +1,22 @@
 """Places of Q, squares in the completions and the Hilbert symbol (a,b)_v.
 
-``hilbert`` evaluates the symbol with the closed formulas of Serre, *A Course
-in Arithmetic*, III.1: signs at the real place, Euler's criterion at odd p,
-eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 at p = 2.  ``is_square_in_completion``
-is the one test of squares in Q_v (a place splits in Q(sqrt d) exactly when d
-is a square there).  Both take any nonzero rational n/d, strip p from n and d
-by trial division, and read the formulas off the parity of the valuation and
-the integer n'd', in the unit's square class; nothing is factored.  Neither
-tests p again: a ``Place`` verifies its prime once, at construction, and
-``finite`` builds the place of each prime once.
+The symbol has one formula, ``_finite_symbol``, the closed formulas of Serre,
+*A Course in Arithmetic*, III.1: Euler's criterion at odd p, eps(u) = (u-1)/2
+and omega(u) = (u^2-1)/8 at p = 2, read off the valuations of a and b at p
+and their units there; the real place compares signs.  Two routes feed it:
+
+* ``hilbert`` answers at one place, and ``is_square_in_completion`` is the
+  one test of squares in Q_v (a place splits in Q(sqrt d) exactly when d is
+  a square there).  Both take any nonzero rational n/d, strip p from n and d
+  by trial division and read the valuation and the unit n'd' off what is
+  left; they factor nothing, so they answer for arguments of any size.
+* ``ramified_places`` gives the whole set of places where (a,b)_v = -1, the
+  table of a quaternion class.  It reads the memoized factorizations of a
+  and b (``exact.factor``), and at 2 and at each of their primes takes the
+  valuation from the table and the unit by one exact division.
+
+Neither route tests p again: a ``Place`` verifies its prime once, at
+construction, and ``finite`` builds the place of each prime once.
 
 ``hilbert_oracle`` is the independent cross-check: a brute-force search for a
 primitive solution of z^2 = a x^2 + b y^2 modulo p^N with N = v_p(4ab) + 3.
@@ -107,17 +115,8 @@ def _local_parts(q: Fraction | int, v: Place) -> tuple[int, int]:
     return k - j, n * d
 
 
-def hilbert(a: Fraction | int, b: Fraction | int, v: Place) -> int:
-    """The Hilbert symbol (a,b)_v, +1 or -1.
-
-    Symmetric and bimultiplicative; depends only on the square classes of a
-    and b.
-    """
-    alpha, u = _local_parts(a, v)
-    beta, w = _local_parts(b, v)
-    p = v.prime
-    if p is None:
-        return -1 if (u < 0 and w < 0) else 1
+def _finite_symbol(alpha: int, u: int, beta: int, w: int, p: int) -> int:
+    """(a,b)_p for a = p^alpha u and b = p^beta w with u, w prime to the prime p."""
     if p == 2:
         e = _eps2(u) * _eps2(w) + alpha * _omega2(w) + beta * _omega2(u)
         return -1 if e & 1 else 1
@@ -129,6 +128,41 @@ def hilbert(a: Fraction | int, b: Fraction | int, v: Place) -> int:
     if alpha & beta & 1 and (p - 1) // 2 % 2 == 1:
         s = -s
     return s
+
+
+def hilbert(a: Fraction | int, b: Fraction | int, v: Place) -> int:
+    """The Hilbert symbol (a,b)_v, +1 or -1.
+
+    Symmetric and bimultiplicative; depends only on the square classes of a
+    and b.
+    """
+    alpha, u = _local_parts(a, v)
+    beta, w = _local_parts(b, v)
+    if v.prime is None:
+        return -1 if (u < 0 and w < 0) else 1
+    return _finite_symbol(alpha, u, beta, w, v.prime)
+
+
+def ramified_places(a: Fraction | int, b: Fraction | int) -> frozenset[Place]:
+    """The places v with (a,b)_v = -1, for nonzero ``int`` or ``Fraction`` a and b.
+
+    Reads ``factor(a)`` and then ``factor(b)``, and walks 2 and their primes
+    once: at p the valuation is the table's exponent and the unit is
+    (numerator * denominator) // p^|valuation|.  An odd p where both
+    valuations are even contributes nothing.
+    """
+    fa, fb = factor(a), factor(b)
+    va, vb = dict(fa.factors), dict(fb.factors)
+    ma, mb = a.numerator * a.denominator, b.numerator * b.denominator
+    out = [REAL] if fa.sign < 0 and fb.sign < 0 else []
+    for p in va.keys() | vb.keys() | {2}:
+        alpha, beta = va.get(p, 0), vb.get(p, 0)
+        if p != 2 and not (alpha | beta) & 1:
+            continue
+        u, w = ma // p ** abs(alpha), mb // p ** abs(beta)
+        if _finite_symbol(alpha, u, beta, w, p) == -1:
+            out.append(finite(p))
+    return frozenset(out)
 
 
 def is_square_in_completion(q: Fraction | int, v: Place) -> bool:

@@ -6,15 +6,21 @@ import pytest
 from sdnb import (
     REAL,
     BrauerClass,
+    DiagonalForm,
     Place,
     TRIVIAL,
     add,
     cup,
     equal,
+    hasse_witt,
     hilbert,
+    hilbert_oracle,
+    is_prime,
     is_trivial,
     restricts_trivially_to_quadratic,
     splits_in_quadratic,
+    squarefree_part,
+    support_places,
 )
 
 
@@ -125,3 +131,91 @@ def test_restriction_consistent_with_local_symbols():
     x = cup(7, -1)  # ramified at {2, 7}
     assert x.ramified == {Place(2), Place(7)}
     assert hilbert(7, -1, Place(7)) == -1
+
+
+# --- cup against the per-place route ------------------------------------------------
+
+F = Fraction
+
+
+def _ramified_by_hilbert(pairs):
+    """Places where the product of hilbert(a, b, v) over the pairs is -1, v in their support."""
+    out = set()
+    for v in support_places(pairs):
+        sign = 1
+        for a, b in pairs:
+            sign *= hilbert(a, b, v)
+        if sign == -1:
+            out.add(v)
+    return out
+
+
+def _random_prime(rng, bits):
+    while True:
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(n):
+            return n
+
+
+def _differential_grid():
+    rng = random.Random(2017)
+    pairs = []
+    # p in the numerator and in the denominator, as ints and as Fractions
+    for p in (2, 3, 5, 7, 11, 13):
+        for _ in range(12):
+            i, j = rng.randint(0, 3), rng.randint(0, 3)
+            r = rng.randint(1, 60) * rng.choice((1, -1))
+            s = rng.randint(1, 60)
+            a = F(p**i * r, s) / p**j
+            b = rng.choice((F(p**j * rng.randint(1, 40), p**i * rng.randint(1, 9)), p * r, -p, r))
+            pairs += [(a, b), (b, a), (a.numerator, b), (a, a), (a, -a), (a, -1)]
+    # +-2^k against each other and against odd values
+    twos = [sign * 2**k for k in range(12) for sign in (1, -1)]
+    for x in twos:
+        pairs += [(x, y) for y in twos[::3]]
+        pairs += [(x, rng.choice((3, -3, 5, -5, 7, -7, 15, F(1, 3), F(-7, 5))))]
+        pairs += [(x, x), (x, -x), (x, -1)]
+    # signed 64-bit semiprimes, with each other, with small values and with themselves
+    semis = [
+        rng.choice((1, -1)) * _random_prime(rng, 32) * _random_prime(rng, 32) for _ in range(16)
+    ]
+    for x, y in zip(semis, semis[1:]):
+        pairs += [(x, y), (x, -1), (x, x), (x, -x), (x, rng.choice((2, -3, F(5, 8)))), (x, F(y, 7))]
+    return pairs
+
+
+def test_cup_equals_hilbert_over_the_support():
+    pairs = _differential_grid()
+    assert len(pairs) > 800
+    seen = set()
+    for a, b in pairs:
+        got = cup(a, b).ramified
+        assert got == _ramified_by_hilbert([(a, b)]), (a, b)
+        seen.add(len(got))
+    assert {0, 2, 4} <= seen
+
+
+def test_cup_equals_the_oracle_on_small_squarefree_pairs():
+    values = [n for n in range(-15, 16) if n and squarefree_part(n) == n]
+    for a in values:
+        for b in values:
+            got = cup(a, b).ramified
+            primes = {2} | {p for p in (3, 5, 7, 11, 13) if a % p == 0 or b % p == 0}
+            assert {v.prime for v in got} <= primes | {None}, (a, b)
+            assert (REAL in got) == (a < 0 and b < 0), (a, b)
+            for p in primes:
+                assert (Place(p) in got) == (hilbert_oracle(a, b, p) == -1), (a, b, p)
+
+
+def test_hasse_witt_equals_the_naive_pairwise_sum():
+    rng = random.Random(2018)
+    classes = [-1, 2, -2, 3, 6, -7, 10, 13, 4294967311 * 4294967357]
+    for _ in range(120):
+        entries = []
+        for _ in range(rng.randint(2, 8)):
+            c = rng.choice(classes)
+            r = F(rng.randint(1, 12), rng.randint(1, 12))
+            entries.append(c * r * r)  # a square class repeats across entries
+        f = DiagonalForm(entries)
+        pairs = [(a, b) for i, a in enumerate(f.entries) for b in f.entries[i + 1:]]
+        assert hasse_witt(f).ramified == _ramified_by_hilbert(pairs), entries

@@ -1250,3 +1250,27 @@ def test_integer_root_scan_stops_at_the_root_bound(monkeypatch):
     monkeypatch.setattr(galois, "_poly_eval", counted)
     assert galois._irreducible_over_Q(f)
     assert len(calls) == 2 * 2128 and max(calls) <= 296142
+
+
+def test_the_root_test_lists_only_the_divisors_below_the_root_bound(monkeypatch):
+    # the same x^4 + f(0): Rabin's test decides before the quadratic-factor
+    # search, so only the 2128 divisors up to 296142 are ever listed
+    f = [961380175077106319535, 0, 0, 0, 1]
+    listed = []
+    divisors = galois._divisors
+
+    def recorded(n, *bound):
+        out = divisors(n, *bound)
+        listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(galois, "_divisors", recorded)
+    assert galois._irreducible_over_Q(f)
+    assert listed == [2128]
+    # (x^2 + 1)(x^2 + 4) reaches the quadratic-factor search, which lists every divisor
+    listed.clear()
+    assert not galois._irreducible_over_Q([4, 0, 5, 0, 1])
+    assert listed == [3, 3]
+    for n in (f[0], -720, 2**20, 97, 1):
+        for bound in (1, 2, 5, 96, 97, 1000, 296142):
+            assert divisors(n, bound) == [d for d in divisors(n) if d <= bound], (n, bound)

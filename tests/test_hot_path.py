@@ -26,6 +26,7 @@ from sdnb import (
     SplitAlgebra,
     cup,
     decide_global,
+    exact,
     factor,
     factors,
     finite,
@@ -33,6 +34,7 @@ from sdnb import (
     hilbert,
     spec_from_json,
     support_places,
+    symbols,
 )
 from sdnb.symbols import is_square_in_completion
 
@@ -140,6 +142,38 @@ def test_a_quartic_decision_checks_the_family_relation_once(monkeypatch):
     decision = decide_global(spec_from_json(data))
     assert decision.verdict in ("yes", "no")
     assert calls == [(F(-2), F(1), F(1), F(2))]
+
+
+def test_a_cup_reads_each_factorization_once_and_tests_no_place(monkeypatch):
+    rng = random.Random(2019)
+    pairs = [(F(rng.randint(-300, 300) or 1, rng.randint(1, 40)), rng.choice((-1, 2, F(-9, 4), 45)))
+             for _ in range(200)]
+    pairs += [((2**31 - 1) * (2**61 - 1), -(2**61 - 1)), (-8, -8), (F(7, 12), 7)]
+    want = [cup(a, b) for a, b in pairs]
+    factor_fraction = exact._factor_fraction
+    factored = []
+
+    def recorded(num, den):
+        factored.append((num, den))
+        return factor_fraction(num, den)
+
+    def forbidden(*args):
+        raise AssertionError(f"called with {args}")
+
+    monkeypatch.setattr(exact, "_factor_fraction", recorded)
+    monkeypatch.setattr(symbols, "_local_parts", forbidden)
+    monkeypatch.setattr(symbols, "support_places", forbidden)
+    for (a, b), w in zip(pairs, want):
+        factored.clear()
+        assert cup(a, b) == w, (a, b)
+        assert factored == [(F(a).numerator, F(a).denominator), (F(b).numerator, F(b).denominator)]
+    monkeypatch.undo()
+    # the per-place symbols stay on trial division
+    monkeypatch.setattr(exact, "_factor_fraction", forbidden)
+    for (a, b), w in zip(pairs, want):
+        for v in _PLACES:
+            assert (hilbert(a, b, v) == -1) == (v in w.ramified), (a, b, v)
+            assert is_square_in_completion(a, v) in (True, False)
 
 
 # --- coercion parity ---------------------------------------------------------------
