@@ -31,6 +31,9 @@ from .forms import (
     signature,
 )
 from .galois import (
+    VERDICT_NO,
+    VERDICT_UNKNOWN,
+    VERDICT_YES,
     Decision,
     GaloisAlgebraSpec,
     decide_global,
@@ -50,7 +53,7 @@ EX_BUDGET = 66
 EX_SOFTWARE = 70
 EX_IOERR = 74
 
-_VERDICT_EXIT = {"yes": 0, "no": 1, "unknown": 2}
+_VERDICT_EXIT = {VERDICT_YES: 0, VERDICT_NO: 1, VERDICT_UNKNOWN: 2}
 
 
 def _spec_from_args(args: argparse.Namespace) -> dict:

@@ -22,10 +22,11 @@ guarantee.  Work is capped by a budget so an oversized input fails loudly with
 :class:`BudgetExceededError` instead of spinning or silently dropping factors.
 
 Value classes are plain classes under :func:`frozen`: their fields are the
-parameters of their own ``__init__``, which sets them with ``object.__setattr__``,
-and ``frozen`` adds closures for ``__eq__`` (same class, equal fields), ``__hash__``
-(of the field tuple), ``__repr__`` and a ``__setattr__``/``__delattr__`` that
-raise AttributeError.  Unlike a dataclass, it compiles no code at import time.
+parameters of their own ``__init__``, which sets them all in one statement,
+``vars(self).update(field=value, ...)``, since assignment raises; ``frozen``
+adds closures for ``__eq__`` (same class, equal fields), ``__hash__`` (of the
+field tuple), ``__repr__`` and a ``__setattr__``/``__delattr__`` that raise
+AttributeError.  Unlike a dataclass, it compiles no code at import time.
 """
 
 from __future__ import annotations
@@ -257,8 +258,7 @@ class FactoredRational:
             raise ValueError("zero exponent in factorization")
         if list(factors) != sorted(factors):
             raise ValueError("factors must be sorted by prime")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "factors", factors)
+        vars(self).update(sign=sign, factors=factors)
 
     def value(self) -> Fraction:
         """Reconstruct the rational exactly."""

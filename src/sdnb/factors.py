@@ -35,8 +35,7 @@ class GroupDescriptor:
     """A supported group: abelian by invariant factors, or D4 / A4 / A5demo."""
 
     def __init__(self, kind: str, invariant_factors: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
+        vars(self).update(kind=kind, invariant_factors=invariant_factors)
         self.__post_init__()  # the checks, a hook of their own so that a test can count constructions
 
     def __post_init__(self) -> None:
@@ -92,9 +91,8 @@ class FactorDescriptor:
 
     def __init__(self, id: str, kind: FactorKind, conductor: int, e_kind: str, e_param: int | None,
                  split: bool, note: str = "") -> None:
-        for key, val in (("id", id), ("kind", kind), ("conductor", conductor), ("e_kind", e_kind),
-                         ("e_param", e_param), ("split", split), ("note", note)):
-            object.__setattr__(self, key, val)
+        vars(self).update(id=id, kind=kind, conductor=conductor, e_kind=e_kind, e_param=e_param, split=split,
+                          note=note)
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -61,7 +61,7 @@ class DiagonalForm:
             raise ValueError("a diagonal form needs at least one entry")
         if any(a == 0 for a in coerced):
             raise ValueError("diagonal entries must be nonzero")
-        object.__setattr__(self, "entries", coerced)
+        vars(self).update(entries=coerced)
 
     @property
     def rank(self) -> int:
@@ -152,9 +152,7 @@ class GramMatrix:
             raise ValueError("Gram matrix must be symmetric")
         lcd = lcm(*(x.denominator for row in coerced for x in row))
         m = [[x.numerator * (lcd // x.denominator) for x in row] for row in coerced]
-        object.__setattr__(self, "rows", coerced)
-        object.__setattr__(self, "_scale", lcd)
-        object.__setattr__(self, "_pivots", tuple(_pivots(m)))
+        vars(self).update(rows=coerced, _scale=lcd, _pivots=tuple(_pivots(m)))
 
     @classmethod
     def _of_pivots(cls, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]) -> "GramMatrix":
@@ -164,9 +162,7 @@ class GramMatrix:
         what ``_pivots`` would return for it; nothing is checked or run.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "rows", rows)
-        object.__setattr__(g, "_scale", 1)
-        object.__setattr__(g, "_pivots", pivots)
+        vars(g).update(rows=rows, _scale=1, _pivots=pivots)
         return g
 
     @property

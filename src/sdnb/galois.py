@@ -129,7 +129,7 @@ class SplitAlgebra(_Family):
     degree, family = 1, "split"
 
     def __init__(self, group: GroupDescriptor) -> None:
-        object.__setattr__(self, "group", group)
+        vars(self).update(group=group)
 
 
 @frozen
@@ -142,8 +142,7 @@ class CyclicQuadratic(_Cyclic):
         z = _coerce_nonzero(z, "z")
         if is_square(z):
             raise ValueError("z must not be a square (the split case has its own family)")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "z", z)
+        vars(self).update(n=n, z=z)
 
 
 @frozen
@@ -154,10 +153,9 @@ class CyclicQuartic(_Cyclic):
         if n < 3:
             raise ValueError("cyclic quartic family needs n >= 3")
         a, b, c, eps = (x if isinstance(x, Fraction) else Fraction(x) for x in (a, b, c, eps))
-        # raises on violated relation / zero c / square eps:
-        quartic_family_form(a, b, c, eps)
-        for key, val in (("n", n), ("a", a), ("b", b), ("c", c), ("eps", eps)):
-            object.__setattr__(self, key, val)
+        # quartic_family_form raises on a violated relation, zero c or square eps; the form
+        # <1, eps, a, a> it returns is kept as _form, not a field, for family_trace_form
+        vars(self).update(n=n, a=a, b=b, c=c, eps=eps, _form=quartic_family_form(a, b, c, eps))
 
 
 @frozen
@@ -179,9 +177,7 @@ class CyclicPoly(_Cyclic):
             raise ValueError("polynomial must be monic")
         if m > 1 and not _screened_irreducible(coeffs, os.environ.get(_BUDGET_ENV)):
             raise ValueError("polynomial is reducible")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "degree", m)
+        vars(self).update(n=n, coeffs=coeffs, degree=m)
 
 
 @frozen
@@ -189,7 +185,7 @@ class D4Quadratic(_Family):
     group, degree, family = GroupDescriptor("D4"), 2, "d4-quadratic"
 
     def __init__(self, z) -> None:
-        object.__setattr__(self, "z", _coerce_nonzero(z, "z"))
+        vars(self).update(z=_coerce_nonzero(z, "z"))
 
     def _own_entry(self, fd, q):
         return InvariantEntry(fd.id, "c", "computed", cup(self.z, -1)) if fd.id == "2dim" else None
@@ -206,7 +202,7 @@ class A4Quartic(_Family):
             raise ValueError("the A4 family needs a monic integer quartic")
         if _has_repeated_roots(coeffs):
             raise ValueError("polynomial has repeated roots")
-        object.__setattr__(self, "coeffs", coeffs)
+        vars(self).update(coeffs=coeffs)
 
     def _own_entry(self, fd, q):
         if fd.id == "std3":
@@ -221,7 +217,7 @@ class A5Quadratic(_Family):
     group, degree, family = GroupDescriptor("A5demo"), 2, "a5-quadratic"
 
     def __init__(self, z) -> None:
-        object.__setattr__(self, "z", _coerce_nonzero(z, "z"))
+        vars(self).update(z=_coerce_nonzero(z, "z"))
 
     def _own_entry(self, fd, q):
         return InvariantEntry(fd.id, "c", "computed", cup(-1, self.z)) if fd.id == "3dim" else None
@@ -459,8 +455,7 @@ def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
     if isinstance(spec, (CyclicQuadratic, D4Quadratic, A5Quadratic)):
         return DiagonalForm([2, 2 * spec.z])
     if isinstance(spec, CyclicQuartic):
-        # the relation was checked when the spec was built
-        return DiagonalForm([1, spec.eps, spec.a, spec.a])
+        return spec._form
     return diagonalize(trace_form(spec.coeffs))
 
 
@@ -504,11 +499,7 @@ class InvariantEntry:
     unitary ones, ``status`` is "computed", "zero" or "not-computed"."""
 
     def __init__(self, factor_id: str, invariant: str, status: str, value: BrauerClass | None, note: str = "") -> None:
-        object.__setattr__(self, "factor_id", factor_id)
-        object.__setattr__(self, "invariant", invariant)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "note", note)
+        vars(self).update(factor_id=factor_id, invariant=invariant, status=status, value=value, note=note)
 
     def to_json(self) -> dict:
         out = {
@@ -526,9 +517,8 @@ class InvariantEntry:
 class InvariantReport:
     def __init__(self, h1: bool, entries: tuple[InvariantEntry, ...], trace_diagonal: DiagonalForm,
                  det_class: int, signature: tuple[int, int]) -> None:
-        for key, val in (("h1", h1), ("entries", entries), ("trace_diagonal", trace_diagonal),
-                         ("det_class", det_class), ("signature", signature)):
-            object.__setattr__(self, key, val)
+        vars(self).update(h1=h1, entries=entries, trace_diagonal=trace_diagonal, det_class=det_class,
+                          signature=signature)
 
     def to_json(self) -> dict:
         return {
@@ -587,11 +577,7 @@ def invariant_report(spec: GaloisAlgebraSpec) -> InvariantReport:
 @frozen
 class CertificateRow:
     def __init__(self, condition: str, factor: str | None, place: str | int | None, passed: bool, detail: str) -> None:
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        vars(self).update(condition=condition, factor=factor, place=place, passed=passed, detail=detail)
 
     def to_json(self) -> dict:
         return {
@@ -610,8 +596,7 @@ class Decision:
             raise ValueError("a negative decision must record a failing condition")
         if verdict == VERDICT_YES and not all(r.passed for r in certificate):
             raise ValueError("a positive decision cannot carry failing conditions")
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "certificate", certificate)
+        vars(self).update(verdict=verdict, certificate=certificate)
 
     def to_json(self) -> dict:
         return {

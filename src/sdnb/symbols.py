@@ -51,7 +51,7 @@ class Place:
     def __init__(self, prime: int | None = None) -> None:
         if prime is not None and not is_prime(prime):
             raise ValueError(f"{prime} is not prime")
-        object.__setattr__(self, "prime", prime)
+        vars(self).update(prime=prime)
 
     @property
     def is_real(self) -> bool:

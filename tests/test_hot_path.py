@@ -144,6 +144,28 @@ def test_a_quartic_decision_checks_the_family_relation_once(monkeypatch):
     assert calls == [(F(-2), F(1), F(1), F(2))]
 
 
+def test_a_quartic_spec_keeps_the_trace_form_it_validated(monkeypatch):
+    made, built = [], []
+    checked = galois.quartic_family_form
+
+    def recorded(*args):
+        made.append(checked(*args))
+        return made[-1]
+
+    init = DiagonalForm.__init__
+
+    def counted(self, entries):
+        built.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(galois, "quartic_family_form", recorded)
+    monkeypatch.setattr(DiagonalForm, "__init__", counted)
+    data = {"group": "C16", "family": "cyclic-quartic", "a": "-2", "b": "1", "c": "1", "eps": "2"}
+    spec = spec_from_json(data)
+    decide_global(spec)
+    assert len(built) == 3, built  # <1, eps, a, a>, then <2> and the sum the top class reads
+    assert len(made) == 1 and galois.family_trace_form(spec) is made[0]
+
 def test_a_cup_reads_each_factorization_once_and_tests_no_place(monkeypatch):
     rng = random.Random(2019)
     pairs = [(F(rng.randint(-300, 300) or 1, rng.randint(1, 40)), rng.choice((-1, 2, F(-9, 4), 45)))
