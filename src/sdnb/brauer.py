@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import frozen, is_square
+from .exact import as_fraction, frozen, is_square
 from .symbols import Place, is_square_in_completion, ramified_places
 
 
@@ -52,7 +52,7 @@ TRIVIAL = BrauerClass(frozenset())
 
 
 def _nonzero(x: Fraction | int) -> Fraction | int:
-    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    x = x if isinstance(x, (int, Fraction)) else as_fraction(x)
     if x == 0:
         raise ValueError("cup product arguments must be nonzero")
     return x
@@ -89,7 +89,7 @@ def restricts_trivially_to_quadratic(x: BrauerClass, d: Fraction | int) -> bool:
 
     Requires d nonzero and not a square.  Invariant under d -> d * r^2.
     """
-    d = Fraction(d)
+    d = as_fraction(d)
     if d == 0 or is_square(d):
         raise ValueError("restriction target must be a genuine quadratic field")
     return not any(splits_in_quadratic(v, d) for v in x.ramified)

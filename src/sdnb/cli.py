@@ -1,12 +1,13 @@
-"""Command line front end.
+"""Command line front end: one handler function per subcommand.
 
-Subcommands: ``decide`` and ``invariants`` take a family spec (inline flags
-or a JSON file), ``hilbert`` / ``form`` / ``factors`` / ``embed`` expose the
-calculators.  ``decide`` exits 0 for yes, 1 for no, 2 for unknown; usage
-errors exit 64, bad input 65, exceeded work budgets 66, and a standard output
-closed by its reader 74.  Any other exception is a defect of the program: it
-exits 70 with an ``{"error": "internal"}`` line on stderr, never with a code a
-caller could read as a verdict.
+``decide`` and ``invariants`` take a family spec (inline flags or a JSON
+file), ``hilbert`` / ``form`` / ``factors`` / ``embed`` expose the
+calculators; ``_dispatch`` calls the handler the parser chose, and
+``_emit`` prints JSON or text.  ``decide`` exits 0 for yes, 1 for no, 2 for
+unknown; usage errors exit 64, bad input 65, exceeded work budgets 66, and a
+standard output closed by its reader 74.  Any other exception is a defect of
+the program: it exits 70 with an ``{"error": "internal"}`` line on stderr,
+never with a code a caller could read as a verdict.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import get_args
 
 from .exact import BudgetExceededError, parse_rational
@@ -34,7 +34,6 @@ from .galois import (
     VERDICT_NO,
     VERDICT_UNKNOWN,
     VERDICT_YES,
-    Decision,
     GaloisAlgebraSpec,
     decide_global,
     decide_local,
@@ -55,65 +54,81 @@ EX_IOERR = 74
 
 _VERDICT_EXIT = {VERDICT_YES: 0, VERDICT_NO: 1, VERDICT_UNKNOWN: 2}
 
+_SPEC_FLAGS = (
+    ("group", {"help": "group name, e.g. C8, D4, A4, A5"}),
+    ("family", {"choices": [cls.family for cls in get_args(GaloisAlgebraSpec)]}),
+    ("z", {"help": "rational z, e.g. 3 or -45/8"}),
+    ("a", {"help": "rational a of the quartic family"}),
+    ("b", {"help": "rational b of the quartic family"}),
+    ("c", {"help": "rational c of the quartic family"}),
+    ("eps", {"help": "rational eps of the quartic family"}),
+    ("poly", {"help": "integer coefficients, constant term first, comma separated"}),
+    ("degree", {"type": int, "help": "asserted degree for cyclic-poly"}),
+)
 
-def _spec_from_args(args: argparse.Namespace) -> dict:
+
+def _spec(args: argparse.Namespace) -> dict:
+    """The dict spec_from_json validates: the --spec file, or the _SPEC_FLAGS given, named by its keys."""
     if args.spec:
         with open(args.spec) as fh:
-            return json.load(fh)
-    data: dict = {}
-    if args.group:
-        data["group"] = args.group
-    if args.family:
-        data["family"] = args.family
-    for key in ("z", "a", "b", "c", "eps"):
-        val = getattr(args, key, None)
-        if val is not None:
-            data[key] = val
-    if getattr(args, "poly", None) is not None:
-        data["poly"] = [int(t) for t in args.poly.split(",")]
-    if getattr(args, "degree", None) is not None:
-        data["degree"] = args.degree
+            try:
+                return json.load(fh)
+            except RecursionError as exc:  # nested deeper than the decoder's stack
+                raise ValueError(str(exc)) from None
+    data = {key: getattr(args, key) for key, _ in _SPEC_FLAGS if getattr(args, key) is not None}
+    if not args.group:  # --group "" counts as absent
+        data.pop("group", None)
+    if "poly" in data:
+        data["poly"] = [int(t) for t in data["poly"].split(",")]
     if "family" not in data:
         raise ValueError("no family given (use --family or --spec)")
     return data
 
 
-def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spec", help="path to a JSON spec file")
-    p.add_argument("--group", help="group name, e.g. C8, D4, A4, A5")
-    p.add_argument("--family", choices=[cls.family for cls in get_args(GaloisAlgebraSpec)])
-    p.add_argument("--z", help="rational z, e.g. 3 or -45/8")
-    p.add_argument("--a", help="rational a of the quartic family")
-    p.add_argument("--b", help="rational b of the quartic family")
-    p.add_argument("--c", help="rational c of the quartic family")
-    p.add_argument("--eps", help="rational eps of the quartic family")
-    p.add_argument("--poly", help="integer coefficients, constant term first, comma separated")
-    p.add_argument("--degree", type=int, help="asserted degree for cyclic-poly")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+def _emit(args: argparse.Namespace, data: dict | list, *text_lines: str) -> None:
+    """Print data as indented JSON under --format json, else the text lines."""
+    if args.format == "json":
+        print(json.dumps(data, indent=2))
+    else:
+        print(*text_lines, sep="\n")
 
 
-def _print_decision(decision: Decision, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(decision.to_json(), indent=2))
-        return
-    print(f"verdict: {decision.verdict}")
-    for row in decision.certificate:
-        place = "-" if row.place is None else str(row.place)
-        factor = row.factor or "-"
-        state = "pass" if row.passed else "FAIL"
-        print(f"  [{state}] {row.condition:<16} factor={factor:<8} place={place:<5} {row.detail}")
+def _decide(args: argparse.Namespace) -> int:
+    spec = spec_from_json(_spec(args))
+    decision = decide_local(spec, place_from_json(args.at.lower())) if args.at else decide_global(spec)
+    rows = (
+        f"  [{'pass' if row.passed else 'FAIL'}] {row.condition:<16} factor={row.factor or '-':<8} "
+        f"place={'-' if row.place is None else str(row.place):<5} {row.detail}"
+        for row in decision.certificate
+    )
+    _emit(args, decision.to_json(), f"verdict: {decision.verdict}", *rows)
+    return _VERDICT_EXIT[decision.verdict]
 
 
-def _parse_diagonal(text: str) -> DiagonalForm:
-    return DiagonalForm([parse_rational(t) for t in text.split(",")])
+def _invariants(args: argparse.Namespace) -> None:
+    report = invariant_report(spec_from_json(_spec(args)))
+    entries = (
+        f"  {e.invariant}[{e.factor_id}]: {e.status} {'-' if e.value is None else e.value}"
+        + (f"  ({e.note})" if e.note else "")
+        for e in report.entries
+    )
+    trace = f"trace form: {report.trace_diagonal}  det class {report.det_class}  signature {report.signature}"
+    _emit(args, report.to_json(), f"h1: {report.h1}", trace, *entries)
 
 
-def _parse_gram(text: str) -> GramMatrix:
-    rows = [[parse_rational(x) for x in row.split(",")] for row in text.split(";")]
-    return GramMatrix(rows)
+def _hilbert(args: argparse.Namespace) -> None:
+    v = place_from_json(args.v.lower())
+    print(hilbert(parse_rational(args.a), parse_rational(args.b), v))
 
 
-def _form_report(f: DiagonalForm, rep: Fraction | None, fmt: str) -> None:
+def _form(args: argparse.Namespace) -> None:
+    if bool(args.diag) == bool(args.gram):
+        raise ValueError("pass exactly one of --diag or --gram")
+    if args.diag:
+        f = DiagonalForm([parse_rational(t) for t in args.diag.split(",")])
+    else:
+        f = diagonalize(GramMatrix([[parse_rational(x) for x in row.split(",")] for row in args.gram.split(";")]))
+    rep = parse_rational(args.represents) if args.represents else None
     cert = anisotropy_certificate(f)
     data: dict = {
         "diagonal": [str(a) for a in f.entries],
@@ -130,11 +145,18 @@ def _form_report(f: DiagonalForm, rep: Fraction | None, fmt: str) -> None:
             data["witness"] = list(witness)
     if rep is not None:
         data["represents"] = {"value": str(rep), "result": represents(f, rep)}
-    if fmt == "json":
-        print(json.dumps(data, indent=2))
-    else:
-        for key, value in data.items():
-            print(f"{key}: {value}")
+    _emit(args, data, *(f"{key}: {value}" for key, value in data.items()))
+
+
+def _factors(args: argparse.Namespace) -> None:
+    table = [fd.to_json() for fd in decompose(parse_group(args.group))]
+    _emit(args, table, *map(str, table))
+
+
+def _embed(args: argparse.Namespace) -> None:
+    cls = embedding_obstruction([int(t) for t in args.poly.split(",")])
+    trivial = not cls.ramified
+    _emit(args, {"obstruction": cls.to_json(), "trivial": trivial}, f"obstruction: {cls}  trivial: {trivial}")
 
 
 def _devnull_onto(fd: int) -> None:
@@ -160,31 +182,37 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_decide = sub.add_parser("decide", help="decide existence of a self-dual normal basis")
-    _add_spec_arguments(p_decide)
-    p_decide.add_argument("--at", help="finite prime: decide for the completion there")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p_inv = sub.add_parser("invariants", help="per-factor invariant report")
-    _add_spec_arguments(p_inv)
+    p_decide = command("decide", _decide, "decide existence of a self-dual normal basis")
+    p_inv = command("invariants", _invariants, "per-factor invariant report")
+    for p in (p_decide, p_inv):
+        p.add_argument("--spec", help="path to a JSON spec file")
+        for key, options in _SPEC_FLAGS:
+            p.add_argument(f"--{key}", **options)
 
-    p_hil = sub.add_parser("hilbert", help="Hilbert symbol (a,b)_v")
+    p_hil = command("hilbert", _hilbert, "Hilbert symbol (a,b)_v")
     p_hil.add_argument("a")
     p_hil.add_argument("b")
     p_hil.add_argument("v", help='"real" or a prime')
 
-    p_form = sub.add_parser("form", help="invariants of a diagonal or Gram form")
+    p_form = command("form", _form, "invariants of a diagonal or Gram form")
     p_form.add_argument("--diag", help="diagonal entries, comma separated")
     p_form.add_argument("--gram", help="Gram rows, semicolon separated")
     p_form.add_argument("--represents", help="test representation of a rational")
-    p_form.add_argument("--format", choices=["text", "json"], default="text")
 
-    p_fac = sub.add_parser("factors", help="involution-stable factor table of Q[G]")
+    p_fac = command("factors", _factors, "involution-stable factor table of Q[G]")
     p_fac.add_argument("--group", required=True)
-    p_fac.add_argument("--format", choices=["text", "json"], default="text")
 
-    p_emb = sub.add_parser("embed", help="embedding obstruction of a cyclic 2-power field")
+    p_emb = command("embed", _embed, "embedding obstruction of a cyclic 2-power field")
     p_emb.add_argument("--poly", required=True, help="integer coefficients, constant term first")
-    p_emb.add_argument("--format", choices=["text", "json"], default="text")
+    # --format is the last option of each of these parsers but decide's, whose --at follows it
+    for p in (p_decide, p_inv, p_form, p_fac, p_emb):
+        p.add_argument("--format", choices=["text", "json"], default="text")
+    p_decide.add_argument("--at", help="finite prime: decide for the completion there")
 
     try:
         args = parser.parse_args(argv)
@@ -220,63 +248,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "decide":
-        spec = spec_from_json(_spec_from_args(args))
-        if args.at:
-            decision = decide_local(spec, place_from_json(args.at.lower()))
-        else:
-            decision = decide_global(spec)
-        _print_decision(decision, args.format)
-        return _VERDICT_EXIT[decision.verdict]
-
-    if args.command == "invariants":
-        spec = spec_from_json(_spec_from_args(args))
-        report = invariant_report(spec)
-        if args.format == "json":
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            print(f"h1: {report.h1}")
-            print(f"trace form: {report.trace_diagonal}  det class {report.det_class}  signature {report.signature}")
-            for e in report.entries:
-                cls = "-" if e.value is None else str(e.value)
-                note = f"  ({e.note})" if e.note else ""
-                print(f"  {e.invariant}[{e.factor_id}]: {e.status} {cls}{note}")
-        return EX_OK
-
-    if args.command == "hilbert":
-        v = place_from_json(args.v.lower())
-        value = hilbert(parse_rational(args.a), parse_rational(args.b), v)
-        print(value)
-        return EX_OK
-
-    if args.command == "form":
-        if bool(args.diag) == bool(args.gram):
-            raise ValueError("pass exactly one of --diag or --gram")
-        f = _parse_diagonal(args.diag) if args.diag else diagonalize(_parse_gram(args.gram))
-        rep = parse_rational(args.represents) if args.represents else None
-        _form_report(f, rep, args.format)
-        return EX_OK
-
-    if args.command == "factors":
-        table = [fd.to_json() for fd in decompose(parse_group(args.group))]
-        if args.format == "json":
-            print(json.dumps(table, indent=2))
-        else:
-            for fd in table:
-                print(fd)
-        return EX_OK
-
-    if args.command == "embed":
-        coeffs = [int(t) for t in args.poly.split(",")]
-        cls = embedding_obstruction(coeffs)
-        data = {"obstruction": cls.to_json(), "trivial": not cls.ramified}
-        if args.format == "json":
-            print(json.dumps(data, indent=2))
-        else:
-            print(f"obstruction: {cls}  trivial: {data['trivial']}")
-        return EX_OK
-
-    raise ValueError(f"unknown command {args.command!r}")
+    return args.run(args) or EX_OK  # a handler that returns nothing succeeded
 
 
 if __name__ == "__main__":

@@ -293,8 +293,7 @@ def factor(q: Fraction | int) -> FactoredRational:
     wrong).  Results are memoized, so repeated square-class reductions of
     the same value cost one factorization.
     """
-    if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
+    q = q if isinstance(q, (int, Fraction)) else as_fraction(q)
     num = q.numerator
     if num == 0:
         raise ValueError("cannot factor zero")
@@ -317,8 +316,7 @@ def squarefree_part(q: Fraction | int) -> int:
 
 def is_square(q: Fraction | int) -> bool:
     """True iff q is the square of a rational (0 counts as a square)."""
-    if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
+    q = q if isinstance(q, (int, Fraction)) else as_fraction(q)
     if q < 0:
         return False
     n, d = q.numerator, q.denominator
@@ -375,11 +373,17 @@ def mult_order_mod_pm1(a: int, m: int) -> int:
     power of a is -1 mod m.
     """
     d = mult_order(a, m)
-    if m <= 2:
-        return 1
     if d % 2 == 0 and pow(a, d // 2, m) == m - 1:
         return d // 2
     return d
+
+
+def as_fraction(x) -> Fraction:
+    """``Fraction(x)`` for any other rational type; an infinite float is a ValueError, as NaN is."""
+    try:
+        return Fraction(x)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def parse_rational(text: str) -> Fraction:

@@ -100,16 +100,11 @@ class FactorDescriptor:
             raise ValueError(f"unknown center descriptor {self.e_kind!r}")
 
     def to_json(self) -> dict:
-        e: str | dict = "Q"
-        if self.e_kind == "real-cyclotomic":
-            e = {"real-cyclotomic": self.e_param}
-        elif self.e_kind == "quadratic":
-            e = {"quadratic": self.e_param}
         out = {
             "id": self.id,
             "kind": self.kind.value,
             "conductor": self.conductor,
-            "e": e,
+            "e": "Q" if self.e_kind == "Q" else {self.e_kind: self.e_param},
             "split": self.split,
         }
         if self.note:

@@ -47,7 +47,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .brauer import BrauerClass
-from .exact import WorkBudget, factor, frozen, is_square, squarefree_part
+from .exact import WorkBudget, as_fraction, factor, frozen, is_square, squarefree_part
 from .symbols import Place, hilbert, is_square_in_completion, ramified_places, support_places
 
 
@@ -56,7 +56,7 @@ class DiagonalForm:
     """Nondegenerate diagonal form <a_1, ..., a_n>, entries nonzero rationals."""
 
     def __init__(self, entries: Iterable[Fraction | int]) -> None:
-        coerced = tuple(a if isinstance(a, Fraction) else Fraction(a) for a in entries)
+        coerced = tuple(a if isinstance(a, Fraction) else as_fraction(a) for a in entries)
         if not coerced:
             raise ValueError("a diagonal form needs at least one entry")
         if any(a == 0 for a in coerced):
@@ -142,7 +142,7 @@ class GramMatrix:
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
         coerced = tuple(
-            tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row)
+            tuple(x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in row)
             for row in rows
         )
         n = len(coerced)
@@ -280,7 +280,7 @@ def anisotropy_certificate(f: DiagonalForm) -> Place | None:
 
 def represents(f: DiagonalForm, c: Fraction | int) -> bool:
     """Does f represent c over Q?  Tested as isotropy of f + <-c>."""
-    c = Fraction(c)
+    c = as_fraction(c)
     if c == 0:
         raise ValueError("representation of 0 is isotropy; pass a nonzero value")
     return isotropic_over_Q(f.orthogonal_sum(DiagonalForm([-c])))
@@ -333,7 +333,7 @@ def sum_of_two_squares(z: Fraction | int) -> bool:
     Holds iff z > 0 and every prime congruent to 3 mod 4 divides z to even
     exponent (norms from Q(i)).
     """
-    z = Fraction(z)
+    z = as_fraction(z)
     if z == 0:
         raise ValueError("zero input")
     if z < 0:
@@ -343,7 +343,7 @@ def sum_of_two_squares(z: Fraction | int) -> bool:
 
 def sum_of_four_squares(z: Fraction | int) -> bool:
     """Is z a sum of four rational squares?  Over Q this is just z > 0."""
-    z = Fraction(z)
+    z = as_fraction(z)
     if z == 0:
         raise ValueError("zero input")
     return z > 0
@@ -359,7 +359,7 @@ def sum_of_two_squares_over_sqrt2(z: Fraction | int) -> bool:
     (2 ramifies, p = 3 mod 8 is inert, and sqrt(2) is real so z < 0 blocks).
     Pure factorization, independent of the symbol machinery.
     """
-    z = Fraction(z)
+    z = as_fraction(z)
     if z == 0:
         raise ValueError("zero input")
     if z < 0:
@@ -483,7 +483,7 @@ def quartic_family_form(
     Parameters must satisfy a^2 - b^2 eps = c^2 eps with c nonzero and eps
     not a square; the quartic field is Q(sqrt(a + b sqrt(eps))).
     """
-    a, b, c, eps = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (a, b, c, eps))
+    a, b, c, eps = (x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in (a, b, c, eps))
     if c == 0:
         raise ValueError("quartic family needs c nonzero")
     if eps == 0 or is_square(eps):

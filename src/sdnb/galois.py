@@ -68,7 +68,9 @@ from typing import Sequence, Union
 
 from . import brauer
 from .brauer import BrauerClass, add, cup, is_trivial
-from .exact import _BUDGET_ENV, _SMALL_PRIMES, BudgetExceededError, WorkBudget, factor, frozen, is_square, parse_rational
+from .exact import (
+    _BUDGET_ENV, _SMALL_PRIMES, BudgetExceededError, WorkBudget, as_fraction, factor, frozen, is_square, parse_rational,
+)
 from .factors import (
     FactorDescriptor,
     FactorKind,
@@ -101,7 +103,7 @@ VERDICT_UNKNOWN = "unknown"
 
 
 def _coerce_nonzero(value: Fraction | int | str, name: str) -> Fraction:
-    q = value if isinstance(value, Fraction) else Fraction(value)
+    q = value if isinstance(value, Fraction) else as_fraction(value)
     if q == 0:
         raise ValueError(f"{name} must be nonzero")
     return q
@@ -152,7 +154,7 @@ class CyclicQuartic(_Cyclic):
     def __init__(self, n, a, b, c, eps) -> None:
         if n < 3:
             raise ValueError("cyclic quartic family needs n >= 3")
-        a, b, c, eps = (x if isinstance(x, Fraction) else Fraction(x) for x in (a, b, c, eps))
+        a, b, c, eps = (x if isinstance(x, Fraction) else as_fraction(x) for x in (a, b, c, eps))
         # quartic_family_form raises on a violated relation, zero c or square eps; the form
         # <1, eps, a, a> it returns is kept as _form, not a field, for family_trace_form
         vars(self).update(n=n, a=a, b=b, c=c, eps=eps, _form=quartic_family_form(a, b, c, eps))
@@ -771,7 +773,7 @@ def quartic_family_polynomial(
     changing eps; the returned parameters are the scaled ones, and the
     polynomial defines their quartic field.
     """
-    a, b, c, eps = Fraction(a), Fraction(b), Fraction(c), Fraction(eps)
+    a, b, c, eps = map(as_fraction, (a, b, c, eps))
     lcd = lcm(a.denominator, b.denominator, c.denominator)
     a, b, c = a * lcd, b * lcd, c * lcd
     s = (c * c * eps).denominator

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .exact import BudgetExceededError, euler_criterion, factor, frozen, is_prime, squarefree_part
+from .exact import BudgetExceededError, as_fraction, euler_criterion, factor, frozen, is_prime, squarefree_part
 
 
 @frozen
@@ -103,8 +103,7 @@ def _unit_and_valuation(s: int, p: int) -> tuple[int, int]:
 
 def _local_parts(q: Fraction | int, v: Place) -> tuple[int, int]:
     """(k, n' d') for q = p^k n'/d' with n', d' prime to p; (0, sign of q) at real."""
-    if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
+    q = q if isinstance(q, (int, Fraction)) else as_fraction(q)
     num = q.numerator
     if num == 0:
         raise ValueError("local symbols need nonzero rationals")
@@ -228,8 +227,7 @@ def support_places(pairs: Iterable[tuple[Fraction | int, Fraction | int]]) -> se
     primes: set[int] = {2}
     for a, b in pairs:
         for q in (a, b):
-            if not isinstance(q, (int, Fraction)):
-                q = Fraction(q)
+            q = q if isinstance(q, (int, Fraction)) else as_fraction(q)
             if q == 0:
                 raise ValueError("support of a zero entry is undefined")
             primes.update(p for p, _ in factor(q).factors)

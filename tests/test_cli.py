@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -527,3 +528,73 @@ def test_readme_commands_run(tmp_path, capsys):
             assert code in (0, 1, 2) and out.strip(), (args, code, err)
             if args[0] == "hilbert":
                 assert out == "-1\n"
+
+
+# --- the command-line contract: help, usage errors, bad-input texts -------------
+
+_SPEC_OPTIONS = ["--help", "--spec", "--group", "--family", "--z", "--a", "--b", "--c", "--eps",
+                 "--poly", "--degree", "--format"]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("decide", _SPEC_OPTIONS + ["--at"]),
+        ("invariants", _SPEC_OPTIONS),
+        ("hilbert", ["--help"]),
+        ("form", ["--help", "--diag", "--gram", "--represents", "--format"]),
+        ("factors", ["--help", "--group", "--format"]),
+        ("embed", ["--help", "--poly", "--format"]),
+    ],
+)
+def test_subcommand_help_lists_every_option_in_order(capsys, command, options):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "") and out.startswith(f"usage: sdnb {command} [-h]")
+    listed = out.split("\noptions:\n", 1)[1]
+    assert re.findall(r"^  (?:-h, )?(--[a-z]+)", listed, re.M) == options
+    if command == "hilbert":
+        assert out.startswith("usage: sdnb hilbert [-h] a b v\n")
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: sdnb [-h] {decide,invariants,hilbert,form,factors,embed} ...\n")
+    listed = out.split("\n    ")[1:]
+    assert [line.split()[0] for line in listed] == ["decide", "invariants", "hilbert", "form", "factors", "embed"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--degree", "x"],
+        ["invariants", "--family", "cyclic-quadratic", "--at", "3"],
+        ["hilbert", "1", "2"],
+        ["form", "--format", "xml"],
+        ["factors"],
+        ["embed", "--format", "json"],
+    ],
+    ids=["decide", "invariants", "hilbert", "form", "factors", "embed"],
+)
+def test_one_usage_error_per_subcommand_exits_64(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err.startswith("usage: sdnb") and "error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decide", "--group", "", "--family", "cyclic-quadratic", "--z", "3"],
+         "cyclic families need a group, e.g. C8"),
+        (["decide", "--poly=x"], "invalid literal for int() with base 10: 'x'"),
+        (["hilbert", "--", "x", "y", "4"], "4 is not prime"),
+        (["decide", "--family", "cyclic-poly", "--group", "C8", "--poly=2,0,-4,0,1", "--degree", "0"],
+         "declared degree 0 but polynomial has degree 4"),
+    ],
+    ids=["empty-group", "poly-before-family", "place-before-a-and-b", "degree-0"],
+)
+def test_bad_input_stderr_lines(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (65, "")
+    assert err == json.dumps({"error": "bad-input", "message": message}) + "\n"

@@ -68,3 +68,51 @@ def test_cyclic_poly_errors_exit_65(capsys, group, poly, message):
     captured = capsys.readouterr()
     assert code == 65 and captured.out == ""
     assert json.loads(captured.err) == {"error": "bad-input", "message": message}
+
+
+INF = float("inf")
+
+# every public entry point that coerces a rational, each given an infinite float
+INFINITE_INPUTS = [
+    pytest.param(lambda x: exact.factor(x), id="factor"),
+    pytest.param(lambda x: exact.is_square(x), id="is_square"),
+    pytest.param(lambda x: exact.squarefree_part(x), id="squarefree_part"),
+    pytest.param(lambda x: symbols.hilbert(x, 3, symbols.REAL), id="hilbert-real"),
+    pytest.param(lambda x: symbols.hilbert(3, x, Place(5)), id="hilbert-finite"),
+    pytest.param(lambda x: symbols.support_places([(x, 3)]), id="support_places"),
+    pytest.param(lambda x: brauer.cup(x, 3), id="cup-a"),
+    pytest.param(lambda x: brauer.cup(3, x), id="cup-b"),
+    pytest.param(lambda x: brauer.splits_in_quadratic(Place(3), x), id="splits_in_quadratic"),
+    pytest.param(lambda x: brauer.restricts_trivially_to_quadratic(brauer.TRIVIAL, x),
+                 id="restricts_trivially_to_quadratic"),
+    pytest.param(lambda x: forms.DiagonalForm([1, x]), id="DiagonalForm"),
+    pytest.param(lambda x: forms.GramMatrix([[1, 0], [0, x]]), id="GramMatrix"),
+    pytest.param(lambda x: forms.quartic_family_form(2, 1, 1, x), id="quartic_family_form"),
+    pytest.param(lambda x: forms.represents(forms.DiagonalForm([1, 1]), x), id="represents"),
+    pytest.param(lambda x: forms.sum_of_two_squares(x), id="sum_of_two_squares"),
+    pytest.param(lambda x: forms.sum_of_four_squares(x), id="sum_of_four_squares"),
+    pytest.param(lambda x: forms.sum_of_two_squares_over_sqrt2(x), id="sum_of_two_squares_over_sqrt2"),
+    pytest.param(lambda x: galois.CyclicQuadratic(8, x), id="CyclicQuadratic"),
+    pytest.param(lambda x: galois.CyclicQuartic(8, x, 1, 1, 2), id="CyclicQuartic"),
+    pytest.param(lambda x: galois.D4Quadratic(x), id="D4Quadratic"),
+    pytest.param(lambda x: galois.A5Quadratic(x), id="A5Quadratic"),
+    pytest.param(lambda x: galois.quartic_family_polynomial(2, 1, 1, x), id="quartic_family_polynomial"),
+]
+
+
+@pytest.mark.parametrize("value", [INF, -INF], ids=["inf", "-inf"])
+@pytest.mark.parametrize("call", INFINITE_INPUTS)
+def test_an_infinite_float_is_a_value_error(call, value):
+    # the documented failure, as for NaN, rather than Fraction's OverflowError
+    with pytest.raises(ValueError, match="^cannot convert Infinity to integer ratio$"):
+        call(value)
+
+
+def test_a_spec_file_nested_too_deeply_exits_65(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code = main(["decide", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 65 and captured.out == ""
+    report = json.loads(captured.err)
+    assert report["error"] == "bad-input" and "recursion" in report["message"]
