@@ -26,13 +26,15 @@ parameters of their own ``__init__``, which sets them all in one statement,
 ``vars(self).update(field=value, ...)``, since assignment raises; ``frozen``
 adds closures for ``__eq__`` (same class, equal fields), ``__hash__`` (of the
 field tuple), ``__repr__`` and a ``__setattr__``/``__delattr__`` that raise
-AttributeError.  Unlike a dataclass, it compiles no code at import time.
+AttributeError, and sets ``__match_args__`` to the field names, as a
+dataclass does.  Unlike a dataclass, it compiles no code at import time.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -219,7 +221,7 @@ def _factor_int(n: int, budget: WorkBudget) -> dict[int, int]:
 def frozen(cls):
     """Make ``cls`` an immutable value class whose fields are its ``__init__`` parameters."""
     code = cls.__init__.__code__
-    names = code.co_varnames[1:code.co_argcount]
+    names = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
     key, one = attrgetter(*names), len(names) == 1  # attrgetter of one name gives no tuple
 
     def __eq__(self, other):
@@ -378,8 +380,14 @@ def mult_order_mod_pm1(a: int, m: int) -> int:
     return d
 
 
+_MAX_EXPONENT = 4300  # CPython's default digit limit for int strings: no more digits by exponent than by digits
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def as_fraction(x) -> Fraction:
-    """``Fraction(x)`` for any other rational type; an infinite float is a ValueError, as NaN is."""
+    """``Fraction(x)`` for other rational types; NaN, an infinite float or an exponent beyond +-4300 is a ValueError."""
+    if isinstance(x, str) and (m := _EXPONENT.search(x)) and abs(int(m[1])) > _MAX_EXPONENT:
+        raise ValueError(f"exponent of {x!r} exceeds {_MAX_EXPONENT} in absolute value")
     try:
         return Fraction(x)
     except OverflowError as exc:
@@ -387,8 +395,8 @@ def as_fraction(x) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "n" or "n/d" decimal strings; a zero denominator is a ValueError."""
+    """Parse a decimal string ("n", "n/d", "1.5", "3e-2") by :func:`as_fraction`; a zero denominator is a ValueError."""
     try:
-        return Fraction(text.strip())
+        return as_fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None

@@ -64,7 +64,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import inf, lcm, prod
-from typing import Sequence, Union
+from typing import Sequence, Union, get_args
 
 from . import brauer
 from .brauer import BrauerClass, add, cup, is_trivial
@@ -126,6 +126,13 @@ class _Cyclic(_Family):
         return GroupDescriptor.cyclic(1 << self.n)
 
 
+class _Quadratic(_Family):
+    degree = 2  # induced from Q(sqrt z), with the trace form <2, 2z>
+
+    def __init__(self, z) -> None:
+        vars(self).update(z=_coerce_nonzero(z, "z"))
+
+
 @frozen
 class SplitAlgebra(_Family):
     degree, family = 1, "split"
@@ -135,8 +142,8 @@ class SplitAlgebra(_Family):
 
 
 @frozen
-class CyclicQuadratic(_Cyclic):
-    degree, family = 2, "cyclic-quadratic"
+class CyclicQuadratic(_Cyclic, _Quadratic):
+    family = "cyclic-quadratic"
 
     def __init__(self, n: int, z: Fraction | int | str) -> None:
         if n < 2:
@@ -183,11 +190,8 @@ class CyclicPoly(_Cyclic):
 
 
 @frozen
-class D4Quadratic(_Family):
-    group, degree, family = GroupDescriptor("D4"), 2, "d4-quadratic"
-
-    def __init__(self, z) -> None:
-        vars(self).update(z=_coerce_nonzero(z, "z"))
+class D4Quadratic(_Quadratic):
+    group, family = GroupDescriptor("D4"), "d4-quadratic"
 
     def _own_entry(self, fd, q):
         return InvariantEntry(fd.id, "c", "computed", cup(self.z, -1)) if fd.id == "2dim" else None
@@ -215,11 +219,8 @@ class A4Quartic(_Family):
 
 
 @frozen
-class A5Quadratic(_Family):
-    group, degree, family = GroupDescriptor("A5demo"), 2, "a5-quadratic"
-
-    def __init__(self, z) -> None:
-        vars(self).update(z=_coerce_nonzero(z, "z"))
+class A5Quadratic(_Quadratic):
+    group, family = GroupDescriptor("A5demo"), "a5-quadratic"
 
     def _own_entry(self, fd, q):
         return InvariantEntry(fd.id, "c", "computed", cup(-1, self.z)) if fd.id == "3dim" else None
@@ -229,6 +230,7 @@ GaloisAlgebraSpec = Union[
     SplitAlgebra, CyclicQuadratic, CyclicQuartic, CyclicPoly,
     D4Quadratic, A4Quartic, A5Quadratic,
 ]
+_FAMILIES = {cls.family: cls for cls in get_args(GaloisAlgebraSpec)}
 
 
 def group_of(spec: GaloisAlgebraSpec) -> GroupDescriptor:
@@ -454,7 +456,7 @@ def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
     """Diagonalized trace form of the inducing field / rank-4 fixed algebra."""
     if isinstance(spec, SplitAlgebra):
         return DiagonalForm([1])
-    if isinstance(spec, (CyclicQuadratic, D4Quadratic, A5Quadratic)):
+    if isinstance(spec, _Quadratic):
         return DiagonalForm([2, 2 * spec.z])
     if isinstance(spec, CyclicQuartic):
         return spec._form
@@ -800,23 +802,15 @@ def parse_group(name: str) -> GroupDescriptor:
 
 
 def spec_to_json(spec: GaloisAlgebraSpec) -> dict:
+    """The group name, the family and each constructor field but n and group; coeffs as "poly"."""
     out: dict = {"group": spec.group.name, "family": spec.family}
-    if isinstance(spec, (CyclicQuadratic, D4Quadratic, A5Quadratic)):
-        out["z"] = str(spec.z)
-    elif isinstance(spec, CyclicQuartic):
-        out.update(a=str(spec.a), b=str(spec.b), c=str(spec.c), eps=str(spec.eps))
-    elif isinstance(spec, CyclicPoly):
-        out.update(poly=list(spec.coeffs), degree=spec.degree)
-    elif isinstance(spec, A4Quartic):
-        out["poly"] = list(spec.coeffs)
+    for name in spec.__match_args__:
+        value = getattr(spec, name)
+        if name == "coeffs":
+            out["poly"] = list(value)
+        elif name not in ("n", "group"):
+            out[name] = value if name == "degree" else str(value)
     return out
-
-
-def _rational_field(data: dict, key: str) -> Fraction:
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"{key} must be a rational number or string, got {value!r}")
-    return parse_rational(str(value))
 
 
 def _integer(value, key: str) -> int:
@@ -825,11 +819,28 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
-def _integer_list_field(data: dict, key: str) -> tuple[int, ...]:
-    value = data[key]
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list of integers, got {value!r}")
-    return tuple(_integer(c, key) for c in value)
+def _json_field(data: dict, name: str, family: str, group: GroupDescriptor | None):
+    """The constructor argument ``name`` of a family, read from the spec's JSON form."""
+    if name == "group":
+        if group is None:
+            raise ValueError("split family needs a group")
+        return group
+    if name == "n":
+        if group is None:
+            raise ValueError("cyclic families need a group, e.g. C8")
+        if (n := group.cyclic_two_power_exponent()) is None:
+            raise ValueError(f"family {family!r} needs a cyclic 2-power group")
+        return n
+    if name == "degree":
+        return _integer(data.get("degree", len(data["poly"]) - 1), "degree")
+    value = data["poly" if name == "coeffs" else name]
+    if name == "coeffs":
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"poly must be a list of integers, got {value!r}")
+        return tuple(_integer(c, "poly") for c in value)
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"{name} must be a rational number or string, got {value!r}")
+    return parse_rational(str(value))
 
 
 def spec_from_json(data: dict) -> GaloisAlgebraSpec:
@@ -842,35 +853,10 @@ def spec_from_json(data: dict) -> GaloisAlgebraSpec:
         if not isinstance(data["group"], str):
             raise ValueError(f"group must be a name such as \"C8\", got {data['group']!r}")
         group = parse_group(data["group"])
-
-    def cyclic_n() -> int:
-        if group is None:
-            raise ValueError("cyclic families need a group, e.g. C8")
-        n = group.cyclic_two_power_exponent()
-        if n is None:
-            raise ValueError(f"family {family!r} needs a cyclic 2-power group")
-        return n
-
-    if family == "split":
-        if group is None:
-            raise ValueError("split family needs a group")
-        spec = SplitAlgebra(group)
-    elif family == "cyclic-quadratic":
-        spec = CyclicQuadratic(cyclic_n(), _rational_field(data, "z"))
-    elif family == "cyclic-quartic":
-        spec = CyclicQuartic(cyclic_n(), *(_rational_field(data, key) for key in ("a", "b", "c", "eps")))
-    elif family == "cyclic-poly":
-        coeffs = _integer_list_field(data, "poly")
-        degree = _integer(data.get("degree", len(coeffs) - 1), "degree")
-        spec = CyclicPoly(cyclic_n(), coeffs, degree)
-    elif family == "d4-quadratic":
-        spec = D4Quadratic(_rational_field(data, "z"))
-    elif family == "a4-quartic":
-        spec = A4Quartic(_integer_list_field(data, "poly"))
-    elif family == "a5-quadratic":
-        spec = A5Quadratic(_rational_field(data, "z"))
-    else:
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
         raise ValueError(f"unknown family {family!r}")
+    spec = cls(*(_json_field(data, name, family, group) for name in cls.__match_args__))
     if group is not None and group != spec.group:
         raise ValueError(f"family {family!r} has group {spec.group.name}, not {group.name}")
     return spec

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
@@ -598,3 +599,12 @@ def test_bad_input_stderr_lines(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (65, "")
     assert err == json.dumps({"error": "bad-input", "message": message}) + "\n"
+
+
+@pytest.mark.parametrize("command", ["decide", "invariants"])
+def test_family_choices_are_the_spec_families_in_order(capsys, command):
+    # galois._FAMILIES, the registry spec_from_json reads, is keyed by the same tags in this order
+    families = [cls.family for cls in get_args(galois.GaloisAlgebraSpec)]
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert f"--family {{{','.join(families)}}}" in out

@@ -2,6 +2,8 @@
 
 import json
 import re
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -116,3 +118,52 @@ def test_a_spec_file_nested_too_deeply_exits_65(tmp_path, capsys):
     assert code == 65 and captured.out == ""
     report = json.loads(captured.err)
     assert report["error"] == "bad-input" and "recursion" in report["message"]
+
+
+# inputs whose decimal exponent exceeds 4300 in absolute value, each with the string its error names
+HUGE_EXPONENTS = [
+    pytest.param(lambda: exact.parse_rational("1e1000000"), "1e1000000", id="parse_rational"),
+    pytest.param(lambda: exact.parse_rational(" -2.5E-4301 "), "-2.5E-4301", id="parse_rational-negative"),
+    pytest.param(lambda: exact.as_fraction("3e+300000"), "3e+300000", id="as_fraction"),
+    pytest.param(lambda: exact.as_fraction("1e1_000_000"), "1e1_000_000", id="as_fraction-underscores"),
+    pytest.param(lambda: symbols.hilbert("1e1000000", 3, Place(7)), "1e1000000", id="hilbert"),
+    pytest.param(lambda: forms.DiagonalForm(["1e1000000", 1, 1]), "1e1000000", id="DiagonalForm"),
+    pytest.param(lambda: galois.CyclicQuadratic(3, "3e300000"), "3e300000", id="CyclicQuadratic"),
+    pytest.param(lambda: galois.spec_from_json({"group": "C8", "family": "cyclic-quadratic", "z": "3e300000"}),
+                 "3e300000", id="spec_from_json"),
+]
+
+
+@pytest.mark.parametrize("call, text", HUGE_EXPONENTS)
+def test_a_decimal_exponent_beyond_4300_is_a_value_error_before_any_work(call, text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^exponent of {re.escape(repr(text))} exceeds 4300 in absolute value$"):
+        call()
+    assert time.perf_counter() - start < 0.05
+
+
+def test_decimal_exponents_up_to_4300_and_malformed_strings_are_unchanged():
+    assert exact.parse_rational("1e4300") == 10**4300
+    assert exact.parse_rational("-1E-4300") == Fraction(-1, 10**4300)
+    assert exact.as_fraction("2.5e+3") == 2500 and exact.parse_rational("3") == 3
+    for text, message in [("1e", "Invalid literal for Fraction: '1e'"), ("x", "Invalid literal for Fraction: 'x'"),
+                          ("1e5/2", "Invalid literal for Fraction: '1e5/2'"), ("1/0", "zero denominator in '1/0'")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            exact.parse_rational(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "1e1000000", "3", "7"],
+    ["form", "--diag", "1e1000000,1,1"],
+    ["decide", "--group", "C8", "--family", "cyclic-quadratic", "--z", "3e300000"],
+])
+def test_a_decimal_exponent_beyond_4300_exits_65(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 65 and captured.out == ""
+    assert json.loads(captured.err)["message"].endswith("exceeds 4300 in absolute value")
+
+
+def test_a_decimal_exponent_of_4300_is_still_read(capsys):
+    assert main(["hilbert", "1e4300", "3", "7"]) == 0
+    assert capsys.readouterr().out == "1\n"

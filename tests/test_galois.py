@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from typing import get_args
 
 import pytest
 
@@ -1192,6 +1193,99 @@ def test_spec_from_json_golden():
         spec_from_json({"group": "D4", "family": "cyclic-quadratic", "z": "3"})
     with pytest.raises(ValueError):
         spec_from_json({"group": "C8", "family": "nope"})
+
+
+def _codec_cases(rng):
+    """(spec, the JSON it must serialize to, an alternative JSON that must read back to it)."""
+    def nonsquare():
+        while True:
+            z = F(rng.randint(1, 400) * rng.choice((1, -1)), rng.randint(1, 30))
+            if not exact.is_square(z):
+                return z
+
+    cases = []
+    for name in ("C2", "C8", "C16", "C2xC4", "C4xC4", "C2xC2xC2", "C6", "D4", "A4", "A5"):
+        cases.append((SplitAlgebra(galois.parse_group(name)), {"group": name, "family": "split"}, None))
+    for _ in range(8):
+        n, z = rng.randint(2, 5), nonsquare()
+        data = {"group": f"C{1 << n}", "family": "cyclic-quadratic", "z": str(z)}
+        cases.append((CyclicQuadratic(n, z), data, None))
+        cases.append((D4Quadratic(z), {"group": "D4", "family": "d4-quadratic", "z": str(z)}, None))
+        cases.append((A5Quadratic(z), {"group": "A5", "family": "a5-quadratic", "z": str(z)}, None))
+        # a^2 - b^2 eps = c^2 eps holds for each base point and any common scale t
+        a, b, c, eps = rng.choice([(3, F(3, 2), F(3, 2), 2), (2, 1, 1, 2), (5, 1, 2, 5), (13, 2, 3, 13)])
+        t = F(rng.randint(1, 50) * rng.choice((1, -1)), rng.randint(1, 12))
+        a, b, c, n = a * t, b * t, c * t, rng.randint(3, 5)
+        data = {"group": f"C{1 << n}", "family": "cyclic-quartic",
+                "a": str(a), "b": str(b), "c": str(c), "eps": str(eps)}
+        cases.append((CyclicQuartic(n, a, b, c, eps), data, None))
+    for coeffs, n in [((-2, 0, 1), 2), ((1, 0, 1), 4), ((2, 0, -4, 0, 1), 3), ((2, 0, -4, 0, 1), 5),
+                      (tuple(compose([2, 0, -4, 0, 1], [1, 1])), 4)]:
+        m = len(coeffs) - 1
+        data = {"group": f"C{1 << n}", "family": "cyclic-poly", "poly": list(coeffs), "degree": m}
+        without_degree = {key: value for key, value in data.items() if key != "degree"}
+        cases.append((CyclicPoly(n, coeffs, m), data, without_degree))
+    for coeffs in [(12, 8, 0, 0, 1), (-3, 4, 0, 0, 1), (-1, 0, 0, -1, 1)]:
+        data = {"group": "A4", "family": "a4-quartic", "poly": list(coeffs)}
+        cases.append((A4Quartic(coeffs), data, {**data, "poly": [str(c) for c in coeffs]}))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_spec_json_is_byte_identical_and_round_trips_for_every_family(seed):
+    cases = _codec_cases(random.Random(seed))
+    assert {type(spec) for spec, _, _ in cases} == set(get_args(galois.GaloisAlgebraSpec))
+    for spec, expected, alternative in cases:
+        text = json.dumps(spec_to_json(spec))
+        assert text == json.dumps(expected)
+        again = spec_from_json(json.loads(text))
+        assert again == spec and json.dumps(spec_to_json(again)) == text
+        if alternative is not None:
+            assert spec_from_json(alternative) == spec
+
+
+MALFORMED_SPECS = [
+    pytest.param({"family": ["x"]}, ValueError, "unknown family ['x']", id="family-list"),
+    pytest.param({"family": 3}, ValueError, "unknown family 3", id="family-int"),
+    pytest.param({"group": "C8"}, ValueError, "unknown family None", id="family-absent"),
+    pytest.param({"group": "C8", "family": "nope"}, ValueError, "unknown family 'nope'", id="family-unknown"),
+    pytest.param({"family": "split"}, ValueError, "split family needs a group", id="split-no-group"),
+    pytest.param({"family": "cyclic-quadratic", "z": "3"}, ValueError,
+                 "cyclic families need a group, e.g. C8", id="cyclic-no-group"),
+    pytest.param({"family": "cyclic-poly", "poly": [2, 0, 1]}, ValueError,
+                 "cyclic families need a group, e.g. C8", id="poly-no-group"),
+    pytest.param({"group": 8, "family": "split"}, ValueError,
+                 'group must be a name such as "C8", got 8', id="group-int"),
+    pytest.param({"group": "C6", "family": "cyclic-quadratic", "z": "3"}, ValueError,
+                 "family 'cyclic-quadratic' needs a cyclic 2-power group", id="group-not-2-power"),
+    pytest.param({"group": "C4", "family": "a4-quartic", "poly": [12, 8, 0, 0, 1]}, ValueError,
+                 "family 'a4-quartic' has group A4, not C4", id="group-contradicts"),
+    pytest.param({"group": "C8", "family": "cyclic-poly"}, KeyError, "'poly'", id="poly-missing"),
+    pytest.param({"group": "C8", "family": "cyclic-poly", "poly": "2,0,1"}, ValueError,
+                 "poly must be a list of integers, got '2,0,1'", id="poly-string"),
+    pytest.param({"group": "A4", "family": "a4-quartic", "poly": [12, 8, 0, True, 1]}, ValueError,
+                 "poly must be an integer, got True", id="poly-bool-coefficient"),
+    pytest.param({"group": "C8", "family": "cyclic-poly", "poly": [2, 0, 1], "degree": True}, ValueError,
+                 "degree must be an integer, got True", id="degree-bool"),
+    pytest.param({"group": "C8", "family": "cyclic-poly", "poly": [2, 0, 1], "degree": 2.5}, ValueError,
+                 "degree must be an integer, got 2.5", id="degree-float"),
+    pytest.param({"group": "C8", "family": "cyclic-poly", "poly": [2, 0, 1], "degree": "x"}, ValueError,
+                 "invalid literal for int() with base 10: 'x'", id="degree-string"),
+    pytest.param({"group": "C8", "family": "cyclic-quartic", "a": "2", "c": "1", "eps": "2"}, KeyError,
+                 "'b'", id="quartic-no-b"),
+    pytest.param({"group": "C8", "family": "cyclic-quadratic", "z": True}, ValueError,
+                 "z must be a rational number or string, got True", id="z-bool"),
+    pytest.param({"group": "A4", "family": "a4-quartic", "poly": [1, 0, 1]}, ValueError,
+                 "the A4 family needs a monic integer quartic", id="a4-short"),
+    pytest.param("x", ValueError, "a spec must be a JSON object, got str", id="not-an-object"),
+]
+
+
+@pytest.mark.parametrize("data, error, message", MALFORMED_SPECS)
+def test_malformed_specs_raise_their_exact_error(data, error, message):
+    with pytest.raises(error) as info:
+        spec_from_json(data)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_ceil_root_is_the_least_integer_root_at_or_above():

@@ -86,6 +86,11 @@ def test_every_value_class_is_covered():
     assert found == set(FIELDS) == set(IDS)
 
 
+@pytest.mark.parametrize("x", [x for x, _ in PAIRS], ids=IDS)
+def test_match_args_are_the_fields(x):
+    assert type(x).__match_args__ == FIELDS[type(x).__name__]
+
+
 @pytest.mark.parametrize("x, y", PAIRS, ids=IDS)
 def test_equality_needs_the_same_class_and_the_same_fields(x, y):
     cls = type(x)
