@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import as_fraction, frozen, is_square
+from .exact import as_fraction, frozen, is_square, nonzero
 from .symbols import Place, is_square_in_completion, ramified_places
 
 
@@ -51,17 +51,10 @@ class BrauerClass:
 TRIVIAL = BrauerClass(frozenset())
 
 
-def _nonzero(x: Fraction | int) -> Fraction | int:
-    x = x if isinstance(x, (int, Fraction)) else as_fraction(x)
-    if x == 0:
-        raise ValueError("cup product arguments must be nonzero")
-    return x
-
-
 def cup(a: Fraction | int, b: Fraction | int) -> BrauerClass:
     """Class of the quaternion symbol (a, b)."""
-    a = _nonzero(a)
-    return BrauerClass(ramified_places(a, _nonzero(b)))
+    message = "cup product arguments must be nonzero"
+    return BrauerClass(ramified_places(nonzero(a, message), nonzero(b, message)))
 
 
 def add(x: BrauerClass, y: BrauerClass) -> BrauerClass:

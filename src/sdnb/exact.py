@@ -28,6 +28,12 @@ adds closures for ``__eq__`` (same class, equal fields), ``__hash__`` (of the
 field tuple), ``__repr__`` and a ``__setattr__``/``__delattr__`` that raise
 AttributeError, and sets ``__match_args__`` to the field names, as a
 dataclass does.  Unlike a dataclass, it compiles no code at import time.
+
+A rational argument that must not be zero passes one check, :func:`nonzero`:
+an ``int`` or ``Fraction`` is kept, any other value goes through
+:func:`as_fraction`, and zero raises the caller's ``ValueError``.
+``as_fraction`` refuses a decimal exponent beyond +-4300, written in a string
+or stored in a finite ``Decimal``, before the number is expanded.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import math
 import os
 import re
 from bisect import bisect_right
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -295,11 +302,8 @@ def factor(q: Fraction | int) -> FactoredRational:
     wrong).  Results are memoized, so repeated square-class reductions of
     the same value cost one factorization.
     """
-    q = q if isinstance(q, (int, Fraction)) else as_fraction(q)
-    num = q.numerator
-    if num == 0:
-        raise ValueError("cannot factor zero")
-    return _factor_fraction(num, q.denominator)
+    q = nonzero(q, "cannot factor zero")
+    return _factor_fraction(q.numerator, q.denominator)
 
 
 def squarefree_part(q: Fraction | int) -> int:
@@ -386,12 +390,21 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 def as_fraction(x) -> Fraction:
     """``Fraction(x)`` for other rational types; NaN, an infinite float or an exponent beyond +-4300 is a ValueError."""
-    if isinstance(x, str) and (m := _EXPONENT.search(x)) and abs(int(m[1])) > _MAX_EXPONENT:
+    if (isinstance(x, str) and (m := _EXPONENT.search(x)) and abs(int(m[1])) > _MAX_EXPONENT
+            or isinstance(x, Decimal) and x.is_finite() and abs(x.as_tuple().exponent) > _MAX_EXPONENT):
         raise ValueError(f"exponent of {x!r} exceeds {_MAX_EXPONENT} in absolute value")
     try:
         return Fraction(x)
     except OverflowError as exc:
         raise ValueError(str(exc)) from None
+
+
+def nonzero(x, message: str) -> Fraction | int:
+    """``x`` as given if an int or Fraction, else by :func:`as_fraction`; zero raises ``ValueError(message)``."""
+    x = x if isinstance(x, (int, Fraction)) else as_fraction(x)
+    if x.numerator == 0:
+        raise ValueError(message)
+    return x
 
 
 def parse_rational(text: str) -> Fraction:

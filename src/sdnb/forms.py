@@ -47,7 +47,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .brauer import BrauerClass
-from .exact import WorkBudget, as_fraction, factor, frozen, is_square, squarefree_part
+from .exact import WorkBudget, as_fraction, factor, frozen, is_square, nonzero, squarefree_part
 from .symbols import Place, hilbert, is_square_in_completion, ramified_places, support_places
 
 
@@ -280,9 +280,7 @@ def anisotropy_certificate(f: DiagonalForm) -> Place | None:
 
 def represents(f: DiagonalForm, c: Fraction | int) -> bool:
     """Does f represent c over Q?  Tested as isotropy of f + <-c>."""
-    c = as_fraction(c)
-    if c == 0:
-        raise ValueError("representation of 0 is isotropy; pass a nonzero value")
+    c = nonzero(c, "representation of 0 is isotropy; pass a nonzero value")
     return isotropic_over_Q(f.orthogonal_sum(DiagonalForm([-c])))
 
 
@@ -333,20 +331,13 @@ def sum_of_two_squares(z: Fraction | int) -> bool:
     Holds iff z > 0 and every prime congruent to 3 mod 4 divides z to even
     exponent (norms from Q(i)).
     """
-    z = as_fraction(z)
-    if z == 0:
-        raise ValueError("zero input")
-    if z < 0:
-        return False
-    return all(e % 2 == 0 for p, e in factor(z).factors if p % 4 == 3)
+    z = nonzero(z, "zero input")
+    return z > 0 and all(e % 2 == 0 for p, e in factor(z).factors if p % 4 == 3)
 
 
 def sum_of_four_squares(z: Fraction | int) -> bool:
     """Is z a sum of four rational squares?  Over Q this is just z > 0."""
-    z = as_fraction(z)
-    if z == 0:
-        raise ValueError("zero input")
-    return z > 0
+    return nonzero(z, "zero input") > 0
 
 
 def sum_of_two_squares_over_sqrt2(z: Fraction | int) -> bool:
@@ -359,12 +350,8 @@ def sum_of_two_squares_over_sqrt2(z: Fraction | int) -> bool:
     (2 ramifies, p = 3 mod 8 is inert, and sqrt(2) is real so z < 0 blocks).
     Pure factorization, independent of the symbol machinery.
     """
-    z = as_fraction(z)
-    if z == 0:
-        raise ValueError("zero input")
-    if z < 0:
-        return False
-    return all(e % 2 == 0 for p, e in factor(z).factors if p % 8 == 7)
+    z = nonzero(z, "zero input")
+    return z > 0 and all(e % 2 == 0 for p, e in factor(z).factors if p % 8 == 7)
 
 
 def _integer_coefficients(coeffs: Iterable[int]) -> tuple[int, ...]:

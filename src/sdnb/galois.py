@@ -69,7 +69,8 @@ from typing import Sequence, Union, get_args
 from . import brauer
 from .brauer import BrauerClass, add, cup, is_trivial
 from .exact import (
-    _BUDGET_ENV, _SMALL_PRIMES, BudgetExceededError, WorkBudget, as_fraction, factor, frozen, is_square, parse_rational,
+    _BUDGET_ENV, _SMALL_PRIMES, BudgetExceededError, WorkBudget, as_fraction, factor, frozen, is_square, nonzero,
+    parse_rational,
 )
 from .factors import (
     FactorDescriptor,
@@ -103,10 +104,8 @@ VERDICT_UNKNOWN = "unknown"
 
 
 def _coerce_nonzero(value: Fraction | int | str, name: str) -> Fraction:
-    q = value if isinstance(value, Fraction) else as_fraction(value)
-    if q == 0:
-        raise ValueError(f"{name} must be nonzero")
-    return q
+    q = nonzero(value, f"{name} must be nonzero")
+    return q if isinstance(q, Fraction) else Fraction(q)
 
 
 class _Family:

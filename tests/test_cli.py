@@ -601,6 +601,14 @@ def test_bad_input_stderr_lines(capsys, argv, message):
     assert err == json.dumps({"error": "bad-input", "message": message}) + "\n"
 
 
+@pytest.mark.parametrize("argv", [["decide", "--group", "C8", "--z", "3"], ["invariants", "--z", "3"]],
+                         ids=["decide", "invariants"])
+def test_spec_flags_without_a_family_exit_65(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (65, "")
+    assert err == json.dumps({"error": "bad-input", "message": "no family given (use --family or --spec)"}) + "\n"
+
+
 @pytest.mark.parametrize("command", ["decide", "invariants"])
 def test_family_choices_are_the_spec_families_in_order(capsys, command):
     # galois._FAMILIES, the registry spec_from_json reads, is keyed by the same tags in this order

@@ -3,6 +3,7 @@
 import json
 import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,27 @@ def test_decimal_exponents_up_to_4300_and_malformed_strings_are_unchanged():
             exact.parse_rational(text)
 
 
+@pytest.mark.parametrize("call, value", [
+    pytest.param(exact.as_fraction, Decimal("1e1000000"), id="as_fraction"),
+    pytest.param(lambda d: symbols.hilbert(d, 3, Place(7)), Decimal("1e-1000000"), id="hilbert"),
+])
+def test_a_decimal_with_an_exponent_beyond_4300_is_a_value_error_before_any_work(call, value):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^exponent of {re.escape(repr(value))} exceeds 4300 in absolute value$"):
+        call(value)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_decimals_up_to_4300_and_non_finite_decimals_are_unchanged():
+    assert exact.as_fraction(Decimal("1e4300")) == 10**4300
+    assert exact.as_fraction(Decimal("-2.5E-4299")) == Fraction(-25, 10**4300)
+    # NaN, sNaN and Infinity store no integer exponent: Fraction refuses them, as before
+    for text, message in [("NaN", "cannot convert NaN to integer ratio"), ("sNaN", "cannot convert NaN to integer ratio"),
+                          ("-Infinity", "cannot convert Infinity to integer ratio")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            exact.as_fraction(Decimal(text))
+
+
 @pytest.mark.parametrize("argv", [
     ["hilbert", "1e1000000", "3", "7"],
     ["form", "--diag", "1e1000000,1,1"],
@@ -167,3 +189,42 @@ def test_a_decimal_exponent_beyond_4300_exits_65(capsys, argv):
 def test_a_decimal_exponent_of_4300_is_still_read(capsys):
     assert main(["hilbert", "1e4300", "3", "7"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+# every library entry point that refuses a zero rational argument, with the message it raises
+NONZERO_ARGUMENTS = {
+    "factor": (exact.factor, "cannot factor zero"),
+    "hilbert": (lambda x: symbols.hilbert(3, x, Place(3)), "local symbols need nonzero rationals"),
+    "is_square_in_completion": (lambda x: symbols.is_square_in_completion(x, Place(2)),
+                                "local symbols need nonzero rationals"),
+    "support_places": (lambda x: symbols.support_places([(3, x)]), "support of a zero entry is undefined"),
+    "cup": (lambda x: brauer.cup(x, 5), "cup product arguments must be nonzero"),
+    "represents": (lambda x: forms.represents(forms.DiagonalForm([1, 1]), x),
+                   "representation of 0 is isotropy; pass a nonzero value"),
+    "sum_of_two_squares": (forms.sum_of_two_squares, "zero input"),
+    "sum_of_four_squares": (forms.sum_of_four_squares, "zero input"),
+    "sum_of_two_squares_over_sqrt2": (forms.sum_of_two_squares_over_sqrt2, "zero input"),
+    "D4Quadratic": (galois.D4Quadratic, "z must be nonzero"),
+    "CyclicQuadratic": (lambda x: galois.CyclicQuadratic(3, x), "z must be nonzero"),
+}
+
+
+def _outcome(call, x):
+    try:
+        return "returned", call(x)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:  # what Fraction(x) raises on a bad x
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(NONZERO_ARGUMENTS))
+def test_each_entry_point_refusing_zero_keeps_its_message_and_coerces_like_fraction(name):
+    call, message = NONZERO_ARGUMENTS[name]
+    for zero in (0, Fraction(0), "0", "0/7", False):
+        assert _outcome(call, zero) == (ValueError, message), zero
+    for bad in ("abc", "1/0", None, [1]):
+        assert _outcome(call, bad) == _outcome(Fraction, bad), bad
+    # int, Fraction, str and bool forms of one value give equal results or equal errors
+    for forms_of_value in ([1, Fraction(1), "1", "2/2", True], [-12, Fraction(-12), "-12", "-24/2"],
+                           [Fraction(45, 8), "45/8", "90/16"], [Fraction(-3, 7), "-3/7"]):
+        outcomes = [_outcome(call, x) for x in forms_of_value]
+        assert all(o == outcomes[0] for o in outcomes), (forms_of_value, outcomes)
