@@ -33,7 +33,8 @@ A rational argument that must not be zero passes one check, :func:`nonzero`:
 an ``int`` or ``Fraction`` is kept, any other value goes through
 :func:`as_fraction`, and zero raises the caller's ``ValueError``.
 ``as_fraction`` refuses a decimal exponent beyond +-4300, written in a string
-or stored in a finite ``Decimal``, before the number is expanded.
+or stored in a finite ``Decimal``, and a ``Decimal`` of more than 4300
+digits, before the number is expanded.
 """
 
 from __future__ import annotations
@@ -389,10 +390,20 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def as_fraction(x) -> Fraction:
-    """``Fraction(x)`` for other rational types; NaN, an infinite float or an exponent beyond +-4300 is a ValueError."""
-    if (isinstance(x, str) and (m := _EXPONENT.search(x)) and abs(int(m[1])) > _MAX_EXPONENT
-            or isinstance(x, Decimal) and x.is_finite() and abs(x.as_tuple().exponent) > _MAX_EXPONENT):
+    """``Fraction(x)`` for other rational types.
+
+    NaN, an infinite float, an exponent beyond +-4300 or a ``Decimal`` of more than 4300 digits
+    (as CPython refuses an int string that long) is a ValueError, raised before any expansion.
+    """
+    digits, exponent = (), 0
+    if isinstance(x, str) and (m := _EXPONENT.search(x)):
+        exponent = int(m[1])
+    elif isinstance(x, Decimal) and x.is_finite():
+        _, digits, exponent = x.as_tuple()
+    if abs(exponent) > _MAX_EXPONENT:
         raise ValueError(f"exponent of {x!r} exceeds {_MAX_EXPONENT} in absolute value")
+    if len(digits) > _MAX_EXPONENT:
+        raise ValueError(f"a Decimal of {len(digits)} digits exceeds the limit of {_MAX_EXPONENT} digits")
     try:
         return Fraction(x)
     except OverflowError as exc:

@@ -14,11 +14,13 @@ pivots.  A trace form is the Hankel matrix of the integer power sums of the
 roots of f, and when f is monic its leading principal minors are, up to sign,
 the principal subresultant coefficients of f and f' (Hermite; Basu, Pollack
 and Roy, Algorithms in Real Algebraic Geometry, ch. 9).  So ``trace_form``
-reads its pivots off the subresultant sequence of f and f' in O(m^2)
+first reads its pivots off the subresultant sequence of f and f' in O(m^2)
 operations, with no elimination, whenever every remainder drops the degree
-by exactly one; otherwise (a vanishing leading minor, or repeated roots) it
-runs the elimination.  The determinant class is read off the cached
-factorizations of the entries, never of their product.  The Hasse-Witt class
+by exactly one; the Hankel rows of power sums are then computed only when
+they are first read (equality, hash, repr), which a decision never does.
+Otherwise (a vanishing leading minor, or repeated roots) it builds the rows
+at once and runs the elimination.  The determinant class is read off the
+cached factorizations of the entries, never of their product.  The Hasse-Witt class
 is summed over the square classes of the entries with their multiplicities:
 the ramified sets of a few symbols (a, -1) and (a, b), one per odd count
 rather than one per pair, each read off the cached factorizations by
@@ -42,7 +44,7 @@ box neither spins nor overflows.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
@@ -136,8 +138,10 @@ class GramMatrix:
     type goes through ``Fraction``.  Construction checks symmetry on the
     entries, scales the rows to integers by the least common multiple L of
     the entries' denominators and runs one symmetric fraction-free
-    elimination (``_pivots``); ``det`` and ``diagonalize`` read its pivots.
-    ``_scale`` and ``_pivots`` are not fields: equality and repr see ``rows`` only.
+    elimination (``_pivots``); ``n``, ``det`` and ``diagonalize`` read its
+    pivots.  ``_scale`` and ``_pivots`` are not fields: equality, hash and
+    repr see ``rows`` only.  A trace form built from its subresultant pivots
+    holds f's coefficients and computes ``rows`` on first read.
     """
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
@@ -165,9 +169,15 @@ class GramMatrix:
         vars(g).update(rows=rows, _scale=1, _pivots=pivots)
         return g
 
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        # reached only on a trace form built from its pivots: every other
+        # construction sets ``rows`` in the instance dict, which shadows this
+        return _power_sum_rows(self._coeffs)
+
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self._pivots)
 
     def det(self) -> Fraction:
         """p_n / L^n: every step of the elimination is a unimodular congruence."""
@@ -427,23 +437,11 @@ def _has_repeated_roots(coeffs: Sequence[int]) -> bool:
     return len(a) > 1
 
 
-def trace_form(coeffs: Sequence[int]) -> GramMatrix:
-    """Gram matrix of the trace form of Q[X]/(f), f monic integer, squarefree.
+def _power_sum_rows(coeffs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Hankel rows (s_{i+j}) of the power sums of the roots of monic integer f (constant term first).
 
-    ``coeffs`` lists f constant term first, leading coefficient 1.  The
-    entries are the power sums s_{i+j} of the roots, computed by Newton's
-    identities in plain integers (they are integers for a monic integer f).
-    The pivots come from the subresultant sequence of f and f'
-    (``_subresultant_pivots``) when it is normal; otherwise the matrix is
-    reduced by the elimination, as for any Gram matrix, and a zero
-    determinant means repeated roots and is rejected.
+    Newton's identities in plain integers: the s_k are integers for a monic integer f.
     """
-    coeffs = list(coeffs)
-    if len(coeffs) < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    if coeffs[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    coeffs = _integer_coefficients(coeffs)
     n = len(coeffs) - 1
     s = [0] * (2 * n - 1)
     s[0] = n
@@ -452,12 +450,34 @@ def trace_form(coeffs: Sequence[int]) -> GramMatrix:
         if k <= n:
             acc += k * coeffs[n - k]
         s[k] = -acc
-    rows = tuple(tuple(s[i:i + n]) for i in range(n))
+    return tuple(tuple(s[i:i + n]) for i in range(n))
+
+
+def trace_form(coeffs: Sequence[int]) -> GramMatrix:
+    """Gram matrix of the trace form of Q[X]/(f), f monic integer, squarefree.
+
+    ``coeffs`` lists f constant term first, leading coefficient 1.  The
+    entries are the power sums s_{i+j} of the roots (``_power_sum_rows``).
+    The pivots come first, from the subresultant sequence of f and f'
+    (``_subresultant_pivots``); when it is normal the matrix holds them and
+    the coefficients, and computes its rows on first read, which ``n``,
+    ``det`` and ``diagonalize`` never do.  Otherwise the rows are built at
+    once and reduced by the elimination, as for any Gram matrix, and a zero
+    determinant means repeated roots and is rejected.
+    """
+    coeffs = list(coeffs)
+    if len(coeffs) < 2:
+        raise ValueError("polynomial must have degree >= 1")
+    if coeffs[-1] != 1:
+        raise ValueError("polynomial must be monic")
+    coeffs = _integer_coefficients(coeffs)
     pivots = _subresultant_pivots(coeffs)
     if pivots is not None:
-        return GramMatrix._of_pivots(rows, pivots)
+        g = object.__new__(GramMatrix)  # as _of_pivots, with ``rows`` left to its first read
+        vars(g).update(_coeffs=coeffs, _scale=1, _pivots=pivots)
+        return g
     try:
-        return GramMatrix(rows)
+        return GramMatrix(_power_sum_rows(coeffs))
     except ValueError as exc:
         raise ValueError("polynomial has repeated roots") from exc
 

@@ -174,6 +174,28 @@ def test_decimals_up_to_4300_and_non_finite_decimals_are_unchanged():
             exact.as_fraction(Decimal(text))
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(exact.as_fraction, id="as_fraction"),
+    pytest.param(lambda d: symbols.hilbert(d, 3, Place(7)), id="hilbert"),
+])
+@pytest.mark.parametrize("value, digits", [
+    pytest.param(Decimal("9" * 4301), 4301, id="4301-digits"),
+    pytest.param(Decimal("-1." + "0" * 4300), 4301, id="4301-digits-exponent-4300"),
+    pytest.param(Decimal("9" * 10**5), 10**5, id="100000-digits"),
+])
+def test_a_decimal_of_more_than_4300_digits_is_a_value_error_before_any_work(call, value, digits):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^a Decimal of {digits} digits exceeds the limit of 4300 digits$"):
+        call(value)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_a_decimal_of_4300_digits_still_converts_exactly():
+    assert exact.as_fraction(Decimal("9" * 4300)) == 10**4300 - 1
+    assert exact.as_fraction(Decimal("-1." + "2" * 4299)) == Fraction(-int("1" + "2" * 4299), 10**4299)
+    assert symbols.hilbert(Decimal("9" * 4300), 3, Place(7)) == symbols.hilbert(10**4300 - 1, 3, Place(7))
+
+
 @pytest.mark.parametrize("argv", [
     ["hilbert", "1e1000000", "3", "7"],
     ["form", "--diag", "1e1000000,1,1"],

@@ -610,6 +610,37 @@ def test_trace_form_of_the_tower_runs_no_elimination(monkeypatch):
     assert calls == [4]
 
 
+def _count_power_sum_rows(monkeypatch):
+    """Record the degree of every polynomial whose Hankel rows of power sums are built."""
+    calls = []
+    build = forms._power_sum_rows
+
+    def counted(coeffs):
+        calls.append(len(coeffs) - 1)
+        return build(coeffs)
+
+    monkeypatch.setattr(forms, "_power_sum_rows", counted)
+    return calls
+
+
+def test_a_trace_form_builds_its_rows_only_when_they_are_read(monkeypatch):
+    tower16 = _tower_shifts()[17]
+    want = reference_trace_form(tower16)
+    calls = _count_power_sum_rows(monkeypatch)
+    g = trace_form(tower16)
+    assert g.n == 16 and g.det() == want.det() and diagonalize(g) == diagonalize(want)
+    assert calls == []
+    assert g.rows == want.rows and calls == [16]
+    assert g.rows is g.rows and calls == [16]
+
+
+def test_a_trace_form_that_is_not_normal_builds_its_rows_at_once(monkeypatch):
+    calls = _count_power_sum_rows(monkeypatch)
+    g = trace_form([1, 0, 0, 0, 1])  # x^4 + 1: D_2 = 0, so the elimination runs
+    assert calls == [4] and "rows" in vars(g)
+    assert g.rows == reference_trace_form([1, 0, 0, 0, 1]).rows and calls == [4]
+
+
 def _sturm_real_roots(coeffs):
     """Number of distinct real roots, by Sturm's theorem (exact arithmetic)."""
 

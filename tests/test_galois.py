@@ -674,6 +674,15 @@ def test_trace_form_built_once_per_decision(monkeypatch, call):
         assert result.verdict == VERDICT_YES
 
 
+@pytest.mark.parametrize("call", [decide_global, invariant_report])
+def test_a_decision_builds_no_hankel_rows(monkeypatch, call):
+    spec = CyclicPoly(5, _tower16(), 16)
+    counts = {}
+    _count_calls(monkeypatch, counts, "_power_sum_rows", forms)
+    call(spec)
+    assert counts == {}
+
+
 def test_an_a4_decision_builds_the_trace_form_once(monkeypatch, capsys):
     counts = {}
     _count_calls(monkeypatch, counts, "trace_form", forms, galois)

@@ -185,6 +185,28 @@ def test_gram_matrix_compares_its_rows_only():
     assert "_scale" not in repr(g) and "_pivots" not in repr(g)
 
 
+def test_a_trace_form_built_from_its_pivots_is_a_value_like_any_other():
+    coeffs = (2, 0, -64, 0, 336, 0, -672, 0, 660, 0, -352, 0, 104, 0, -16, 0, 1)  # 2cos(2pi/64), degree 16
+    rows = forms._power_sum_rows(coeffs)
+    pivots = forms.trace_form(coeffs)._pivots
+    for other in (forms.GramMatrix(rows), forms.GramMatrix._of_pivots(rows, pivots)):
+        # each comparison on a fresh trace form, so that it is the first read of the rows
+        assert forms.trace_form(coeffs) == other and other == forms.trace_form(coeffs)
+        assert hash(forms.trace_form(coeffs)) == hash(other)
+        assert repr(forms.trace_form(coeffs)) == repr(other)
+        assert pickle.loads(pickle.dumps(forms.trace_form(coeffs))) == other == copy.copy(forms.trace_form(coeffs))
+        assert other._pivots == pivots
+    for read_first in (False, True):
+        g = forms.trace_form(coeffs)
+        if read_first:
+            assert g.rows == rows
+        with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
+            g.rows = rows
+        with pytest.raises(AttributeError, match="cannot delete field 'rows'"):
+            del g.rows
+        assert g.rows == rows
+
+
 # --- what importing the CLI loads ------------------------------------------------
 
 
