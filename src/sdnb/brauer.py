@@ -85,4 +85,4 @@ def restricts_trivially_to_quadratic(x: BrauerClass, d: Fraction | int) -> bool:
     d = as_fraction(d)
     if d == 0 or is_square(d):
         raise ValueError("restriction target must be a genuine quadratic field")
-    return not any(splits_in_quadratic(v, d) for v in x.ramified)
+    return not any(is_square_in_completion(d, v) for v in x.ramified)

@@ -9,24 +9,27 @@ All arithmetic is exact.  A Gram matrix keeps its ``int`` and ``Fraction``
 entries as given, is scaled to integers by the least common multiple of their
 denominators and reduced once, at construction, by one symmetric
 fraction-free elimination (Bareiss, Math. Comp. 22, 1968, with a symmetric
-pivot rule); the determinant and the diagonal form are read off its integer
-pivots.  A trace form is the Hankel matrix of the integer power sums of the
-roots of f, and when f is monic its leading principal minors are, up to sign,
-the principal subresultant coefficients of f and f' (Hermite; Basu, Pollack
-and Roy, Algorithms in Real Algebraic Geometry, ch. 9).  So ``trace_form``
-first reads its pivots off the subresultant sequence of f and f' in O(m^2)
-operations, with no elimination, whenever every remainder drops the degree
-by exactly one; the Hankel rows of power sums are then computed only when
-they are first read (equality, hash, repr), which a decision never does.
-Otherwise (a vanishing leading minor, or repeated roots) it builds the rows
-at once and runs the elimination.  The determinant class is read off the
-cached factorizations of the entries, never of their product.  The Hasse-Witt class
-is summed over the square classes of the entries with their multiplicities:
-the ramified sets of a few symbols (a, -1) and (a, b), one per odd count
-rather than one per pair, each read off the cached factorizations by
-``symbols.ramified_places``, are added into one class.  The local isotropy
-tests read the Hasse invariant at a place off that class; their square tests
-and remaining symbols work at that one place, by trial division.
+pivot rule), charged n^3 units of the work budget (``SDNB_FACTOR_BUDGET``)
+for an n x n matrix before it runs; the determinant and the diagonal form
+are read off its integer pivots.  A trace form is the Hankel matrix of the
+integer power sums of the roots of f, and when f is monic its leading
+principal minors are, up to sign, the principal subresultant coefficients of
+f and f' (Hermite; Basu, Pollack and Roy, Algorithms in Real Algebraic
+Geometry, ch. 9).  So ``trace_form`` first reads its pivots off the
+subresultant sequence of f and f' in O(m^2) operations, with no elimination,
+whenever every remainder drops the degree by exactly one; the Hankel rows of
+power sums are then computed only when they are first read (equality, hash,
+repr), which a decision never does.  Otherwise it refuses a polynomial with
+repeated roots, and for a vanishing leading minor it builds the rows at once
+and runs the elimination.  The determinant class is read
+off the cached factorizations of the entries, never of their product.  The
+Hasse-Witt class is summed over the square classes of the entries with their
+multiplicities: the ramified sets of a few symbols (a, -1) and (a, b), one
+per odd count rather than one per pair, each read off the cached
+factorizations by ``symbols.ramified_places``, are added into one class.
+The local isotropy tests read the Hasse invariant at a place off that class;
+their square tests and remaining symbols work at that one place, by trial
+division.
 
 The ternary witness search is a plain ``int`` scan of expanding boxes
 0 <= x, y <= 64, 512, 4096, ... up to the height cap, x first, then y, with z
@@ -136,11 +139,12 @@ class GramMatrix:
 
     ``int`` and ``Fraction`` entries are kept as given; any other rational
     type goes through ``Fraction``.  Construction checks symmetry on the
-    entries, scales the rows to integers by the least common multiple L of
-    the entries' denominators and runs one symmetric fraction-free
-    elimination (``_pivots``); ``n``, ``det`` and ``diagonalize`` read its
-    pivots.  ``_scale`` and ``_pivots`` are not fields: equality, hash and
-    repr see ``rows`` only.  A trace form built from its subresultant pivots
+    entries, charges n^3 units of a work budget for an n x n matrix, scales
+    the rows to integers by the least common multiple L of the entries'
+    denominators and runs one symmetric fraction-free elimination
+    (``_pivots``); ``n``, ``det`` and ``diagonalize`` read its pivots.
+    ``_scale`` and ``_pivots`` are not fields: equality, hash and repr see
+    ``rows`` only.  A trace form built from its subresultant pivots
     holds f's coefficients and computes ``rows`` on first read.
     """
 
@@ -154,6 +158,7 @@ class GramMatrix:
             raise ValueError("Gram matrix must be square and nonempty")
         if coerced != tuple(zip(*coerced)):
             raise ValueError("Gram matrix must be symmetric")
+        WorkBudget(f"Gram elimination of a {n}x{n} matrix").spend(n**3)
         lcd = lcm(*(x.denominator for row in coerced for x in row))
         m = [[x.numerator * (lcd // x.denominator) for x in row] for row in coerced]
         vars(self).update(rows=coerced, _scale=lcd, _pivots=tuple(_pivots(m)))
@@ -461,9 +466,9 @@ def trace_form(coeffs: Sequence[int]) -> GramMatrix:
     The pivots come first, from the subresultant sequence of f and f'
     (``_subresultant_pivots``); when it is normal the matrix holds them and
     the coefficients, and computes its rows on first read, which ``n``,
-    ``det`` and ``diagonalize`` never do.  Otherwise the rows are built at
-    once and reduced by the elimination, as for any Gram matrix, and a zero
-    determinant means repeated roots and is rejected.
+    ``det`` and ``diagonalize`` never do.  Otherwise a polynomial with
+    repeated roots (``_has_repeated_roots``) is rejected, and the rows are
+    built at once and reduced by the elimination, as for any Gram matrix.
     """
     coeffs = list(coeffs)
     if len(coeffs) < 2:
@@ -476,10 +481,9 @@ def trace_form(coeffs: Sequence[int]) -> GramMatrix:
         g = object.__new__(GramMatrix)  # as _of_pivots, with ``rows`` left to its first read
         vars(g).update(_coeffs=coeffs, _scale=1, _pivots=pivots)
         return g
-    try:
-        return GramMatrix(_power_sum_rows(coeffs))
-    except ValueError as exc:
-        raise ValueError("polynomial has repeated roots") from exc
+    if _has_repeated_roots(coeffs):
+        raise ValueError("polynomial has repeated roots")
+    return GramMatrix(_power_sum_rows(coeffs))
 
 
 def quartic_family_form(

@@ -25,15 +25,16 @@ unitary factor binds where the fixed field has odd local degree and the
 center stays a field.  Certificates list every filter decision.
 
 Each family class carries ``group``, ``degree`` (of the inducing field) and
-``family`` (its JSON/CLI tag); D4, A5 and A4 supply their own orthogonal
-classes through one hook, and A4 caps the verdict at unknown.  One
-certificate builder makes both decisions in one pass over the factor table,
-computing the group, its 2-power exponent, h1, the trace form and the table
-once: it walks the real place and the support of every invariant class, or
-one finite place for every factor.  ``c_invariants`` walks the orthogonal
-factors only, ``embedding_obstruction`` is ``d_top`` of the cyclic-poly
-algebra over twice the degree, and ``d_top`` reads its class off the trace
-form's entries.
+``family`` (its JSON/CLI tag), and keeps as ``_form`` the trace form its
+parameters fix (split, quadratic, quartic); D4, A5 and A4 supply their own
+orthogonal classes through one hook, and A4 caps the verdict at unknown.
+One certificate builder makes both decisions in one pass over the factor
+table, computing the group, its 2-power exponent, h1, the trace form and the
+table once: it walks the real place and the support of every invariant
+class, or one finite place for every factor.  ``c_invariants`` walks the
+orthogonal factors only, ``embedding_obstruction`` is ``d_top`` of the
+cyclic-poly algebra over twice the degree, and ``d_top`` reads its class off
+the trace form's entries.
 Polynomial input is screened for integer roots, by Rabin's test along a
 single Frobenius orbit at the first 16 odd primes not dividing f(0), each
 step one linear combination of the rows X^(ip) mod (f, p) built once per
@@ -103,16 +104,12 @@ VERDICT_UNKNOWN = "unknown"
 # family descriptors
 
 
-def _coerce_nonzero(value: Fraction | int | str, name: str) -> Fraction:
-    q = nonzero(value, f"{name} must be nonzero")
-    return q if isinstance(q, Fraction) else Fraction(q)
-
-
 class _Family:
-    """Besides ``group``, ``degree`` and ``family``, each family carries the
-    verdict that caps its decisions (None: no cap) and its own orthogonal classes."""
+    """Besides ``group``, ``degree`` and ``family``, each family carries the verdict that caps
+    its decisions (None: no cap), its own orthogonal classes and its fixed trace form, if any."""
 
     verdict_cap: str | None = None
+    _form: DiagonalForm | None = None
 
     def _own_entry(self, fd: FactorDescriptor, q: DiagonalForm) -> InvariantEntry | None:
         """The family's entry for the orthogonal factor fd given the trace form q, or None for zero."""
@@ -126,15 +123,20 @@ class _Cyclic(_Family):
 
 
 class _Quadratic(_Family):
-    degree = 2  # induced from Q(sqrt z), with the trace form <2, 2z>
+    degree, _matrix = 2, None  # Q(sqrt z) and <2, 2z>; _matrix: the factor id carrying (z)(-1)
 
     def __init__(self, z) -> None:
-        vars(self).update(z=_coerce_nonzero(z, "z"))
+        z = Fraction(nonzero(z, "z must be nonzero"))
+        vars(self).update(z=z, _form=DiagonalForm([2, 2 * z]))
+
+    def _own_entry(self, fd, q):
+        return InvariantEntry(fd.id, "c", "computed", cup(self.z, -1)) if fd.id == self._matrix else None
 
 
 @frozen
 class SplitAlgebra(_Family):
     degree, family = 1, "split"
+    _form = DiagonalForm([1])
 
     def __init__(self, group: GroupDescriptor) -> None:
         vars(self).update(group=group)
@@ -147,10 +149,10 @@ class CyclicQuadratic(_Cyclic, _Quadratic):
     def __init__(self, n: int, z: Fraction | int | str) -> None:
         if n < 2:
             raise ValueError("cyclic quadratic family needs n >= 2")
-        z = _coerce_nonzero(z, "z")
-        if is_square(z):
+        _Quadratic.__init__(self, z)
+        if is_square(self.z):
             raise ValueError("z must not be a square (the split case has its own family)")
-        vars(self).update(n=n, z=z)
+        vars(self).update(n=n)
 
 
 @frozen
@@ -162,7 +164,7 @@ class CyclicQuartic(_Cyclic):
             raise ValueError("cyclic quartic family needs n >= 3")
         a, b, c, eps = (x if isinstance(x, Fraction) else as_fraction(x) for x in (a, b, c, eps))
         # quartic_family_form raises on a violated relation, zero c or square eps; the form
-        # <1, eps, a, a> it returns is kept as _form, not a field, for family_trace_form
+        # <1, eps, a, a> it returns is kept as _form, not a field
         vars(self).update(n=n, a=a, b=b, c=c, eps=eps, _form=quartic_family_form(a, b, c, eps))
 
 
@@ -190,10 +192,7 @@ class CyclicPoly(_Cyclic):
 
 @frozen
 class D4Quadratic(_Quadratic):
-    group, family = GroupDescriptor("D4"), "d4-quadratic"
-
-    def _own_entry(self, fd, q):
-        return InvariantEntry(fd.id, "c", "computed", cup(self.z, -1)) if fd.id == "2dim" else None
+    group, family, _matrix = GroupDescriptor("D4"), "d4-quadratic", "2dim"
 
 
 @frozen
@@ -219,10 +218,7 @@ class A4Quartic(_Family):
 
 @frozen
 class A5Quadratic(_Quadratic):
-    group, family = GroupDescriptor("A5demo"), "a5-quadratic"
-
-    def _own_entry(self, fd, q):
-        return InvariantEntry(fd.id, "c", "computed", cup(-1, self.z)) if fd.id == "3dim" else None
+    group, family, _matrix = GroupDescriptor("A5demo"), "a5-quadratic", "3dim"
 
 
 GaloisAlgebraSpec = Union[
@@ -453,19 +449,13 @@ def h1_condition(spec: GaloisAlgebraSpec) -> bool:
 
 def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
     """Diagonalized trace form of the inducing field / rank-4 fixed algebra."""
-    if isinstance(spec, SplitAlgebra):
-        return DiagonalForm([1])
-    if isinstance(spec, _Quadratic):
-        return DiagonalForm([2, 2 * spec.z])
-    if isinstance(spec, CyclicQuartic):
+    if spec._form is not None:
         return spec._form
     return diagonalize(trace_form(spec.coeffs))
 
 
-def _top_class(m: int, q: DiagonalForm | None) -> BrauerClass:
+def _top_class(m: int, q: DiagonalForm) -> BrauerClass:
     """The top unitary class of an algebra induced from a degree-m field with trace form q."""
-    if m == 1:
-        return brauer.TRIVIAL
     if m == 2:
         # q = <2, b>, and (2)(-1) = 0 because 2 = 1 + 1 is a norm from Q(i)
         return cup(q.entries[-1], -1)
@@ -477,21 +467,21 @@ def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass
 
     It depends only on the family's ``degree`` m and the trace form q, and
     the decisions compute it from the same core with the q they hold.
-    Degree 1: trivial.  Degree 2: the cup product (D_K)(-1), which for
-    Q(sqrt z) is (z)(-1), from the order-4 fibered extension; D_K is the
-    product of the entries of q = <2, b> (its first entry is Tr(1) = 2), so by
-    bilinearity the class is (2)(-1) + (b)(-1) = (b)(-1), and only b and -1
-    are factored.  Degree >= 4: w2(q_K) + (2)(D_K) = w2(q_K + <2>) by
-    bilinearity.  The degree-2 case genuinely differs from the trace-form
-    expression, which collapses to (2)(-1) = 0 there; see the module
-    docstring.  ``q`` is ``family_trace_form(spec)`` when the caller has it.
+    Degree 2: the cup product (D_K)(-1), which for Q(sqrt z) is (z)(-1), from
+    the order-4 fibered extension; D_K is the product of the entries of
+    q = <2, b> (its first entry is Tr(1) = 2), so by bilinearity the class is
+    (2)(-1) + (b)(-1) = (b)(-1), and only b and -1 are factored.  Any other
+    degree: w2(q_K) + (2)(D_K) = w2(q_K + <2>) by bilinearity (0 for q = <1>).
+    The degree-2 case genuinely differs, as that expression collapses to
+    (2)(-1) = 0 there; see the module docstring.  ``q`` is
+    ``family_trace_form(spec)`` when the caller has it.
     """
     _, n, h1 = _group_and_h1(spec)
     if n is None:
         raise ValueError("the top unitary invariant lives on cyclic 2-power groups")
     if not h1:
         raise ValueError("invariant undefined: degree-one invariants do not vanish")
-    if q is None and spec.degree > 1:
+    if q is None:
         q = family_trace_form(spec)
     return _top_class(spec.degree, q)
 

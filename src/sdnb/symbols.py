@@ -23,16 +23,18 @@ primitive solution of z^2 = a x^2 + b y^2 modulo p^N with N = v_p(4ab) + 3.
 At that precision a primitive solution lifts to Z_p by Hensel's lemma and the
 absence of one certifies local anisotropy, so the search is decisive rather
 than heuristic.  A solution is primitive iff one coordinate is a unit, and
-scaling by that unit's inverse normalizes the coordinate to 1, so scanning
-the three slices x = 1, y = 1, z = 1 is exhaustive.
+in a primitive solution x or y is one: if p divided both, then p^2 would
+divide a x^2 + b y^2 = z^2 modulo p^N, so p would divide z as well (Serre,
+III.1).  Scaling by that unit's inverse normalizes it to 1, so the two
+slices x = 1 and y = 1 are exhaustive.
 
 The scan is plain ``int`` arithmetic over the set S of squares modulo m = p^N,
 built once per modulus and cached: the slice x = 1 asks whether a + b s lies
-in S for some s in S, the slice y = 1 whether a s + b does, and the slice
-z = 1 whether 1 - a s lies in b S.  Each slice stops at its first hit, and
-only an anisotropic pair scans all three in full (3 |S| probes, |S| about
-m/2 for odd p and m/6 for p = 2).  A modulus above ``_ORACLE_MODULUS_CAP``
-raises :class:`BudgetExceededError` before any search.
+in S for some s in S, and the slice y = 1 whether a s + b does.  Each slice
+stops at its first hit, and only an anisotropic pair scans both in full
+(|S| about m/2 for odd p and m/6 for p = 2).  A modulus above
+``_ORACLE_MODULUS_CAP`` raises :class:`BudgetExceededError` before any
+search.
 """
 
 from __future__ import annotations
@@ -196,10 +198,6 @@ def _oracle_reduced(a: int, b: int, p: int) -> int:
         return 1
     # y = 1: z^2 = a x^2 + b
     if not squares.isdisjoint((am * s + bm) % m for s in squares):
-        return 1
-    # z = 1: a x^2 + b y^2 = 1
-    b_squares = {bm * s % m for s in squares}
-    if not b_squares.isdisjoint((1 - am * s) % m for s in squares):
         return 1
     return -1
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sdnb import brauer
 from sdnb import (
     REAL,
     BrauerClass,
@@ -219,3 +220,18 @@ def test_hasse_witt_equals_the_naive_pairwise_sum():
         f = DiagonalForm(entries)
         pairs = [(a, b) for i, a in enumerate(f.entries) for b in f.entries[i + 1:]]
         assert hasse_witt(f).ramified == _ramified_by_hilbert(pairs), entries
+
+
+def test_restriction_tests_d_for_a_square_once(monkeypatch):
+    # neither ramified place of (-1, -1) splits in Q(sqrt -1); d was refused
+    # as a square once, and each place reads only its completion
+    calls = []
+    is_square = brauer.is_square
+
+    def counted(q):
+        calls.append(q)
+        return is_square(q)
+
+    monkeypatch.setattr(brauer, "is_square", counted)
+    assert restricts_trivially_to_quadratic(cup(-1, -1), -1)
+    assert len(calls) == 1

@@ -182,3 +182,22 @@ def test_local_data_matches_the_two_order_formula():
                 assert local_data(m, real_subfield, Place(p)) == (n % 2 == 1, int(full != half))
                 checked += 1
     assert checked > 30000
+
+
+def test_the_non_abelian_groups_know_their_orders():
+    assert [GroupDescriptor(kind).order for kind in ("D4", "A4", "A5demo")] == [8, 12, 60]
+
+
+def test_the_moduli_and_conductors_below_three_are_trivial():
+    # (Z/1)^x and (Z/2)^x are trivial groups, and Q(zeta_1) = Q(zeta_2) = Q
+    for m in (1, 2):
+        assert [mult_order(a, m) for a in (1, 3, -5, 7)] == [1, 1, 1, 1]
+        for p in (2, 3, 5, 7):
+            for real_subfield in (True, False):
+                assert local_data(m, real_subfield, Place(p)) == (True, 0)
+
+
+def test_a_factor_descriptor_writes_its_note_only_when_it_has_one():
+    table = {fd.id: fd.to_json() for fd in decompose(GroupDescriptor("D4"))}
+    assert table["2dim"]["note"] == "M2(Q), unit-form involution"
+    assert table["triv"] == {"id": "triv", "kind": "degree-one", "conductor": 1, "e": "Q", "split": True}

@@ -730,3 +730,40 @@ def test_quartic_gram_route_matches_diagonal_route():
         assert equal(hasse_witt(via_gram), hasse_witt(direct))
         assert det_square_class(via_gram) == det_square_class(direct)
         assert signature(via_gram) == signature(direct)
+
+
+def test_a_gram_elimination_is_charged_to_the_work_budget(monkeypatch):
+    calls = []
+    eliminate = forms._pivots
+
+    def counted(a):
+        calls.append(len(a))
+        return eliminate(a)
+
+    def matrix(n):
+        rng = random.Random(n)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = 200
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(-9, 9)
+        return rows
+
+    monkeypatch.setattr(forms, "_pivots", counted)
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "1000")
+    assert diagonalize(GramMatrix(matrix(10))).rank == 10  # 10^3 units: the whole budget
+    with pytest.raises(BudgetExceededError) as info:
+        GramMatrix(matrix(11))
+    assert str(info.value) == (
+        "Gram elimination of a 11x11 matrix: work budget exhausted after 0 of 1000 units (SDNB_FACTOR_BUDGET)"
+    )
+    assert calls == [10]
+    # a trace form read off its subresultant pivots runs no elimination and pays nothing
+    assert trace_form(_tower_shifts()[17]).n == 16
+    assert calls == [10]
+    # a malformed budget is named as such, not taken for repeated roots
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "abc")
+    with pytest.raises(ValueError, match="^SDNB_FACTOR_BUDGET must be an integer, got 'abc'$"):
+        trace_form([12, 8, 0, 0, 1])  # s_1 = s_2 = 0: the elimination route
+    with pytest.raises(ValueError, match="^polynomial has repeated roots$"):
+        trace_form([1, 0, -2, 0, 1])

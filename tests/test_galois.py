@@ -1377,3 +1377,26 @@ def test_the_root_test_lists_only_the_divisors_below_the_root_bound(monkeypatch)
     for n in (f[0], -720, 2**20, 97, 1):
         for bound in (1, 2, 5, 96, 97, 1000, 296142):
             assert divisors(n, bound) == [d for d in divisors(n) if d <= bound], (n, bound)
+
+
+@pytest.mark.parametrize("spec", [
+    SplitAlgebra(GroupDescriptor.cyclic(8)), CyclicQuadratic(3, 5), D4Quadratic(3), A5Quadratic(5),
+], ids=repr)
+def test_a_family_whose_parameters_fix_its_trace_form_keeps_it(spec):
+    q = galois.family_trace_form(spec)
+    assert galois.family_trace_form(spec) is q
+    assert q == (DiagonalForm([1]) if spec.degree == 1 else DiagonalForm([2, 2 * spec.z]))
+
+
+@pytest.mark.parametrize("spec", [D4Quadratic(3), CyclicQuadratic(3, 5)], ids=repr)
+def test_a_quadratic_decision_builds_no_diagonal_form(monkeypatch, spec):
+    built = []
+    init = DiagonalForm.__init__
+
+    def counted(self, entries):
+        built.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(DiagonalForm, "__init__", counted)
+    decide_global(spec)
+    assert built == []
