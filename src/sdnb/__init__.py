@@ -25,7 +25,7 @@ from .exact import (
     parse_rational,
     squarefree_part,
 )
-from .factors import FactorDescriptor, FactorKind, GroupDescriptor, decompose, local_data
+from .factors import FactorDescriptor, FactorKind, GroupDescriptor, decompose, local_data, parse_group
 from .forms import (
     DiagonalForm,
     GramMatrix,
@@ -70,7 +70,6 @@ from .galois import (
     group_of,
     h1_condition,
     invariant_report,
-    parse_group,
     quartic_family_polynomial,
     spec_from_json,
     spec_to_json,

@@ -83,6 +83,6 @@ def restricts_trivially_to_quadratic(x: BrauerClass, d: Fraction | int) -> bool:
     Requires d nonzero and not a square.  Invariant under d -> d * r^2.
     """
     d = as_fraction(d)
-    if d == 0 or is_square(d):
+    if is_square(d):
         raise ValueError("restriction target must be a genuine quadratic field")
     return not any(is_square_in_completion(d, v) for v in x.ramified)

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from typing import get_args
 
 from .exact import BudgetExceededError, parse_rational
 from .forms import (
@@ -34,15 +33,14 @@ from .galois import (
     VERDICT_NO,
     VERDICT_UNKNOWN,
     VERDICT_YES,
-    GaloisAlgebraSpec,
+    _FAMILIES,
     decide_global,
     decide_local,
     embedding_obstruction,
     invariant_report,
-    parse_group,
     spec_from_json,
 )
-from .factors import decompose
+from .factors import decompose, parse_group
 from .symbols import hilbert, place_from_json
 
 EX_OK = 0
@@ -56,7 +54,7 @@ _VERDICT_EXIT = {VERDICT_YES: 0, VERDICT_NO: 1, VERDICT_UNKNOWN: 2}
 
 _SPEC_FLAGS = (
     ("group", {"help": "group name, e.g. C8, D4, A4, A5"}),
-    ("family", {"choices": [cls.family for cls in get_args(GaloisAlgebraSpec)]}),
+    ("family", {"choices": list(_FAMILIES)}),
     ("z", {"help": "rational z, e.g. 3 or -45/8"}),
     ("a", {"help": "rational a of the quartic family"}),
     ("b", {"help": "rational b of the quartic family"}),
@@ -231,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         _devnull_onto(1)
         _report({"error": "output-closed", "message": str(exc)})
         return EX_IOERR
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         _report({"error": "bad-input", "message": str(exc)})
         return EX_DATA
     except Exception as exc:

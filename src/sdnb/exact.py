@@ -364,8 +364,6 @@ def mult_order(a: int, m: int) -> int:
         raise ValueError("modulus must be positive")
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit modulo {m}")
-    if m <= 2:
-        return 1
     t = euler_phi(m)
     for p, _ in factor(t).factors:
         while t % p == 0 and pow(a, t // p, m) == 1:

@@ -5,7 +5,10 @@ characters: an orbit of characters of order m spans a copy of Q(zeta_m), the
 canonical involution g -> g^{-1} acts there as complex conjugation, and the
 fixed field E is the real subfield.  Orbits of order at most 2 are orthogonal
 (E = F), the rest unitary.  D4, A4 and the A5 demo carry their known tables:
-matrix factors over Q (or Q(sqrt 5) for A5) with the split flag set.
+matrix factors over Q (or Q(sqrt 5) for A5) with the split flag set.  Their
+names, orders and tables are one module constant, built at import, that the
+kind check, ``order``, ``name``, ``decompose`` and ``parse_group`` (a name
+back to its group) all read.
 
 ``local_data`` provides the only local information the decision layer needs:
 the parity of the local degree of E at a finite prime and the bit recording
@@ -39,7 +42,7 @@ class GroupDescriptor:
         self.__post_init__()  # the checks, a hook of their own so that a test can count constructions
 
     def __post_init__(self) -> None:
-        if self.kind not in ("abelian", "D4", "A4", "A5demo"):
+        if self.kind not in ("abelian", *_FIXED):
             raise ValueError(f"unsupported group kind {self.kind!r}")
         if self.kind == "abelian":
             fs = self.invariant_factors
@@ -57,17 +60,14 @@ class GroupDescriptor:
 
     @property
     def order(self) -> int:
-        if self.kind == "abelian":
-            return math.prod(self.invariant_factors)
-        return {"D4": 8, "A4": 12, "A5demo": 60}[self.kind]
+        return math.prod(self.invariant_factors) if self.kind == "abelian" else _FIXED[self.kind].order
 
     @property
     def name(self) -> str:
+        """C8, C2xC4, D4, A4 or A5: what ``parse_group`` reads back."""
         if self.kind == "abelian":
-            if len(self.invariant_factors) == 1:
-                return f"C{self.invariant_factors[0]}"
             return "x".join(f"C{d}" for d in self.invariant_factors)
-        return {"D4": "D4", "A4": "A4", "A5demo": "A5"}[self.kind]
+        return _FIXED[self.kind].name
 
     def cyclic_two_power_exponent(self) -> int | None:
         """n when the group is cyclic of order 2^n with n >= 1, else None."""
@@ -75,7 +75,22 @@ class GroupDescriptor:
             return None
         m = self.invariant_factors[0]
         n = m.bit_length() - 1
-        return n if m == 1 << n and n >= 1 else None
+        return n if m == 1 << n else None
+
+
+@lru_cache(maxsize=64)
+def parse_group(name: str) -> GroupDescriptor:
+    """The group a name such as C8, C2xC4, D4, A4 or A5 (also A5demo) stands for."""
+    name = name.strip()
+    for kind, fixed in _FIXED.items():
+        if name in (kind, fixed.name):
+            return GroupDescriptor(kind)
+    parts = [p.lstrip("Cc") for p in name.split("x")]
+    try:
+        fs = tuple(int(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"cannot parse group {name!r}") from None
+    return GroupDescriptor("abelian", fs)
 
 
 @frozen
@@ -110,6 +125,37 @@ class FactorDescriptor:
         if self.note:
             out["note"] = self.note
         return out
+
+
+class _Fixed(NamedTuple):
+    name: str
+    order: int
+    factors: tuple[FactorDescriptor, ...]
+
+
+_ZETA3 = "typing follows the cube-roots-of-unity factor table; over Q the pair spans Q(zeta3)"
+# the groups with known tables: kind -> name, order, stable factors
+_FIXED = {
+    "D4": _Fixed("D4", 8, (
+        FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q", None, True),
+        FactorDescriptor("sgn-a", FactorKind.DEGREE_ONE, 2, "Q", None, True),
+        FactorDescriptor("sgn-b", FactorKind.DEGREE_ONE, 2, "Q", None, True),
+        FactorDescriptor("sgn-ab", FactorKind.DEGREE_ONE, 2, "Q", None, True),
+        FactorDescriptor("2dim", FactorKind.ORTHOGONAL, 1, "Q", None, True, note="M2(Q), unit-form involution"),
+    )),
+    "A4": _Fixed("A4", 12, (
+        FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q", None, True),
+        FactorDescriptor("chi3-a", FactorKind.DEGREE_ONE, 3, "Q", None, True, note=_ZETA3),
+        FactorDescriptor("chi3-b", FactorKind.DEGREE_ONE, 3, "Q", None, True, note=_ZETA3),
+        FactorDescriptor("std3", FactorKind.ORTHOGONAL, 1, "Q", None, True,
+                         note="M3(Q), unit-form involution; " + _ZETA3),
+    )),
+    # A5 demo: only the degree-3 orthogonal factor is modelled
+    "A5demo": _Fixed("A5", 60, (
+        FactorDescriptor("3dim", FactorKind.ORTHOGONAL, 5, "quadratic", 5, True,
+                         note="M3(Q(sqrt5)), unit-form involution"),
+    )),
+}
 
 
 # largest factor table decompose builds; a bigger one is rejected as bad input
@@ -163,44 +209,15 @@ def decompose(g: GroupDescriptor) -> tuple[FactorDescriptor, ...]:
     tower Q, Q, Q(i), Q(zeta_8), ..., Q(zeta_{2^n}) with the top n-1 ones
     unitary over their real subfields.  The table is a tuple of frozen
     descriptors, memoized per group, since every decision on the same group
-    walks the same table.
+    walks the same table.  D4, A4 and the A5 demo return their fixed table,
+    built once at import.
     """
-    if g.kind == "abelian":
-        orbits = {m: c // euler_phi(m) for m, c in _order_counts(g.invariant_factors).items()}
-        if sum(orbits.values()) > _MAX_FACTORS:
-            raise ValueError(f"{g.name} has more than {_MAX_FACTORS} factors")
-        return tuple(
-            _abelian_factor(m, i, orbits[m]) for m in sorted(orbits) for i in range(orbits[m])
-        )
-    if g.kind == "D4":
-        ones = [
-            FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q", None, True),
-            FactorDescriptor("sgn-a", FactorKind.DEGREE_ONE, 2, "Q", None, True),
-            FactorDescriptor("sgn-b", FactorKind.DEGREE_ONE, 2, "Q", None, True),
-            FactorDescriptor("sgn-ab", FactorKind.DEGREE_ONE, 2, "Q", None, True),
-        ]
-        two = FactorDescriptor(
-            "2dim", FactorKind.ORTHOGONAL, 1, "Q", None, True, note="M2(Q), unit-form involution"
-        )
-        return tuple(ones + [two])
-    if g.kind == "A4":
-        zeta3 = "typing follows the cube-roots-of-unity factor table; over Q the pair spans Q(zeta3)"
-        return (
-            FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q", None, True),
-            FactorDescriptor("chi3-a", FactorKind.DEGREE_ONE, 3, "Q", None, True, note=zeta3),
-            FactorDescriptor("chi3-b", FactorKind.DEGREE_ONE, 3, "Q", None, True, note=zeta3),
-            FactorDescriptor(
-                "std3", FactorKind.ORTHOGONAL, 1, "Q", None, True,
-                note="M3(Q), unit-form involution; " + zeta3,
-            ),
-        )
-    # A5 demo: only the degree-3 orthogonal factor is modelled
-    return (
-        FactorDescriptor(
-            "3dim", FactorKind.ORTHOGONAL, 5, "quadratic", 5, True,
-            note="M3(Q(sqrt5)), unit-form involution",
-        ),
-    )
+    if g.kind != "abelian":
+        return _FIXED[g.kind].factors
+    orbits = {m: c // euler_phi(m) for m, c in _order_counts(g.invariant_factors).items()}
+    if sum(orbits.values()) > _MAX_FACTORS:
+        raise ValueError(f"{g.name} has more than {_MAX_FACTORS} factors")
+    return tuple(_abelian_factor(m, i, orbits[m]) for m in sorted(orbits) for i in range(orbits[m]))
 
 
 class LocalData(NamedTuple):
@@ -221,7 +238,6 @@ def local_data(conductor: int, real_subfield: bool, v: Place) -> LocalData:
     if v.is_real:
         raise ValueError("local_data is for finite places")
     p = v.prime
-    assert p is not None
     m = conductor
     if m < 1:
         raise ValueError("conductor must be >= 1")

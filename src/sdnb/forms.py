@@ -470,12 +470,11 @@ def trace_form(coeffs: Sequence[int]) -> GramMatrix:
     repeated roots (``_has_repeated_roots``) is rejected, and the rows are
     built at once and reduced by the elimination, as for any Gram matrix.
     """
-    coeffs = list(coeffs)
+    coeffs = _integer_coefficients(coeffs)
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree >= 1")
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
-    coeffs = _integer_coefficients(coeffs)
     pivots = _subresultant_pivots(coeffs)
     if pivots is not None:
         g = object.__new__(GramMatrix)  # as _of_pivots, with ``rows`` left to its first read
@@ -497,7 +496,7 @@ def quartic_family_form(
     a, b, c, eps = (x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in (a, b, c, eps))
     if c == 0:
         raise ValueError("quartic family needs c nonzero")
-    if eps == 0 or is_square(eps):
+    if is_square(eps):
         raise ValueError("quartic family needs a nonsquare eps")
     if a * a - b * b * eps != c * c * eps:
         raise ValueError("parameters violate a^2 - b^2 eps = c^2 eps")

@@ -79,6 +79,7 @@ from .factors import (
     GroupDescriptor,
     decompose,
     local_data,
+    parse_group,
 )
 from .forms import (
     DiagonalForm,
@@ -185,7 +186,7 @@ class CyclicPoly(_Cyclic):
             raise ValueError(f"degree {m} exceeds the group order 2^{n}")
         if coeffs[-1] != 1:
             raise ValueError("polynomial must be monic")
-        if m > 1 and not _screened_irreducible(coeffs, os.environ.get(_BUDGET_ENV)):
+        if not _screened_irreducible(coeffs, os.environ.get(_BUDGET_ENV)):
             raise ValueError("polynomial is reducible")
         vars(self).update(n=n, coeffs=coeffs, degree=m)
 
@@ -614,10 +615,9 @@ def _local_filter(fd: FactorDescriptor, v: Place) -> tuple[bool, str]:
     if fd.kind == FactorKind.ORTHOGONAL:
         binds = n_odd and fd.split
         return binds, f"{n_text}; factor {'split' if fd.split else 'not split'}"
-    # unitary: E = Q has the center Q(i) or Q(sqrt -3), otherwise eps came with n_odd
+    # unitary: E = Q has the center Q(i), otherwise eps came with n_odd
     if fd.e_kind == "Q":
-        d_center = -1 if fd.conductor == 4 else -3
-        eps = 0 if brauer.splits_in_quadratic(v, d_center) else 1
+        eps = 0 if brauer.splits_in_quadratic(v, -1) else 1
     binds = n_odd and eps == 1
     return binds, f"{n_text}; epsilon = {eps}"
 
@@ -773,21 +773,6 @@ def quartic_family_polynomial(
     assert const.denominator == 1 and (2 * a).denominator == 1
     coeffs = (int(const), 0, int(-2 * a), 0, 1)
     return coeffs, (a, b, c)
-
-
-@lru_cache(maxsize=64)
-def parse_group(name: str) -> GroupDescriptor:
-    name = name.strip()
-    if name in ("D4", "A4"):
-        return GroupDescriptor(name)
-    if name in ("A5", "A5demo"):
-        return GroupDescriptor("A5demo")
-    parts = [p.lstrip("Cc") for p in name.split("x")]
-    try:
-        fs = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"cannot parse group {name!r}") from None
-    return GroupDescriptor("abelian", fs)
 
 
 def spec_to_json(spec: GaloisAlgebraSpec) -> dict:

@@ -629,3 +629,50 @@ def reference_factor_int(n, budget):
         stack.append(d)
         stack.append(m // d)
     return out
+
+
+# --- Gaussian periods: cyclic fields with closed-form invariants --------------------
+#
+# Plain-int code that uses nothing from sdnb, so that it can serve as an oracle.
+
+
+def gaussian_period_primes(m, count):
+    """The first ``count`` primes p = 1 mod m, by trial division."""
+    out, p = [], 1
+    while len(out) < count:
+        p += m
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            out.append(p)
+    return out
+
+
+def gaussian_period_polynomial(p, m):
+    """Minimal polynomial, constant term first, of a Gaussian period of the prime p.
+
+    The period eta = sum of zeta_p^h over the m-th powers h, the subgroup of
+    index m in (Z/p)^x, generates the degree-m subfield K of Q(zeta_p).  The
+    power sums are s_k = Tr_K(eta^k) = (m / (p - 1)) Tr(eta^k), with eta^k
+    computed in the group ring Z[Z/p] and Tr(zeta^a) = p - 1 for a = 0, -1
+    otherwise; Newton's identities k e_k = sum (-1)^(i-1) e_(k-i) s_i give
+    the elementary symmetric functions e_k of the conjugates.
+    """
+    if (p - 1) % m:
+        raise ValueError(f"{m} does not divide {p} - 1")
+    powers = sorted({pow(x, m, p) for x in range(1, p)})
+    eta_k, sums = [1] + [0] * (p - 1), []
+    for _ in range(m):
+        nxt = [0] * p
+        for a, c in enumerate(eta_k):
+            if c:
+                for h in powers:
+                    nxt[(a + h) % p] += c
+        eta_k = nxt
+        trace, rest = divmod(m * (p * eta_k[0] - sum(eta_k)), p - 1)
+        assert rest == 0
+        sums.append(trace)
+    e = [1]
+    for k in range(1, m + 1):
+        total, rest = divmod(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1] for i in range(1, k + 1)), k)
+        assert rest == 0
+        e.append(total)
+    return [(-1) ** (m - j) * e[m - j] for j in range(m + 1)]

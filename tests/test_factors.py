@@ -14,7 +14,8 @@ from sdnb import (
     mult_order,
     mult_order_mod_pm1,
 )
-from sdnb import exact, factors
+import sdnb
+from sdnb import exact, factors, galois
 from sdnb.exact import euler_phi
 from sdnb.factors import _order_counts
 
@@ -201,3 +202,22 @@ def test_a_factor_descriptor_writes_its_note_only_when_it_has_one():
     table = {fd.id: fd.to_json() for fd in decompose(GroupDescriptor("D4"))}
     assert table["2dim"]["note"] == "M2(Q), unit-form involution"
     assert table["triv"] == {"id": "triv", "kind": "degree-one", "conductor": 1, "e": "Q", "split": True}
+
+
+def test_the_fixed_groups_are_one_table_built_at_import():
+    for kind, name, order in (("D4", "D4", 8), ("A4", "A4", 12), ("A5demo", "A5", 60)):
+        group = GroupDescriptor(kind)
+        assert decompose(group) is factors._FIXED[kind].factors
+        assert (group.name, group.order) == (name, order)
+        assert factors.parse_group(name) == factors.parse_group(f" {kind} ") == group
+
+
+def test_parse_group_reads_back_every_name():
+    assert galois.parse_group is factors.parse_group is sdnb.parse_group
+    for name in ("C2", "C8", "C12", "C2xC4", "C2xC2xC6", "D4", "A4", "A5"):
+        assert factors.parse_group(name).name == name
+    assert factors.parse_group("c8") == GroupDescriptor.cyclic(8)
+    with pytest.raises(ValueError, match="^cannot parse group 'Q8'$"):
+        factors.parse_group("Q8")
+    with pytest.raises(ValueError, match="^each invariant factor must divide the next$"):
+        factors.parse_group("C6x4")

@@ -528,6 +528,17 @@ def test_trace_form_input_validation():
         trace_form([1, 0, 2])  # not monic
 
 
+def test_trace_form_coerces_its_coefficients_before_it_checks_them():
+    assert trace_form(["-2", "0", "1"]) == trace_form([-2, 0, 1])
+    assert trace_form([F(-2), 0.0, F(1)]) == trace_form([-2, 0, 1])
+    with pytest.raises(ValueError, match="^polynomial must have integer coefficients$"):
+        trace_form([-2, 0, F(3, 2)])
+    with pytest.raises(ValueError, match="^polynomial must be monic$"):
+        trace_form(["1", "0", "2"])
+    with pytest.raises(ValueError, match="^polynomial must have degree >= 1$"):
+        trace_form(["1"])
+
+
 def _poly_mul(u, v):
     out = [0] * (len(u) + len(v) - 1)
     for i, x in enumerate(u):

@@ -52,6 +52,8 @@ from sdnb import (
 )
 from helpers import (
     compose,
+    gaussian_period_polynomial,
+    gaussian_period_primes,
     random_quadratic_spec,
     random_quartic_spec,
     reference_d_top,
@@ -1400,3 +1402,42 @@ def test_a_quadratic_decision_builds_no_diagonal_form(monkeypatch, spec):
     monkeypatch.setattr(DiagonalForm, "__init__", counted)
     decide_global(spec)
     assert built == []
+
+
+@pytest.mark.parametrize("name", ["C3", "C6", "C12", "C2xC12"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_conductor_3_and_6_factors_get_no_local_filter(name, p):
+    # the place-wise filter reads a unitary factor with E = Q only on cyclic 2-power groups,
+    # where that factor is chi4 with center Q(i); these factors are answered before any filter
+    group = galois.parse_group(name)
+    conductor = {fd.id: fd.conductor for fd in decompose(group)}
+    rows = [row for row in decide_local(SplitAlgebra(group), Place(p)).certificate
+            if row.factor is not None and conductor[row.factor] in (3, 6)]
+    assert rows
+    assert all(row.detail == "outside the supported tables" for row in rows)
+
+
+def test_gaussian_period_polynomials():
+    assert gaussian_period_polynomial(5, 2) == [-1, 1, 1]  # x^2 + x - 1, of 2 cos(2pi/5)
+    assert gaussian_period_polynomial(13, 4) == [3, -4, 2, 1, 1]
+    assert gaussian_period_primes(4, 5) == [5, 13, 17, 29, 37]
+
+
+@pytest.mark.parametrize("m, count", [(2, 20), (4, 20), (8, 15)])
+def test_gaussian_period_fields_have_their_closed_form_invariants(m, count):
+    # K, of degree m and prime conductor p, is totally real iff p = 1 mod 2m, and disc K = +-p^(m-1)
+    for p in gaussian_period_primes(m, count):
+        spec = CyclicPoly(m.bit_length(), gaussian_period_polynomial(p, m), m)  # over C(2m)
+        totally_real = p % (2 * m) == 1
+        r2 = 0 if totally_real else m // 2
+        report = invariant_report(spec)
+        assert report.signature == (m - r2, r2), p
+        assert report.det_class == (-1) ** r2 * p, p
+        for entry in report.entries:
+            assert entry.value is None or entry.value.ramified <= {REAL, Place(2), Place(p)}, (p, entry)
+        if m >= 8:
+            continue  # w2(q_K) + (2)(D_K) is trivial for every cyclic K of degree >= 8: nothing is pinned there
+        top = report.entries[-1]
+        real_and_p = p % 4 == 3 if m == 2 else p % 8 == 5
+        assert (top.factor_id, top.value.ramified) == (f"chi{2 * m}", {REAL, Place(p)} if real_and_p else set()), p
+        assert (decide_global(spec).verdict == VERDICT_YES) == totally_real, p
