@@ -15,7 +15,6 @@ from .brauer import (
 from .exact import (
     BudgetExceededError,
     FactoredRational,
-    Rational,
     factor,
     is_prime,
     is_square,

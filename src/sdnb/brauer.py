@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import as_fraction, frozen, is_square, nonzero
+from .exact import frozen, is_square, nonzero
 from .symbols import Place, is_square_in_completion, ramified_places
 
 
@@ -82,7 +82,6 @@ def restricts_trivially_to_quadratic(x: BrauerClass, d: Fraction | int) -> bool:
 
     Requires d nonzero and not a square.  Invariant under d -> d * r^2.
     """
-    d = as_fraction(d)
     if is_square(d):
         raise ValueError("restriction target must be a genuine quadratic field")
     return not any(is_square_in_completion(d, v) for v in x.ramified)

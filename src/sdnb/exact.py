@@ -48,8 +48,6 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 
-Rational = Fraction
-
 _BUDGET_ENV = "SDNB_FACTOR_BUDGET"
 DEFAULT_FACTOR_BUDGET = 4_000_000
 
@@ -291,7 +289,7 @@ def _factor_fraction(num: int, den: int) -> FactoredRational:
     fac = _factor_int(abs(num), budget)
     for p, e in _factor_int(den, budget).items():
         fac[p] = fac.get(p, 0) - e
-    items = tuple(sorted((p, e) for p, e in fac.items() if e != 0))
+    items = tuple(sorted(fac.items()))  # num/den is reduced: no prime cancels, no exponent is 0
     return FactoredRational(sign, items)
 
 

@@ -60,7 +60,6 @@ Two computed-versus-quoted discrepancies are deliberate and unit-tested:
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -269,10 +268,9 @@ def _root_bound(coeffs: Sequence[int]) -> int:
 
 
 def _has_integer_root(coeffs: Sequence[int], divisors: Sequence[int]) -> bool:
-    """Is f(d) or f(-d) zero for one of the sorted positive ``divisors`` of f(0)?  f is monic,
-    so the scan stops above :func:`_root_bound`."""
-    below = divisors[:bisect_right(divisors, _root_bound(coeffs))]
-    return any(_poly_eval(coeffs, d) == 0 or _poly_eval(coeffs, -d) == 0 for d in below)
+    """Is f(d) or f(-d) zero for one of the positive ``divisors`` of f(0)?  The caller lists
+    only the divisors up to :func:`_root_bound`, as no root of the monic f lies above it."""
+    return any(_poly_eval(coeffs, d) == 0 or _poly_eval(coeffs, -d) == 0 for d in divisors)
 
 
 def _trim(x: Sequence[int], p: int) -> list[int]:

@@ -8,8 +8,9 @@ and their units there; the real place compares signs.  Two routes feed it:
 * ``hilbert`` answers at one place, and ``is_square_in_completion`` is the
   one test of squares in Q_v (a place splits in Q(sqrt d) exactly when d is
   a square there).  Both take any nonzero rational n/d, strip p from n and d
-  by trial division and read the valuation and the unit n'd' off what is
-  left; they factor nothing, so they answer for arguments of any size.
+  by dividing out p, p^2, p^4, ... while each divides, and read the valuation
+  and the unit n'd' off what is left; they factor nothing, so they answer for
+  arguments of any size.
 * ``ramified_places`` gives the whole set of places where (a,b)_v = -1, the
   table of a quaternion class.  It reads the memoized factorizations of a
   and b (``exact.factor``), and at 2 and at each of their primes takes the
@@ -96,10 +97,14 @@ def _omega2(u: int) -> int:
 
 
 def _unit_and_valuation(s: int, p: int) -> tuple[int, int]:
+    """(s / p^v, v) for v = v_p(s), s nonzero: while p divides, divide by p, p^2, p^4, ... in turn."""
     v = 0
     while s % p == 0:
-        s //= p
-        v += 1
+        q, k = p, 1
+        while s % q == 0:
+            s //= q
+            v += k
+            q, k = q * q, 2 * k
     return s, v
 
 

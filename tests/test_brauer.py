@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -235,3 +236,53 @@ def test_restriction_tests_d_for_a_square_once(monkeypatch):
     monkeypatch.setattr(brauer, "is_square", counted)
     assert restricts_trivially_to_quadratic(cup(-1, -1), -1)
     assert len(calls) == 1
+
+
+def test_restriction_gives_one_answer_for_every_form_of_d(monkeypatch):
+    # d as an int, a Fraction, a string and a Decimal: one answer, and d is
+    # tested for a square once per call
+    calls = []
+    is_square = brauer.is_square
+
+    def counted(q):
+        calls.append(q)
+        return is_square(q)
+
+    monkeypatch.setattr(brauer, "is_square", counted)
+    rng = random.Random(2525)
+    checked = set()
+    for _ in range(120):
+        x = cup(rng.randint(1, 60) * rng.choice([1, -1]), rng.randint(1, 60) * rng.choice([1, -1]))
+        den = rng.choice((1, 1, 2, 4, 5, 8, 10, 25))
+        d = Fraction(rng.randint(-80, 80), den)
+        if is_square(d):
+            continue
+        decimal = Decimal(d.numerator) / Decimal(d.denominator)
+        assert Fraction(decimal) == d
+        forms = [d, str(d), decimal] + ([d.numerator] if d.denominator == 1 else [])
+        answers = set()
+        for form in forms:
+            calls.clear()
+            answers.add(restricts_trivially_to_quadratic(x, form))
+            assert len(calls) == 1, form
+        assert len(answers) == 1, (x, forms)
+        checked |= answers
+    assert checked == {True, False}
+
+
+@pytest.mark.parametrize("d", ["abc", "1/0", float("nan"), Decimal("NaN")], ids=repr)
+def test_restriction_raises_what_fraction_raises(d):
+    with pytest.raises((ValueError, ZeroDivisionError)) as want:
+        Fraction(d)
+    for x in (TRIVIAL, cup(-1, 3)):
+        with pytest.raises(type(want.value)) as got:
+            restricts_trivially_to_quadratic(x, d)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("d", [0, "0", Fraction(0), Decimal(0), 1, 4, Fraction(9, 4), "25/16", Decimal("2.25")], ids=repr)
+def test_restriction_refuses_zero_and_squares_with_its_own_message(d):
+    for x in (TRIVIAL, cup(-1, 3)):
+        with pytest.raises(ValueError) as info:
+            restricts_trivially_to_quadratic(x, d)
+        assert str(info.value) == "restriction target must be a genuine quadratic field"

@@ -1357,6 +1357,48 @@ def test_integer_root_scan_stops_at_the_root_bound(monkeypatch):
     assert len(calls) == 2 * 2128 and max(calls) <= 296142
 
 
+def test_the_screen_bounds_its_root_scan_once(monkeypatch):
+    # one Fujiwara bound per polynomial that reaches the root stage, f evaluated
+    # nowhere above it, and every polynomial with an integer root reducible
+    rng = random.Random(2512)
+    root_bound, evaluate = galois._root_bound, galois._poly_eval
+    bounds, evaluated = [], []
+
+    def bound(coeffs):
+        bounds.append(root_bound(coeffs))
+        return bounds[-1]
+
+    def evaluated_at(coeffs, x):
+        evaluated.append(abs(x))
+        return evaluate(coeffs, x)
+
+    monkeypatch.setattr(galois, "_root_bound", bound)
+    monkeypatch.setattr(galois, "_poly_eval", evaluated_at)
+    seen = {True: 0, False: 0}
+    for case in range(300):
+        m = rng.choice((3, 4, 8))
+        if case % 2:  # a root r, from +-1 up to +-f(0)
+            r = rng.choice((1, -1)) * rng.choice((1, rng.randint(2, 60), rng.randint(2, 10**6)))
+            g = _random_monic(rng, m - 1)
+            g[0] = g[0] or 1
+            f = _multiply([-r, 1], g)
+        else:
+            f = _random_monic(rng, rng.choice((4, 8)))
+            f[0] = f[0] or 7
+        rooted = any(evaluate(f, d) == 0 or evaluate(f, -d) == 0 for d in galois._divisors(f[0]))
+        bounds.clear()
+        evaluated.clear()
+        try:
+            verdict = galois._irreducible_over_Q(f)
+        except BudgetExceededError:
+            verdict = None
+        assert len(bounds) == 1 and max(evaluated, default=0) <= bounds[0], f
+        if rooted:
+            assert verdict is False, f
+        seen[rooted] += 1
+    assert seen[True] >= 150 and seen[False] > 50, seen
+
+
 def test_the_root_test_lists_only_the_divisors_below_the_root_bound(monkeypatch):
     # the same x^4 + f(0): Rabin's test decides before the quadratic-factor
     # search, so only the 2128 divisors up to 296142 are ever listed
