@@ -5,31 +5,27 @@ class, signature, Hasse-Witt class w2 = sum of (a_i, a_j) over i < j),
 rank-stratified local isotropy, Hasse-Minkowski over Q, representation and
 sums-of-squares decisions, and exact trace forms via Newton power sums.
 
-All arithmetic is exact.  A Gram matrix keeps its ``int`` and ``Fraction``
-entries as given, is scaled to integers by the least common multiple of their
-denominators and reduced once, at construction, by one symmetric
-fraction-free elimination (Bareiss, Math. Comp. 22, 1968, with a symmetric
-pivot rule), charged n^3 units of the work budget (``SDNB_FACTOR_BUDGET``)
-for an n x n matrix before it runs; the determinant and the diagonal form
-are read off its integer pivots.  A trace form is the Hankel matrix of the
-integer power sums of the roots of f, and when f is monic its leading
-principal minors are, up to sign, the principal subresultant coefficients of
-f and f' (Hermite; Basu, Pollack and Roy, Algorithms in Real Algebraic
-Geometry, ch. 9).  So ``trace_form`` first reads its pivots off the
-subresultant sequence of f and f' in O(m^2) operations, with no elimination,
-whenever every remainder drops the degree by exactly one; the Hankel rows of
-power sums are then computed only when they are first read (equality, hash,
-repr), which a decision never does.  Otherwise it refuses a polynomial with
-repeated roots, and for a vanishing leading minor it builds the rows at once
-and runs the elimination.  The determinant class is read
-off the cached factorizations of the entries, never of their product.  The
-Hasse-Witt class is summed over the square classes of the entries with their
-multiplicities: the ramified sets of a few symbols (a, -1) and (a, b), one
-per odd count rather than one per pair, each read off the cached
-factorizations by ``symbols.ramified_places``, are added into one class.
-The local isotropy tests read the Hasse invariant at a place off that class;
-their square tests and remaining symbols work at that one place, by trial
-division.
+All arithmetic is exact.  A Gram matrix is reduced once, at construction, by
+one symmetric fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of
+its rows scaled to integers, charged n^3 units of the work budget
+(``SDNB_FACTOR_BUDGET``); the determinant and the diagonal form are read off
+its integer pivots.  A trace form reads its pivots off the subresultant
+sequence of f and f' instead: the leading principal minors of the Hankel
+matrix of power sums are, up to sign, its principal subresultant coefficients
+(Hermite; Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
+ch. 9); see ``trace_form``.  The determinant class is read off the cached
+factorizations of the entries, never of their product.
+
+The Hasse invariant at a place v is one walk, linear in the rank (``_walk``;
+Serre, A Course in Arithmetic, III.1 and IV.2.1): by bilinearity the product
+of (a_i, a_j)_v over i < j is that of (a_1 ... a_(j-1), a_j)_v over j, so the
+walk keeps the prefix's valuation mod 2 and unit mod p (mod 8 at 2) and makes
+one ``symbols._finite_symbol`` call per entry.  ``hasse_witt`` walks the
+squarefree classes c != 1 of the entries, read off their cached
+factorizations: at 2 all of them, and at each odd p that divides one the
+classes p divides, after the unit product u of the others, which pair
+trivially at p.  The local isotropy tests walk the entries' valuations and
+units at their one place (``symbols._local_parts``) and factor nothing.
 
 The ternary witness search is a plain ``int`` scan of expanding boxes
 0 <= x, y <= 64, 512, 4096, ... up to the height cap, x first, then y, with z
@@ -52,8 +48,9 @@ from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .brauer import BrauerClass
-from .exact import WorkBudget, as_fraction, factor, frozen, is_square, nonzero, squarefree_part
-from .symbols import Place, hilbert, is_square_in_completion, ramified_places, support_places
+from .exact import WorkBudget, as_fraction, factor, frozen, is_square, nonzero
+from .symbols import REAL, Place, _finite_symbol, _local_parts, finite, hilbert, is_square_in_completion
+from .symbols import support_places
 
 
 @frozen
@@ -164,20 +161,20 @@ class GramMatrix:
         vars(self).update(rows=coerced, _scale=lcd, _pivots=tuple(_pivots(m)))
 
     @classmethod
-    def _of_pivots(cls, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]) -> "GramMatrix":
+    def _of_pivots(cls, rows: tuple | None, pivots: tuple[int, ...], coeffs: tuple[int, ...] = ()) -> "GramMatrix":
         """The matrix of integer ``rows`` whose elimination pivots are known.
 
         The caller vouches that ``rows`` is symmetric and that ``pivots`` are
-        what ``_pivots`` would return for it; nothing is checked or run.
+        what ``_pivots`` would return for it; nothing is checked or run.  With
+        rows None, those of the trace form of ``coeffs`` are built on first read.
         """
         g = object.__new__(cls)
-        vars(g).update(rows=rows, _scale=1, _pivots=pivots)
+        vars(g).update(_scale=1, _pivots=pivots, **({"_coeffs": coeffs} if rows is None else {"rows": rows}))
         return g
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        # reached only on a trace form built from its pivots: every other
-        # construction sets ``rows`` in the instance dict, which shadows this
+        # only a trace form of ``coeffs`` reaches this: ``rows`` in the instance dict shadows it
         return _power_sum_rows(self._coeffs)
 
     @property
@@ -222,57 +219,62 @@ def signature(f: DiagonalForm) -> tuple[int, int]:
     return pos, f.rank - pos
 
 
+def _walk(p: int, parts: Iterable[tuple[int, int]], u: int = 1) -> int:
+    """Product over i < j of (a_i, a_j)_p, each a_j = p^beta w given as (beta mod 2, w); see the module docstring."""
+    s, alpha, m = 1, 0, 8 if p == 2 else p
+    for beta, w in parts:
+        s *= _finite_symbol(alpha, u, beta, w, p)
+        alpha, u = alpha ^ beta, u * w % m
+    return s
+
+
 @lru_cache(maxsize=64)
 def hasse_witt(f: DiagonalForm) -> BrauerClass:
-    """The class sum of (a_i, a_j) over i < j in Br_2(Q).
-
-    The cup product is bilinear and depends only on square classes, so the
-    sum runs over the square classes of the entries with their
-    multiplicities m: (a, a) = (a, -1) counts C(m, 2) times within a class
-    and (a, b) counts m_a * m_b times across two, and only odd counts
-    contribute.  The class of 1 contributes nothing.  Each class is
-    represented by its first entry, whose factorization is already cached.
-    The ramified sets of the symbols are added (symmetric difference) and
-    one class is built at the end.  The result is memoized per form, so the
-    local tests at every place of one form share one computation.
-    """
-    classes: dict[int, list] = {}  # square class -> [first entry, multiplicity]
+    """The class sum of (a_i, a_j) over i < j in Br_2(Q), memoized per form; see the module docstring."""
+    classes: list[int] = []
+    divides: dict[int, list[int]] = {}  # prime -> the classes it divides
     for a in f.entries:
-        c = squarefree_part(a)
+        fa = factor(a)
+        odd = [p for p, e in fa.factors if e & 1]
+        c = fa.sign * prod(odd)
         if c != 1:
-            classes.setdefault(c, [a, 0])[1] += 1
-    reps = list(classes.values())
-    ramified: set[Place] = set()
-    for i, (a, m) in enumerate(reps):
-        if m * (m - 1) // 2 % 2:
-            ramified ^= ramified_places(a, -1)
-        for b, k in reps[i + 1:]:
-            if m * k % 2:
-                ramified ^= ramified_places(a, b)
+            classes.append(c)
+            for p in odd:
+                divides.setdefault(p, []).append(c)
+    total = prod(classes)
+    ramified = [REAL] if sum(c < 0 for c in classes) & 2 else []  # as in _hasse_invariant_at
+    if _walk(2, [(0, c) if c & 1 else (1, c // 2) for c in classes]) == -1:
+        ramified.append(finite(2))
+    for p, cs in divides.items():
+        if p != 2 and _walk(p, [(1, c // p) for c in cs], total // prod(cs) % p) == -1:
+            ramified.append(finite(p))
     return BrauerClass(frozenset(ramified))
 
 
 def _hasse_invariant_at(f: DiagonalForm, v: Place) -> int:
-    return -1 if v in hasse_witt(f).ramified else 1
+    """The Hasse invariant of f at v, walked on the entries' valuations and units there; factors nothing."""
+    if v.prime is None:  # -1 iff C(k, 2) is odd, k the number of negative entries
+        return -1 if signature(f)[1] & 2 else 1
+    return _walk(v.prime, ((k & 1, u) for k, u in (_local_parts(a, v) for a in f.entries)))
 
 
 def isotropic_over_Qp(f: DiagonalForm, v: Place) -> bool:
-    """Local isotropy by the rank-stratified invariant criteria."""
+    """Local isotropy by the rank-stratified invariant criteria, read at v alone."""
     n = f.rank
     if v.is_real:
         pos, neg = signature(f)
         return pos > 0 and neg > 0
     if n == 1:
         return False
-    d = det_square_class(f)
+    if n >= 5:
+        return True
+    d = prod(f.entries)
     if n == 2:
         return is_square_in_completion(-d, v)
     eps = _hasse_invariant_at(f, v)
     if n == 3:
         return hilbert(-1, -d, v) == eps
-    if n == 4:
-        return (not is_square_in_completion(d, v)) or eps == hilbert(-1, -1, v)
-    return True
+    return (not is_square_in_completion(d, v)) or eps == hilbert(-1, -1, v)
 
 
 def _support(f: DiagonalForm) -> list[Place]:
@@ -340,14 +342,14 @@ def isotropy_witness_ternary(
         bound *= 8
 
 
-def sum_of_two_squares(z: Fraction | int) -> bool:
-    """Is z a sum of two rational squares?
+def _positive_and_even_at_minus_one(z: Fraction | int, k: int) -> bool:
+    """z > 0 with even exponent at every prime p = -1 mod 2^k: pure factorization, no symbol."""
+    return nonzero(z, "zero input") > 0 and all(e % 2 == 0 for p, e in factor(z).factors if (p + 1) % (1 << k) == 0)
 
-    Holds iff z > 0 and every prime congruent to 3 mod 4 divides z to even
-    exponent (norms from Q(i)).
-    """
-    z = nonzero(z, "zero input")
-    return z > 0 and all(e % 2 == 0 for p, e in factor(z).factors if p % 4 == 3)
+
+def sum_of_two_squares(z: Fraction | int) -> bool:
+    """Is z a sum of two rational squares (a norm from Q(i))?  Iff z > 0 with even exponent at primes = 3 mod 4."""
+    return _positive_and_even_at_minus_one(z, 2)
 
 
 def sum_of_four_squares(z: Fraction | int) -> bool:
@@ -363,10 +365,8 @@ def sum_of_two_squares_over_sqrt2(z: Fraction | int) -> bool:
     (z, -1) can only ramify at the real place, at 2, and at primes p = 3 mod
     4; of those only p = 7 mod 8 split in Q(sqrt(2)) and survive restriction
     (2 ramifies, p = 3 mod 8 is inert, and sqrt(2) is real so z < 0 blocks).
-    Pure factorization, independent of the symbol machinery.
     """
-    z = nonzero(z, "zero input")
-    return z > 0 and all(e % 2 == 0 for p, e in factor(z).factors if p % 8 == 7)
+    return _positive_and_even_at_minus_one(z, 3)
 
 
 def _integer_coefficients(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -477,9 +477,7 @@ def trace_form(coeffs: Sequence[int]) -> GramMatrix:
         raise ValueError("polynomial must be monic")
     pivots = _subresultant_pivots(coeffs)
     if pivots is not None:
-        g = object.__new__(GramMatrix)  # as _of_pivots, with ``rows`` left to its first read
-        vars(g).update(_coeffs=coeffs, _scale=1, _pivots=pivots)
-        return g
+        return GramMatrix._of_pivots(None, pivots, coeffs)
     if _has_repeated_roots(coeffs):
         raise ValueError("polynomial has repeated roots")
     return GramMatrix(_power_sum_rows(coeffs))

@@ -3,7 +3,7 @@
 The symbol has one formula, ``_finite_symbol``, the closed formulas of Serre,
 *A Course in Arithmetic*, III.1: Euler's criterion at odd p, eps(u) = (u-1)/2
 and omega(u) = (u^2-1)/8 at p = 2, read off the valuations of a and b at p
-and their units there; the real place compares signs.  Two routes feed it:
+and their units there; the real place compares signs.  Three routes feed it:
 
 * ``hilbert`` answers at one place, and ``is_square_in_completion`` is the
   one test of squares in Q_v (a place splits in Q(sqrt d) exactly when d is
@@ -15,8 +15,10 @@ and their units there; the real place compares signs.  Two routes feed it:
   table of a quaternion class.  It reads the memoized factorizations of a
   and b (``exact.factor``), and at 2 and at each of their primes takes the
   valuation from the table and the unit by one exact division.
+* ``forms._walk`` takes the Hasse invariant of a diagonal form at a place,
+  one call per entry, with the running product of the entries before it.
 
-Neither route tests p again: a ``Place`` verifies its prime once, at
+No route tests p again: a ``Place`` verifies its prime once, at
 construction, and ``finite`` builds the place of each prime once.
 
 ``hilbert_oracle`` is the independent cross-check: a brute-force search for a

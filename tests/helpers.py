@@ -7,11 +7,11 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from sdnb import CyclicQuadratic, CyclicQuartic, brauer, galois, is_square
-from sdnb.brauer import is_trivial
+from sdnb.brauer import BrauerClass, is_trivial
 from sdnb.exact import _SMALL_PRIMES, BudgetExceededError, legendre, squarefree_part
 from sdnb.factors import FactorKind, decompose, local_data
 from sdnb.forms import GramMatrix, det_square_class, hasse_witt, signature
-from sdnb.symbols import Place, hilbert
+from sdnb.symbols import Place, hilbert, ramified_places
 
 
 def random_nonsquare_rational(rng: random.Random, span: int = 80) -> Fraction:
@@ -349,6 +349,31 @@ def reference_hasse_invariant_at(f, v):
     return s
 
 
+# --- reference copy of the pair walk -------------------------------------------
+#
+# ``forms.hasse_witt`` as it stood when it summed over pairs of square classes
+# with their multiplicities m: (a, a) = (a, -1) counted C(m, 2) times within a
+# class and (a, b) counted m_a * m_b times across two, and the ramified sets of
+# the symbols with an odd count were added into one class.
+
+
+def reference_hasse_witt(f):
+    classes = {}  # square class -> [first entry, multiplicity]
+    for a in f.entries:
+        c = squarefree_part(a)
+        if c != 1:
+            classes.setdefault(c, [a, 0])[1] += 1
+    reps = list(classes.values())
+    ramified = set()
+    for i, (a, m) in enumerate(reps):
+        if m * (m - 1) // 2 % 2:
+            ramified ^= ramified_places(a, -1)
+        for b, k in reps[i + 1:]:
+            if m * k % 2:
+                ramified ^= ramified_places(a, b)
+    return BrauerClass(frozenset(ramified))
+
+
 # --- reference copy of the two-orbit Rabin test ---------------------------------
 #
 # ``galois._irreducible_mod_p`` as it stood when it computed X^(p^m) and then
@@ -676,3 +701,33 @@ def gaussian_period_polynomial(p, m):
         assert rest == 0
         e.append(total)
     return [(-1) ** (m - j) * e[m - j] for j in range(m + 1)]
+
+
+# --- the elementary criterion at every cyclic 2-power order -------------------------
+#
+# Plain-int code that uses nothing from sdnb, so that it can serve as an oracle.
+
+
+def reference_two_power_criterion(n, z):
+    """Does ``CyclicQuadratic(n, z)`` have a self-dual normal basis?
+
+    Iff z > 0 and z has even exponent at every prime p = -1 mod 2^n: the one
+    nonzero class (z)(-1) sits on the factor of conductor 2^n, where the filter
+    binds only at the odd p of odd local degree in Q(zeta_(2^n))^+ (p = +-1 mod
+    2^n) whose center stays a field (p = -1 mod 2^n).  Factors the numerator
+    and the denominator by trial division.
+    """
+    z = Fraction(z)
+    if z <= 0:
+        return False
+    exponents = {}
+    for m, sign in ((z.numerator, 1), (z.denominator, -1)):
+        d = 2
+        while d * d <= m:
+            while m % d == 0:
+                exponents[d] = exponents.get(d, 0) + sign
+                m //= d
+            d += 1
+        if m > 1:
+            exponents[m] = exponents.get(m, 0) + sign
+    return all(e % 2 == 0 for p, e in exponents.items() if (p + 1) % (1 << n) == 0)
