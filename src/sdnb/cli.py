@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterable
 
 from .exact import BudgetExceededError, parse_rational
 from .forms import (
@@ -83,12 +84,23 @@ def _spec(args: argparse.Namespace) -> dict:
     return data
 
 
-def _emit(args: argparse.Namespace, data: dict | list, *text_lines: str) -> None:
-    """Print data as indented JSON under --format json, else the text lines."""
-    if args.format == "json":
-        print(json.dumps(data, indent=2))
-    else:
-        print(*text_lines, sep="\n")
+def _emit(args: argparse.Namespace, data: dict | list, text_lines: Iterable[str]) -> None:
+    """Print data as indented JSON under --format json, else the text lines.
+
+    Both are formatted here with CPython's limit on int-to-text digits lifted,
+    so an answer of any length prints; parsing the input keeps the limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or an interpreter without one
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            print(json.dumps(data, indent=2))
+        else:
+            print(*text_lines, sep="\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _decide(args: argparse.Namespace) -> int:
@@ -99,19 +111,21 @@ def _decide(args: argparse.Namespace) -> int:
         f"place={'-' if row.place is None else str(row.place):<5} {row.detail}"
         for row in decision.certificate
     )
-    _emit(args, decision.to_json(), f"verdict: {decision.verdict}", *rows)
+    _emit(args, decision.to_json(), [f"verdict: {decision.verdict}", *rows])
     return _VERDICT_EXIT[decision.verdict]
 
 
 def _invariants(args: argparse.Namespace) -> None:
     report = invariant_report(spec_from_json(_spec(args)))
-    entries = (
-        f"  {e.invariant}[{e.factor_id}]: {e.status} {'-' if e.value is None else e.value}"
-        + (f"  ({e.note})" if e.note else "")
-        for e in report.entries
-    )
-    trace = f"trace form: {report.trace_diagonal}  det class {report.det_class}  signature {report.signature}"
-    _emit(args, report.to_json(), f"h1: {report.h1}", trace, *entries)
+
+    def lines() -> Iterable[str]:  # lazy, so that _emit formats the det class
+        yield f"h1: {report.h1}"
+        yield f"trace form: {report.trace_diagonal}  det class {report.det_class}  signature {report.signature}"
+        for e in report.entries:
+            note = f"  ({e.note})" if e.note else ""
+            yield f"  {e.invariant}[{e.factor_id}]: {e.status} {'-' if e.value is None else e.value}{note}"
+
+    _emit(args, report.to_json(), lines())
 
 
 def _hilbert(args: argparse.Namespace) -> None:
@@ -143,18 +157,18 @@ def _form(args: argparse.Namespace) -> None:
             data["witness"] = list(witness)
     if rep is not None:
         data["represents"] = {"value": str(rep), "result": represents(f, rep)}
-    _emit(args, data, *(f"{key}: {value}" for key, value in data.items()))
+    _emit(args, data, (f"{key}: {value}" for key, value in data.items()))
 
 
 def _factors(args: argparse.Namespace) -> None:
     table = [fd.to_json() for fd in decompose(parse_group(args.group))]
-    _emit(args, table, *map(str, table))
+    _emit(args, table, map(str, table))
 
 
 def _embed(args: argparse.Namespace) -> None:
     cls = embedding_obstruction([int(t) for t in args.poly.split(",")])
     trivial = not cls.ramified
-    _emit(args, {"obstruction": cls.to_json(), "trivial": trivial}, f"obstruction: {cls}  trivial: {trivial}")
+    _emit(args, {"obstruction": cls.to_json(), "trivial": trivial}, [f"obstruction: {cls}  trivial: {trivial}"])
 
 
 def _devnull_onto(fd: int) -> None:

@@ -26,6 +26,7 @@ factorizations: at 2 all of them, and at each odd p that divides one the
 classes p divides, after the unit product u of the others, which pair
 trivially at p.  The local isotropy tests walk the entries' valuations and
 units at their one place (``symbols._local_parts``) and factor nothing.
+Hasse-Minkowski asks the real place first, which alone decides definite forms.
 
 The ternary witness search is a plain ``int`` scan of expanding boxes
 0 <= x, y <= 64, 512, 4096, ... up to the height cap, x first, then y, with z
@@ -288,11 +289,10 @@ def isotropic_over_Q(f: DiagonalForm) -> bool:
 
 
 def anisotropy_certificate(f: DiagonalForm) -> Place | None:
-    """A place where f is locally anisotropic, or None if f is isotropic."""
-    for v in _support(f):
-        if not isotropic_over_Qp(f, v):
-            return v
-    return None
+    """A place where f is locally anisotropic, or None if f is isotropic; the real place is asked first."""
+    if not isotropic_over_Qp(f, REAL):
+        return REAL
+    return next((v for v in _support(f)[1:] if not isotropic_over_Qp(f, v)), None)
 
 
 def represents(f: DiagonalForm, c: Fraction | int) -> bool:
@@ -492,8 +492,7 @@ def quartic_family_form(
     not a square; the quartic field is Q(sqrt(a + b sqrt(eps))).
     """
     a, b, c, eps = (x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in (a, b, c, eps))
-    if c == 0:
-        raise ValueError("quartic family needs c nonzero")
+    c = nonzero(c, "quartic family needs c nonzero")
     if is_square(eps):
         raise ValueError("quartic family needs a nonsquare eps")
     if a * a - b * b * eps != c * c * eps:

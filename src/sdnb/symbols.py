@@ -21,8 +21,10 @@ and their units there; the real place compares signs.  Three routes feed it:
 No route tests p again: a ``Place`` verifies its prime once, at
 construction, and ``finite`` builds the place of each prime once.
 
-``hilbert_oracle`` is the independent cross-check: a brute-force search for a
-primitive solution of z^2 = a x^2 + b y^2 modulo p^N with N = v_p(4ab) + 3.
+``hilbert_oracle`` is the independent cross-check.  It refuses a zero a or b
+(``exact.nonzero``), then a non-prime p (``finite``), before it factors
+anything; then it reduces a and b to squarefree representatives and searches
+for a primitive solution of z^2 = a x^2 + b y^2 modulo p^N, N = v_p(4ab) + 3.
 At that precision a primitive solution lifts to Z_p by Hensel's lemma and the
 absence of one certifies local anisotropy, so the search is decisive rather
 than heuristic.  A solution is primitive iff one coordinate is a unit, and
@@ -210,15 +212,9 @@ def _oracle_reduced(a: int, b: int, p: int) -> int:
 
 
 def hilbert_oracle(a: int, b: int, p: int) -> int:
-    """Brute-force Hilbert symbol at a finite prime; see the module docstring.
-
-    Arguments reduce to squarefree representatives first, so the p-exponents
-    entering the precision bound are at most 1.
-    """
-    if a == 0 or b == 0:
-        raise ValueError("oracle arguments must be nonzero")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """Brute-force Hilbert symbol at a finite prime; see the module docstring for the search and its refusals."""
+    a, b = (nonzero(x, "oracle arguments must be nonzero") for x in (a, b))
+    p = finite(p).prime
     return _oracle_reduced(squarefree_part(a), squarefree_part(b), p)
 
 

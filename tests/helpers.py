@@ -10,8 +10,17 @@ from sdnb import CyclicQuadratic, CyclicQuartic, brauer, galois, is_square
 from sdnb.brauer import BrauerClass, is_trivial
 from sdnb.exact import _SMALL_PRIMES, BudgetExceededError, legendre, squarefree_part
 from sdnb.factors import FactorKind, decompose, local_data
-from sdnb.forms import GramMatrix, det_square_class, hasse_witt, signature
+from sdnb.forms import GramMatrix, _support, det_square_class, hasse_witt, isotropic_over_Qp, signature
 from sdnb.symbols import Place, hilbert, ramified_places
+
+
+def raised(fn, *args) -> tuple[type, str]:
+    """The type and message of the exception fn(*args) raises; AssertionError if it returns."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"{fn.__name__}{args} raised nothing")
 
 
 def random_nonsquare_rational(rng: random.Random, span: int = 80) -> Fraction:
@@ -347,6 +356,19 @@ def reference_hasse_invariant_at(f, v):
         for j in range(i + 1, f.rank):
             s *= hilbert(f.entries[i], f.entries[j], v)
     return s
+
+
+# --- reference copy of the support walk ----------------------------------------
+#
+# ``forms.anisotropy_certificate`` as it stood when it asked every place of the
+# sorted support, the real place among them, in turn.
+
+
+def reference_anisotropy_certificate(f):
+    for v in _support(f):
+        if not isotropic_over_Qp(f, v):
+            return v
+    return None
 
 
 # --- reference copy of the pair walk -------------------------------------------

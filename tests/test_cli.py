@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -200,6 +201,40 @@ def test_form_with_entries_beyond_64_bits_ends_cleanly(capsys):
         assert 65303470080 * x * x + 8434323170211965890461696 * y * y - z * z == 0
     else:
         assert json.loads(err)["error"] == "budget-exceeded"
+
+
+def _odd_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    n = 3
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 2
+    return primes
+
+
+def test_an_answer_beyond_cpythons_int_digit_limit_prints(capsys):
+    # the product of the first 1300 odd primes has 4587 digits; CPython turns at most 4300 into text by default
+    primes = _odd_primes(1300)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    diag = ",".join(map(str, primes))
+    code, text, err = run(capsys, "form", "--diag", diag)
+    assert (code, err) == (0, "") and text.count("\n") == 6
+    code, out, err = run(capsys, "form", "--diag", diag, "--format", "json")
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit  # restored after printing
+    digits = re.search(r'"det_class": (\d+),', out)[1]
+    assert len(digits) == 4587 and f"\ndet_class: {digits}\n" in text
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out)["det_class"] == math.prod(primes)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    # parsing keeps the limit: an entry of 4301 digits is malformed input
+    code, out, err = run(capsys, "form", "--diag", "1" + "0" * 4300)
+    assert (code, out) == (65, "") and json.loads(err)["error"] == "bad-input"
 
 
 _P1, _P2 = 2**64 - 59, 2**64 - 83

@@ -35,6 +35,8 @@ from sdnb import (
 from helpers import (
     compose,
     numpy_witness_ternary,
+    raised,
+    reference_anisotropy_certificate,
     reference_hasse_invariant_at,
     reference_trace_form,
 )
@@ -392,6 +394,49 @@ def test_real_place_isotropy():
     assert not isotropic_over_Qp(DiagonalForm([3]), Place(3))
 
 
+def _random_form_entries(rng: random.Random, rank: int) -> list[Fraction]:
+    """Entries of both signs, some fractional, some with square factors."""
+    return [
+        F(rng.choice([1, -1]) * rng.randint(1, 40) * rng.choice([1, 1, 1, 4, 9, 25]), rng.choice([1, 1, 2, 3, 4, 9]))
+        for _ in range(rank)
+    ]
+
+
+def test_anisotropy_certificate_matches_the_support_walk():
+    rng = random.Random(2704)
+    definite = represented = 0
+    for _ in range(3000):
+        f = DiagonalForm(_random_form_entries(rng, rng.randint(1, 6)))
+        assert anisotropy_certificate(f) == reference_anisotropy_certificate(f), f
+        definite += 0 in signature(f)
+        if rng.random() < 0.3:
+            c = _random_form_entries(rng, 1)[0]
+            got = represents(f, c)
+            assert got == (reference_anisotropy_certificate(f.orthogonal_sum(DiagonalForm([-c]))) is None), (f, c)
+            represented += got
+    assert 500 < definite < 2500 and represented > 100
+
+
+def test_a_definite_form_builds_no_finite_support(monkeypatch):
+    calls = []
+    support = forms._support
+
+    def counted(f):
+        calls.append(f)
+        return support(f)
+
+    monkeypatch.setattr(forms, "_support", counted)
+    rng = random.Random(2705)
+    for rank in range(1, 7):
+        for sign in (1, -1):
+            f = DiagonalForm([sign * abs(a) for a in _random_form_entries(rng, rank)])
+            assert anisotropy_certificate(f) == REAL and not isotropic_over_Q(f)
+    assert calls == []
+    indefinite = DiagonalForm([1, 1, -3])
+    assert anisotropy_certificate(indefinite) == Place(2)
+    assert calls == [indefinite]
+
+
 def test_rank5_isotropic_at_finite_places():
     rng = random.Random(41)
     for _ in range(20):
@@ -724,6 +769,12 @@ def test_quartic_family_validation():
         quartic_family_form(2, 1, 1, 4)  # relation fails and eps square
     with pytest.raises(ValueError):
         quartic_family_form(3, 1, 1, 2)  # relation fails
+
+
+def test_quartic_family_coerces_every_value_before_it_refuses_a_zero_c():
+    assert raised(quartic_family_form, 2, 1, 0, "abc") == raised(Fraction, "abc")
+    for zero in (0, F(0), "0", "0/7"):
+        assert raised(quartic_family_form, 2, 1, zero, 2) == (ValueError, "quartic family needs c nonzero")
 
 
 def test_quartic_gram_route_matches_diagonal_route():

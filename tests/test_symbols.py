@@ -19,7 +19,7 @@ from sdnb import (
 )
 from sdnb.symbols import is_square_in_completion
 
-from helpers import reference_hilbert, reference_is_square_in_completion
+from helpers import raised, reference_hilbert, reference_is_square_in_completion
 
 
 def test_place_validation():
@@ -88,6 +88,26 @@ def test_oracle_agrees_with_formula_small_grid():
             for b in range(-6, 7):
                 if a and b:
                     assert hilbert_oracle(a, b, p) == hilbert(a, b, Place(p)), (a, b, p)
+
+
+def test_oracle_refuses_a_zero_then_a_non_prime_before_it_factors(monkeypatch):
+    assert raised(hilbert_oracle, 0, 3, 4) == (ValueError, "oracle arguments must be nonzero")
+    assert raised(hilbert_oracle, 3, Fraction(0), 5) == (ValueError, "oracle arguments must be nonzero")
+    # the first malformed argument decides, as for cup and hilbert
+    assert raised(hilbert_oracle, "abc", 0, 5) == raised(Fraction, "abc")
+    factored = []
+    factor_fraction = exact._factor_fraction
+
+    def recorded(num, den):
+        factored.append((num, den))
+        return factor_fraction(num, den)
+
+    monkeypatch.setattr(exact, "_factor_fraction", recorded)
+    assert raised(hilbert_oracle, 3, 5, 4) == (ValueError, "4 is not prime")
+    assert raised(hilbert_oracle, 3, 5, 1) == (ValueError, "1 is not prime")
+    assert factored == []
+    assert hilbert_oracle(3, "5/4", 5) == hilbert(3, 5, Place(5))
+    assert factored
 
 
 def test_oracle_modulus_cap_names_input():
