@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .exact import BudgetExceededError, parse_rational
 from .forms import (
@@ -84,16 +84,18 @@ def _spec(args: argparse.Namespace) -> dict:
     return data
 
 
-def _emit(args: argparse.Namespace, data: dict | list, text_lines: Iterable[str]) -> None:
-    """Print data as indented JSON under --format json, else the text lines.
+def _emit(args: argparse.Namespace, answer: Callable[[], tuple[dict | list, Iterable[str]]]) -> None:
+    """Print the answer's data as indented JSON under --format json, else its text lines.
 
-    Both are formatted here with CPython's limit on int-to-text digits lifted,
-    so an answer of any length prints; parsing the input keeps the limit.
+    ``answer`` makes both, and is called here with CPython's limit on
+    int-to-text digits lifted, so an answer of any length prints; parsing
+    the input and computing the answer keep the limit.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or an interpreter without one
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        data, text_lines = answer()
         if args.format == "json":
             print(json.dumps(data, indent=2))
         else:
@@ -111,21 +113,21 @@ def _decide(args: argparse.Namespace) -> int:
         f"place={'-' if row.place is None else str(row.place):<5} {row.detail}"
         for row in decision.certificate
     )
-    _emit(args, decision.to_json(), [f"verdict: {decision.verdict}", *rows])
+    _emit(args, lambda: (decision.to_json(), [f"verdict: {decision.verdict}", *rows]))
     return _VERDICT_EXIT[decision.verdict]
 
 
 def _invariants(args: argparse.Namespace) -> None:
     report = invariant_report(spec_from_json(_spec(args)))
 
-    def lines() -> Iterable[str]:  # lazy, so that _emit formats the det class
+    def lines() -> Iterable[str]:
         yield f"h1: {report.h1}"
         yield f"trace form: {report.trace_diagonal}  det class {report.det_class}  signature {report.signature}"
         for e in report.entries:
             note = f"  ({e.note})" if e.note else ""
             yield f"  {e.invariant}[{e.factor_id}]: {e.status} {'-' if e.value is None else e.value}{note}"
 
-    _emit(args, report.to_json(), lines())
+    _emit(args, lambda: (report.to_json(), lines()))
 
 
 def _hilbert(args: argparse.Namespace) -> None:
@@ -142,33 +144,39 @@ def _form(args: argparse.Namespace) -> None:
         f = diagonalize(GramMatrix([[parse_rational(x) for x in row.split(",")] for row in args.gram.split(";")]))
     rep = parse_rational(args.represents) if args.represents else None
     cert = anisotropy_certificate(f)
-    data: dict = {
-        "diagonal": [str(a) for a in f.entries],
-        "det_class": det_square_class(f),
-        "signature": list(signature(f)),
-        "hasse_witt": hasse_witt(f).to_json(),
-        "isotropic_over_Q": cert is None,
-    }
-    if cert is not None:
-        data["anisotropic_at"] = cert.to_json()
-    elif f.rank == 3:
-        witness = isotropy_witness_ternary(f)
-        if witness is not None:
+    det, sig, w2 = det_square_class(f), signature(f), hasse_witt(f)
+    witness = isotropy_witness_ternary(f) if cert is None and f.rank == 3 else None
+    result = None if rep is None else represents(f, rep)
+
+    def answer() -> tuple[dict, Iterable[str]]:
+        data: dict = {
+            "diagonal": [str(a) for a in f.entries],
+            "det_class": det,
+            "signature": list(sig),
+            "hasse_witt": w2.to_json(),
+            "isotropic_over_Q": cert is None,
+        }
+        if cert is not None:
+            data["anisotropic_at"] = cert.to_json()
+        elif witness is not None:
             data["witness"] = list(witness)
-    if rep is not None:
-        data["represents"] = {"value": str(rep), "result": represents(f, rep)}
-    _emit(args, data, (f"{key}: {value}" for key, value in data.items()))
+        if rep is not None:
+            data["represents"] = {"value": str(rep), "result": result}
+        return data, (f"{key}: {value}" for key, value in data.items())
+
+    _emit(args, answer)
 
 
 def _factors(args: argparse.Namespace) -> None:
     table = [fd.to_json() for fd in decompose(parse_group(args.group))]
-    _emit(args, table, map(str, table))
+    _emit(args, lambda: (table, map(str, table)))
 
 
 def _embed(args: argparse.Namespace) -> None:
     cls = embedding_obstruction([int(t) for t in args.poly.split(",")])
     trivial = not cls.ramified
-    _emit(args, {"obstruction": cls.to_json(), "trivial": trivial}, [f"obstruction: {cls}  trivial: {trivial}"])
+    data = {"obstruction": cls.to_json(), "trivial": trivial}
+    _emit(args, lambda: (data, [f"obstruction: {cls}  trivial: {trivial}"]))
 
 
 def _devnull_onto(fd: int) -> None:

@@ -47,6 +47,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
+from typing import Callable
 
 _BUDGET_ENV = "SDNB_FACTOR_BUDGET"
 DEFAULT_FACTOR_BUDGET = 4_000_000
@@ -82,13 +83,19 @@ class WorkBudget:
 
     ``task`` names the computation and its input; it heads the message of
     the :class:`BudgetExceededError` that ``spend`` raises when a charge
-    would overdraw the budget, together with the units already spent.
+    would overdraw the budget, together with the units already spent.  It
+    may be given as a function that makes the text, called only when
+    ``task`` is read, so a budget that never trips formats no input.
     """
 
-    def __init__(self, task: str) -> None:
-        self.task = task
+    def __init__(self, task: str | Callable[[], str]) -> None:
+        self._task = task
         self.limit = _work_budget()
         self.spent = 0
+
+    @property
+    def task(self) -> str:
+        return self._task if isinstance(self._task, str) else self._task()
 
     def spend(self, units: int) -> None:
         if self.spent + units > self.limit:
@@ -97,6 +104,16 @@ class WorkBudget:
                 f"{self.limit} units ({_BUDGET_ENV})"
             )
         self.spent += units
+
+
+def _shown(x: int | Fraction) -> str:
+    """``str(x)``, or for a number past CPython's limit on int-to-text digits, the bit lengths of its parts."""
+    try:
+        return str(x)
+    except ValueError:
+        if x.denominator != 1:
+            return f"{_shown(x.numerator)}/{_shown(x.denominator)}"
+        return f"{'-' if x < 0 else ''}<{abs(x.numerator).bit_length()}-bit integer>"
 
 
 def _sieve(limit: int) -> tuple[int, ...]:
@@ -190,7 +207,7 @@ def _brent_split(n: int, budget: WorkBudget) -> int:
         if g != n:
             return g
     raise BudgetExceededError(
-        f"{budget.task}: cycle search failed to split {n} after {budget.spent} units"
+        f"{budget.task}: cycle search failed to split {_shown(n)} after {budget.spent} units"
     )
 
 
@@ -285,7 +302,7 @@ class FactoredRational:
 @lru_cache(maxsize=1 << 16)
 def _factor_fraction(num: int, den: int) -> FactoredRational:
     sign = 1 if num > 0 else -1
-    budget = WorkBudget(f"factoring {Fraction(num, den)}")
+    budget = WorkBudget(lambda: f"factoring {_shown(Fraction(num, den))}")
     fac = _factor_int(abs(num), budget)
     for p, e in _factor_int(den, budget).items():
         fac[p] = fac.get(p, 0) - e

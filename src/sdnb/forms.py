@@ -13,17 +13,17 @@ its integer pivots.  A trace form reads its pivots off the subresultant
 sequence of f and f' instead: the leading principal minors of the Hankel
 matrix of power sums are, up to sign, its principal subresultant coefficients
 (Hermite; Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
-ch. 9); see ``trace_form``.  The determinant class is read off the cached
-factorizations of the entries, never of their product.
+ch. 9); see ``trace_form``.  The determinant class is read off the entries'
+square classes (``_square_classes``), never off their product's factorization.
 
 The Hasse invariant at a place v is one walk, linear in the rank (``_walk``;
 Serre, A Course in Arithmetic, III.1 and IV.2.1): by bilinearity the product
 of (a_i, a_j)_v over i < j is that of (a_1 ... a_(j-1), a_j)_v over j, so the
 walk keeps the prefix's valuation mod 2 and unit mod p (mod 8 at 2) and makes
-one ``symbols._finite_symbol`` call per entry.  ``hasse_witt`` walks the
-squarefree classes c != 1 of the entries, read off their cached
-factorizations: at 2 all of them, and at each odd p that divides one the
-classes p divides, after the unit product u of the others, which pair
+one ``symbols._finite_symbol`` call per entry.  ``hasse_witt`` takes the
+real place from ``_hasse_invariant_at`` and walks the determinant's table of
+square classes c != 1: at 2 all of them, and at each odd p that divides one
+the classes p divides, after the unit product u of the others, which pair
 trivially at p.  The local isotropy tests walk the entries' valuations and
 units at their one place (``symbols._local_parts``) and factor nothing.
 Hasse-Minkowski asks the real place first, which alone decides definite forms.
@@ -49,7 +49,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .brauer import BrauerClass
-from .exact import WorkBudget, as_fraction, factor, frozen, is_square, nonzero
+from .exact import WorkBudget, _shown, as_fraction, factor, frozen, is_square, nonzero
 from .symbols import REAL, Place, _finite_symbol, _local_parts, finite, hilbert, is_square_in_completion
 from .symbols import support_places
 
@@ -199,19 +199,25 @@ def diagonalize(g: GramMatrix) -> DiagonalForm:
     return DiagonalForm(Fraction(p, prev * lcd) for prev, p in zip((1,) + pivots, pivots))
 
 
-def det_square_class(f: DiagonalForm) -> int:
-    """Squarefree representative of the determinant.
-
-    The sign and the primes of odd exponent in the product of the entries,
-    taken from each entry's (cached) factorization: a prime's exponent in
-    the product is odd iff it is odd in an odd number of entries.
-    """
-    sign, odd = 1, set()
+def _square_classes(f: DiagonalForm) -> tuple[list[int], dict[int, list[int]]]:
+    """The squarefree classes c != 1 of the entries, from their cached factorizations, and each prime's classes."""
+    classes: list[int] = []
+    divides: dict[int, list[int]] = {}  # prime -> the classes it divides
     for a in f.entries:
         fa = factor(a)
-        sign *= fa.sign
-        odd ^= {p for p, e in fa.factors if e % 2}
-    return sign * prod(odd)
+        odd = [p for p, e in fa.factors if e & 1]
+        if (c := fa.sign * prod(odd)) != 1:
+            classes.append(c)
+            for p in odd:
+                divides.setdefault(p, []).append(c)
+    return classes, divides
+
+
+def det_square_class(f: DiagonalForm) -> int:
+    """Squarefree representative of the determinant, read off the entries' square classes c != 1
+    (``_square_classes``): -1 iff an odd number are negative, times the primes dividing an odd number."""
+    classes, divides = _square_classes(f)
+    return (-1) ** sum(c < 0 for c in classes) * prod(p for p, cs in divides.items() if len(cs) & 1)
 
 
 def signature(f: DiagonalForm) -> tuple[int, int]:
@@ -232,18 +238,9 @@ def _walk(p: int, parts: Iterable[tuple[int, int]], u: int = 1) -> int:
 @lru_cache(maxsize=64)
 def hasse_witt(f: DiagonalForm) -> BrauerClass:
     """The class sum of (a_i, a_j) over i < j in Br_2(Q), memoized per form; see the module docstring."""
-    classes: list[int] = []
-    divides: dict[int, list[int]] = {}  # prime -> the classes it divides
-    for a in f.entries:
-        fa = factor(a)
-        odd = [p for p, e in fa.factors if e & 1]
-        c = fa.sign * prod(odd)
-        if c != 1:
-            classes.append(c)
-            for p in odd:
-                divides.setdefault(p, []).append(c)
+    classes, divides = _square_classes(f)
     total = prod(classes)
-    ramified = [REAL] if sum(c < 0 for c in classes) & 2 else []  # as in _hasse_invariant_at
+    ramified = [REAL] if _hasse_invariant_at(f, REAL) == -1 else []
     if _walk(2, [(0, c) if c & 1 else (1, c // 2) for c in classes]) == -1:
         ramified.append(finite(2))
     for p, cs in divides.items():
@@ -317,7 +314,7 @@ def isotropy_witness_ternary(
         raise ValueError("witness search is for ternary forms")
     a, b, c = f.scaled_integer_entries()
     mod = abs(c)
-    budget = WorkBudget(f"isotropy witness search for {f}")
+    budget = WorkBudget(lambda: f"isotropy witness search for <{', '.join(map(_shown, f.entries))}>")
     ys_by_class: dict[int, list[int]] = {}  # b y^2 mod |c| -> increasing y
     filled = 0
     bound = 64

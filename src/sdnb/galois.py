@@ -25,8 +25,9 @@ unitary factor binds where the fixed field has odd local degree and the
 center stays a field.  Certificates list every filter decision.
 
 Each family class carries ``group``, ``degree`` (of the inducing field) and
-``family`` (its JSON/CLI tag), and keeps as ``_form`` the trace form its
-parameters fix (split, quadratic, quartic); D4, A5 and A4 supply their own
+``family`` (its JSON/CLI tag), and keeps its diagonalized trace form as
+``_form``: set from the parameters (split, quadratic, quartic) or built from
+the polynomial on first read (cyclic-poly, A4); D4, A5 and A4 supply their own
 orthogonal classes through one hook, and A4 caps the verdict at unknown.
 One certificate builder makes both decisions in one pass over the factor
 table, computing the group, its 2-power exponent, h1, the trace form and the
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from math import inf, lcm, prod
 from typing import Sequence, Union, get_args
@@ -69,8 +70,8 @@ from typing import Sequence, Union, get_args
 from . import brauer
 from .brauer import BrauerClass, add, cup, is_trivial
 from .exact import (
-    _BUDGET_ENV, _SMALL_PRIMES, BudgetExceededError, WorkBudget, as_fraction, factor, frozen, is_square, nonzero,
-    parse_rational,
+    _BUDGET_ENV, _SMALL_PRIMES, BudgetExceededError, WorkBudget, _shown, as_fraction, factor, frozen, is_square,
+    nonzero, parse_rational,
 )
 from .factors import (
     FactorDescriptor,
@@ -106,10 +107,14 @@ VERDICT_UNKNOWN = "unknown"
 
 class _Family:
     """Besides ``group``, ``degree`` and ``family``, each family carries the verdict that caps
-    its decisions (None: no cap), its own orthogonal classes and its fixed trace form, if any."""
+    its decisions (None: no cap), its own orthogonal classes and its diagonalized trace form
+    ``_form``: a polynomial family builds it on first read, the others set it."""
 
     verdict_cap: str | None = None
-    _form: DiagonalForm | None = None
+
+    @cached_property
+    def _form(self) -> DiagonalForm:
+        return diagonalize(trace_form(self.coeffs))
 
     def _own_entry(self, fd: FactorDescriptor, q: DiagonalForm) -> InvariantEntry | None:
         """The family's entry for the orthogonal factor fd given the trace form q, or None for zero."""
@@ -380,11 +385,11 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
         return not is_square(coeffs[1] ** 2 - 4 * coeffs[0])
     if coeffs[0] == 0:
         return False
-    roots = WorkBudget(f"integer roots of the polynomial {list(coeffs)}")
+    roots = WorkBudget(lambda: f"integer roots of the polynomial [{', '.join(map(_shown, coeffs))}]")
     roots.spend((2 * m + 1) * prod(e + 1 for _, e in factor(coeffs[0]).factors))
     if _has_integer_root(coeffs, _divisors(coeffs[0], _root_bound(coeffs))):
         return False
-    screen = WorkBudget(f"irreducibility screen of the polynomial {list(coeffs)}")
+    screen = WorkBudget(lambda: f"irreducibility screen of the polynomial [{', '.join(map(_shown, coeffs))}]")
     for p in islice((p for p in _SMALL_PRIMES[1:] if coeffs[0] % p), 16):
         if _irreducible_mod_p(coeffs, p, screen):
             return True
@@ -447,10 +452,8 @@ def h1_condition(spec: GaloisAlgebraSpec) -> bool:
 
 
 def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
-    """Diagonalized trace form of the inducing field / rank-4 fixed algebra."""
-    if spec._form is not None:
-        return spec._form
-    return diagonalize(trace_form(spec.coeffs))
+    """Diagonalized trace form of the inducing field / rank-4 fixed algebra, kept by the spec."""
+    return spec._form
 
 
 def _top_class(m: int, q: DiagonalForm) -> BrauerClass:

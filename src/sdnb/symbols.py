@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .exact import BudgetExceededError, euler_criterion, factor, frozen, is_prime, nonzero, squarefree_part
+from .exact import BudgetExceededError, _shown, euler_criterion, factor, frozen, is_prime, nonzero, squarefree_part
 
 
 @frozen
@@ -196,8 +196,8 @@ def _oracle_reduced(a: int, b: int, p: int) -> int:
     m = p**n
     if m > _ORACLE_MODULUS_CAP:
         raise BudgetExceededError(
-            f"Hilbert oracle for the square classes ({a}, {b}) at {p}: modulus "
-            f"{p}^{n} = {m} exceeds the search cap of {_ORACLE_MODULUS_CAP} "
+            f"Hilbert oracle for the square classes ({_shown(a)}, {_shown(b)}) at {_shown(p)}: modulus "
+            f"{_shown(p)}^{n} = {_shown(m)} exceeds the search cap of {_ORACLE_MODULUS_CAP} "
             "residues; nothing was searched"
         )
     am, bm = a % m, b % m

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from sdnb import CyclicQuadratic, CyclicQuartic, brauer, galois, is_square
 from sdnb.brauer import BrauerClass, is_trivial
-from sdnb.exact import _SMALL_PRIMES, BudgetExceededError, legendre, squarefree_part
+from sdnb.exact import _SMALL_PRIMES, BudgetExceededError, factor, legendre, squarefree_part
 from sdnb.factors import FactorKind, decompose, local_data
 from sdnb.forms import GramMatrix, _support, det_square_class, hasse_witt, isotropic_over_Qp, signature
 from sdnb.symbols import Place, hilbert, ramified_places
@@ -394,6 +394,20 @@ def reference_hasse_witt(f):
             if m * k % 2:
                 ramified ^= ramified_places(a, b)
     return BrauerClass(frozenset(ramified))
+
+
+# ``forms.det_square_class`` as it stood before it read the square-class table
+# that ``hasse_witt`` walks: the sign and the primes of odd exponent in the
+# product of the entries, a prime's parity summed as a set XOR over entries.
+
+
+def reference_det_square_class(f):
+    sign, odd = 1, set()
+    for a in f.entries:
+        fa = factor(a)
+        sign *= fa.sign
+        odd ^= {p for p, e in fa.factors if e % 2}
+    return sign * prod(odd)
 
 
 # --- reference copy of the two-orbit Rabin test ---------------------------------

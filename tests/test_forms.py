@@ -37,6 +37,7 @@ from helpers import (
     numpy_witness_ternary,
     raised,
     reference_anisotropy_certificate,
+    reference_det_square_class,
     reference_hasse_invariant_at,
     reference_trace_form,
 )
@@ -829,3 +830,27 @@ def test_a_gram_elimination_is_charged_to_the_work_budget(monkeypatch):
         trace_form([12, 8, 0, 0, 1])  # s_1 = s_2 = 0: the elimination route
     with pytest.raises(ValueError, match="^polynomial has repeated roots$"):
         trace_form([1, 0, -2, 0, 1])
+
+
+def test_det_square_class_matches_the_entrywise_parity_walk():
+    # the class read off the square-class table equals the XOR over each entry's odd primes,
+    # and the squarefree part of the product of the entries
+    rng = random.Random(2028)
+    seen = {"negative": 0, "fraction": 0, "repeated class": 0, "square factor": 0}
+    for _ in range(3000):
+        entries = []
+        for _ in range(rng.randint(1, 7)):
+            if entries and rng.random() < 0.2:  # the class of an earlier entry, scaled by a square
+                a = rng.choice(entries) * F(rng.randint(1, 12), rng.randint(1, 12)) ** 2
+            else:
+                a = F(rng.choice((-1, 1)) * rng.randint(1, 2000) * rng.choice((1, 4, 8, 9, 49)), rng.randint(1, 60))
+            entries.append(a)
+        f = DiagonalForm(entries)
+        det = det_square_class(f)
+        assert det == reference_det_square_class(f) == squarefree_part(math.prod(entries)), f
+        classes = [squarefree_part(a) for a in entries]
+        seen["negative"] += det < 0
+        seen["fraction"] += any(a.denominator != 1 for a in entries)
+        seen["repeated class"] += len(set(classes)) < len(classes)
+        seen["square factor"] += any(squarefree_part(a) != a for a in entries)
+    assert min(seen.values()) > 500, seen

@@ -1483,3 +1483,43 @@ def test_gaussian_period_fields_have_their_closed_form_invariants(m, count):
         real_and_p = p % 4 == 3 if m == 2 else p % 8 == 5
         assert (top.factor_id, top.value.ramified) == (f"chi{2 * m}", {REAL, Place(p)} if real_and_p else set()), p
         assert (decide_global(spec).verdict == VERDICT_YES) == totally_real, p
+
+
+# --- every family keeps its trace form -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: CyclicPoly(5, _tower16(), 16), lambda: A4Quartic((-1, 0, 0, -1, 1))],
+    ids=["cyclic-poly", "a4-quartic"],
+)
+def test_a_polynomial_spec_builds_its_trace_form_once_across_calls(monkeypatch, make):
+    counts = {}
+    _count_calls(monkeypatch, counts, "trace_form", forms, galois)
+    spec = make()
+    assert counts == {}  # validating the polynomial builds no trace form
+    decide_global(spec)
+    invariant_report(spec)
+    c_invariants(spec)
+    if isinstance(spec, CyclicPoly):
+        d_top(spec)
+    else:
+        with pytest.raises(ValueError, match="^the top unitary invariant lives on cyclic 2-power groups$"):
+            d_top(spec)
+    assert counts == {"trace_form": 1}
+
+
+def test_every_family_keeps_one_trace_form():
+    specs = [
+        SplitAlgebra(GroupDescriptor.cyclic(8)), CyclicQuadratic(3, 3), CyclicQuartic(3, 2, 1, 1, 2),
+        CyclicPoly(5, _tower16(), 16), D4Quadratic(3), A4Quartic((-1, 0, 0, -1, 1)), A5Quadratic(5),
+    ]
+    assert {type(spec) for spec in specs} == set(get_args(galois.GaloisAlgebraSpec))
+    for spec in specs:
+        q = galois.family_trace_form(spec)
+        assert galois.family_trace_form(spec) is q, spec
+        if hasattr(spec, "coeffs"):
+            assert q == diagonalize(trace_form(spec.coeffs)), spec
+    # a kept form is not a field: equality, hash and repr see the constructor arguments only
+    assert CyclicPoly(5, _tower16(), 16) == specs[3] and hash(CyclicPoly(5, _tower16(), 16)) == hash(specs[3])
+    assert "_form" not in repr(specs[3])
