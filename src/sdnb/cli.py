@@ -3,11 +3,14 @@
 ``decide`` and ``invariants`` take a family spec (inline flags or a JSON
 file), ``hilbert`` / ``form`` / ``factors`` / ``embed`` expose the
 calculators; ``_dispatch`` calls the handler the parser chose, and
-``_emit`` prints JSON or text.  ``decide`` exits 0 for yes, 1 for no, 2 for
-unknown; usage errors exit 64, bad input 65, exceeded work budgets 66, and a
-standard output closed by its reader 74.  Any other exception is a defect of
-the program: it exits 70 with an ``{"error": "internal"}`` line on stderr,
-never with a code a caller could read as a verdict.
+``_emit`` prints JSON or text.  A command runs with CPython's limit on
+int-to-text digits lifted, so answers of any length print; its input keeps
+the limit through ``_refuse_long_numbers``.  ``decide`` exits 0 for yes, 1
+for no, 2 for unknown; usage errors exit 64, bad input 65, exceeded work
+budgets 66, and a standard output closed by its reader 74.  Any other
+exception is a defect of the program: it exits 70 with an
+``{"error": "internal"}`` line on stderr, never with a code a caller could
+read as a verdict.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .exact import BudgetExceededError, parse_rational
+from .exact import _MAX_EXPONENT, BudgetExceededError, parse_rational
 from .forms import (
     DiagonalForm,
     GramMatrix,
@@ -71,7 +75,7 @@ def _spec(args: argparse.Namespace) -> dict:
     if args.spec:
         with open(args.spec) as fh:
             try:
-                return json.load(fh)
+                return json.loads(_refuse_long_numbers(fh.read()))
             except RecursionError as exc:  # nested deeper than the decoder's stack
                 raise ValueError(str(exc)) from None
     data = {key: getattr(args, key) for key, _ in _SPEC_FLAGS if getattr(args, key) is not None}
@@ -84,25 +88,19 @@ def _spec(args: argparse.Namespace) -> dict:
     return data
 
 
-def _emit(args: argparse.Namespace, answer: Callable[[], tuple[dict | list, Iterable[str]]]) -> None:
-    """Print the answer's data as indented JSON under --format json, else its text lines.
+def _refuse_long_numbers(text: str) -> str:
+    """text, unless a run of more than 4300 digits in it makes a number CPython refuses to read by default."""
+    if run := re.search(rf"(?<!\d)\d{{{_MAX_EXPONENT + 1},}}", text):  # a run's first digit only: linear
+        raise ValueError(f"a number of {len(run[0])} digits exceeds the limit of {_MAX_EXPONENT} digits")
+    return text
 
-    ``answer`` makes both, and is called here with CPython's limit on
-    int-to-text digits lifted, so an answer of any length prints; parsing
-    the input and computing the answer keep the limit.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or an interpreter without one
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        data, text_lines = answer()
-        if args.format == "json":
-            print(json.dumps(data, indent=2))
-        else:
-            print(*text_lines, sep="\n")
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+
+def _emit(args: argparse.Namespace, data: dict | list, text_lines: Iterable[str]) -> None:
+    """Print data as indented JSON under --format json, else the text lines."""
+    if args.format == "json":
+        print(json.dumps(data, indent=2))
+    else:
+        print(*text_lines, sep="\n")
 
 
 def _decide(args: argparse.Namespace) -> int:
@@ -113,7 +111,7 @@ def _decide(args: argparse.Namespace) -> int:
         f"place={'-' if row.place is None else str(row.place):<5} {row.detail}"
         for row in decision.certificate
     )
-    _emit(args, lambda: (decision.to_json(), [f"verdict: {decision.verdict}", *rows]))
+    _emit(args, decision.to_json(), [f"verdict: {decision.verdict}", *rows])
     return _VERDICT_EXIT[decision.verdict]
 
 
@@ -127,7 +125,7 @@ def _invariants(args: argparse.Namespace) -> None:
             note = f"  ({e.note})" if e.note else ""
             yield f"  {e.invariant}[{e.factor_id}]: {e.status} {'-' if e.value is None else e.value}{note}"
 
-    _emit(args, lambda: (report.to_json(), lines()))
+    _emit(args, report.to_json(), lines())
 
 
 def _hilbert(args: argparse.Namespace) -> None:
@@ -144,39 +142,33 @@ def _form(args: argparse.Namespace) -> None:
         f = diagonalize(GramMatrix([[parse_rational(x) for x in row.split(",")] for row in args.gram.split(";")]))
     rep = parse_rational(args.represents) if args.represents else None
     cert = anisotropy_certificate(f)
-    det, sig, w2 = det_square_class(f), signature(f), hasse_witt(f)
-    witness = isotropy_witness_ternary(f) if cert is None and f.rank == 3 else None
-    result = None if rep is None else represents(f, rep)
-
-    def answer() -> tuple[dict, Iterable[str]]:
-        data: dict = {
-            "diagonal": [str(a) for a in f.entries],
-            "det_class": det,
-            "signature": list(sig),
-            "hasse_witt": w2.to_json(),
-            "isotropic_over_Q": cert is None,
-        }
-        if cert is not None:
-            data["anisotropic_at"] = cert.to_json()
-        elif witness is not None:
+    data: dict = {
+        "diagonal": [str(a) for a in f.entries],
+        "det_class": det_square_class(f),
+        "signature": list(signature(f)),
+        "hasse_witt": hasse_witt(f).to_json(),
+        "isotropic_over_Q": cert is None,
+    }
+    if cert is not None:
+        data["anisotropic_at"] = cert.to_json()
+    elif f.rank == 3:
+        witness = isotropy_witness_ternary(f)
+        if witness is not None:
             data["witness"] = list(witness)
-        if rep is not None:
-            data["represents"] = {"value": str(rep), "result": result}
-        return data, (f"{key}: {value}" for key, value in data.items())
-
-    _emit(args, answer)
+    if rep is not None:
+        data["represents"] = {"value": str(rep), "result": represents(f, rep)}
+    _emit(args, data, (f"{key}: {value}" for key, value in data.items()))
 
 
 def _factors(args: argparse.Namespace) -> None:
     table = [fd.to_json() for fd in decompose(parse_group(args.group))]
-    _emit(args, lambda: (table, map(str, table)))
+    _emit(args, table, map(str, table))
 
 
 def _embed(args: argparse.Namespace) -> None:
     cls = embedding_obstruction([int(t) for t in args.poly.split(",")])
     trivial = not cls.ramified
-    data = {"obstruction": cls.to_json(), "trivial": trivial}
-    _emit(args, lambda: (data, [f"obstruction: {cls}  trivial: {trivial}"]))
+    _emit(args, {"obstruction": cls.to_json(), "trivial": trivial}, [f"obstruction: {cls}  trivial: {trivial}"])
 
 
 def _devnull_onto(fd: int) -> None:
@@ -239,7 +231,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EX_OK if exc.code in (0, None) else EX_USAGE
 
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or an interpreter without one
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        for value in vars(args).values():  # the arguments here, a --spec file in _spec
+            if isinstance(value, str):
+                _refuse_long_numbers(value)
         code = _dispatch(args)
         if sys.stdout is not None:  # None when fd 1 was closed at start
             sys.stdout.flush()  # a reader that has gone fails here, not at exit
@@ -265,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         }
         _report(report)
         return EX_SOFTWARE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _dispatch(args: argparse.Namespace) -> int:

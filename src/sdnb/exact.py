@@ -47,7 +47,6 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-from typing import Callable
 
 _BUDGET_ENV = "SDNB_FACTOR_BUDGET"
 DEFAULT_FACTOR_BUDGET = 4_000_000
@@ -83,19 +82,13 @@ class WorkBudget:
 
     ``task`` names the computation and its input; it heads the message of
     the :class:`BudgetExceededError` that ``spend`` raises when a charge
-    would overdraw the budget, together with the units already spent.  It
-    may be given as a function that makes the text, called only when
-    ``task`` is read, so a budget that never trips formats no input.
+    would overdraw the budget, together with the units already spent.
     """
 
-    def __init__(self, task: str | Callable[[], str]) -> None:
-        self._task = task
+    def __init__(self, task: str) -> None:
+        self.task = task
         self.limit = _work_budget()
         self.spent = 0
-
-    @property
-    def task(self) -> str:
-        return self._task if isinstance(self._task, str) else self._task()
 
     def spend(self, units: int) -> None:
         if self.spent + units > self.limit:
@@ -302,7 +295,7 @@ class FactoredRational:
 @lru_cache(maxsize=1 << 16)
 def _factor_fraction(num: int, den: int) -> FactoredRational:
     sign = 1 if num > 0 else -1
-    budget = WorkBudget(lambda: f"factoring {_shown(Fraction(num, den))}")
+    budget = WorkBudget(f"factoring {_shown(Fraction(num, den))}")
     fac = _factor_int(abs(num), budget)
     for p, e in _factor_int(den, budget).items():
         fac[p] = fac.get(p, 0) - e

@@ -81,7 +81,7 @@ class DiagonalForm:
         return tuple(v // g for v in ints)
 
     def __str__(self) -> str:
-        return "<" + ", ".join(str(a) for a in self.entries) + ">"
+        return "<" + ", ".join(map(_shown, self.entries)) + ">"
 
 
 def _pivots(a: list[list[int]]) -> list[int]:
@@ -314,7 +314,7 @@ def isotropy_witness_ternary(
         raise ValueError("witness search is for ternary forms")
     a, b, c = f.scaled_integer_entries()
     mod = abs(c)
-    budget = WorkBudget(lambda: f"isotropy witness search for <{', '.join(map(_shown, f.entries))}>")
+    budget = WorkBudget(f"isotropy witness search for {f}")
     ys_by_class: dict[int, list[int]] = {}  # b y^2 mod |c| -> increasing y
     filled = 0
     bound = 64

@@ -385,11 +385,12 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
         return not is_square(coeffs[1] ** 2 - 4 * coeffs[0])
     if coeffs[0] == 0:
         return False
-    roots = WorkBudget(lambda: f"integer roots of the polynomial [{', '.join(map(_shown, coeffs))}]")
+    shown = f"[{', '.join(map(_shown, coeffs))}]"
+    roots = WorkBudget(f"integer roots of the polynomial {shown}")
     roots.spend((2 * m + 1) * prod(e + 1 for _, e in factor(coeffs[0]).factors))
     if _has_integer_root(coeffs, _divisors(coeffs[0], _root_bound(coeffs))):
         return False
-    screen = WorkBudget(lambda: f"irreducibility screen of the polynomial [{', '.join(map(_shown, coeffs))}]")
+    screen = WorkBudget(f"irreducibility screen of the polynomial {shown}")
     for p in islice((p for p in _SMALL_PRIMES[1:] if coeffs[0] % p), 16):
         if _irreducible_mod_p(coeffs, p, screen):
             return True

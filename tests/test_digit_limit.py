@@ -96,4 +96,32 @@ def test_parsing_keeps_the_limit_and_a_budget_trip_past_it_exits_66(capsys, monk
     assert main(["form", "--diag", f"{_PQ}e4300"]) == 66
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "budget-exceeded"
-    assert error["message"].startswith("factoring <14325-bit integer>: work budget exhausted after ")
+    # the command runs with the limit lifted, so the message names the number in full
+    factoring = f"factoring {_lifted(lambda: str(_PQ * 10**4300))}: "
+    assert error["message"].startswith(factoring + "work budget exhausted after ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["embed", "--poly", f"{_TEN_4300}0,1"], id="embed-poly"),
+        pytest.param(["decide", "--group", "C8", "--family", "cyclic-poly", "--poly", f"{_TEN_4300}0,0,1"],
+                     id="decide-poly"),
+        pytest.param(["factors", "--group", f"C{_TEN_4300}0"], id="group"),
+        pytest.param(["hilbert", "3", "5", f"{_TEN_4300}0"], id="place"),
+        pytest.param(["form", "--gram", f"1,0;0,-{_TEN_4300}0"], id="gram"),
+        pytest.param(["decide", "--spec", "SPEC"], id="spec-file"),
+    ],
+)
+def test_every_input_keeps_the_limit_while_the_answer_is_lifted(capsys, tmp_path, argv):
+    spec = tmp_path / "spec.json"
+    spec.write_text(f'{{"group": "C8", "family": "cyclic-quadratic", "z": {_TEN_4300}0}}')
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert main([str(spec) if a == "SPEC" else a for a in argv]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "bad-input", "message": "a number of 4302 digits exceeds the limit of 4300 digits"}
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit  # restored after the command
+    # a literal of 4300 digits is still read
+    assert main(["hilbert", "9" * 4300, "3", "7"]) == 0 and capsys.readouterr().out == "1\n"
+

@@ -1523,3 +1523,17 @@ def test_every_family_keeps_one_trace_form():
     # a kept form is not a field: equality, hash and repr see the constructor arguments only
     assert CyclicPoly(5, _tower16(), 16) == specs[3] and hash(CyclicPoly(5, _tower16(), 16)) == hash(specs[3])
     assert "_form" not in repr(specs[3])
+
+
+def test_a_kept_trace_form_is_not_charged_again_under_a_smaller_budget(monkeypatch):
+    # x^4 + 8x + 12 is not normal, so its first trace form is a 4x4 Gram elimination charged 64 units.
+    # A spec that has built it answers from the kept form under any budget afterwards, as a quartic
+    # family's form set at construction does; a spec that has not raises on its first read.
+    kept, fresh = A4Quartic((12, 8, 0, 0, 1)), A4Quartic((12, 8, 0, 0, 1))
+    q = galois.family_trace_form(kept)
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "63")
+    assert galois.family_trace_form(kept) is q and decide_global(kept).verdict == VERDICT_UNKNOWN
+    with pytest.raises(BudgetExceededError, match="^Gram elimination of a 4x4 matrix: .* after 0 of 63 units"):
+        galois.family_trace_form(fresh)
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "64")
+    assert galois.family_trace_form(fresh) == q
