@@ -9,10 +9,12 @@ All arithmetic is exact.  A Gram matrix is reduced once, at construction, by
 one symmetric fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of
 its rows scaled to integers, charged n^3 units of the work budget
 (``SDNB_FACTOR_BUDGET``); the determinant and the diagonal form are read off
-its integer pivots.  A trace form reads its pivots off the subresultant
-sequence of f and f' instead: the leading principal minors of the Hankel
-matrix of power sums are, up to sign, its principal subresultant coefficients
-(Hermite; Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
+its integer pivots.  A trace form runs one subresultant sequence of f and f'
+(Cohen, GTM 138, Alg. 3.3.7) for any degree gap: a zero remainder means f has
+a repeated root, and when the sequence is normal its leading coefficients are
+the pivots, because the leading principal minors of the Hankel matrix of
+power sums are, up to sign, the principal subresultant coefficients of f and
+f' (Hermite; Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
 ch. 9); see ``trace_form``.  The determinant class is read off the entries'
 square classes (``_square_classes``), never off their product's factorization.
 
@@ -51,7 +53,6 @@ from typing import Iterable, Sequence
 from .brauer import BrauerClass
 from .exact import WorkBudget, _shown, as_fraction, factor, frozen, is_square, nonzero
 from .symbols import REAL, Place, _finite_symbol, _local_parts, finite, hilbert, is_square_in_completion
-from .symbols import support_places
 
 
 @frozen
@@ -276,8 +277,9 @@ def isotropic_over_Qp(f: DiagonalForm, v: Place) -> bool:
 
 
 def _support(f: DiagonalForm) -> list[Place]:
-    pairs = [(a, a) for a in f.entries]
-    return sorted(support_places(pairs), key=Place.sort_key)
+    """Real, 2, then every prime of an entry in increasing order, from one ``factor`` call per entry."""
+    primes = {2}.union(*((p for p, _ in factor(a).factors) for a in f.entries))
+    return [REAL] + [finite(p) for p in sorted(primes)]
 
 
 def isotropic_over_Q(f: DiagonalForm) -> bool:
@@ -385,58 +387,52 @@ def _integer_coefficients(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _subresultant_pivots(coeffs: Sequence[int]) -> tuple[int, ...] | None:
-    """Leading principal minors D_1, ..., D_m of the trace form of monic f, or None.
+def _subresultants(coeffs: Sequence[int]) -> tuple[tuple[int, ...] | None, bool]:
+    """The subresultant sequence of f and f' (constant term first, lc(f) != 0), run to its end.
 
-    F_0 = f, F_1 = f' and F_{k+1} = prem(F_{k-1}, F_k) / lc(F_{k-1})^2 is the
-    subresultant sequence of f and f' while every F_k has degree m - k (the
-    normal case, where each division is exact), and then
-    D_k = (-1)^(k(k-1)/2) lc(F_k): the minors of the Hankel matrix of power
-    sums are the principal subresultant coefficients of (f, f') up to sign.
-    All D_k are then nonzero, so they are the pivots ``_pivots`` takes on
-    the diagonal without a swap or repair.  Returns None at the first F_k of
-    lower degree, where some D_k vanishes or f has repeated roots.  O(m^2)
-    integer operations.
+    F_0 = f, F_1 = f' and F_{k+1} = prem(F_{k-1}, F_k) / (g h^d), d the degree
+    gap deg F_{k-1} - deg F_k; g = h = 1 at the first step, then g = lc(F_{k-1})
+    and h = lc(F_k)^d / h^(d-1) after each, and every division is exact (Cohen,
+    GTM 138, Alg. 3.3.7).  prem eliminates the first d - 1 leading terms one at
+    a time and the last two in one pass, which is the whole step when d = 1.
+    Returns the minors D_k = (-1)^(k(k-1)/2) lc(F_k), k = 1..m, of the Hankel
+    matrix of power sums when every F_k has degree m - k (the normal case, where
+    they are the pivots ``_pivots`` takes without a swap or repair), else None;
+    and whether f has a repeated root, which is whether the sequence ends in 0.
     """
     m = len(coeffs) - 1
     a = list(coeffs[::-1])  # F_{k-1}, leading coefficient first
     b = [(m - i) * c for i, c in enumerate(a[:-1])]  # F_k
-    minors = [b[0]]
-    div = 1  # lc(F_{k-1})^2, and lc(f) = 1
+    minors: list[int] | None = b[:1]
+    g = h = 1
     while len(b) > 1:
-        la, lb = a[0], b[0]
-        # prem(F_{k-1}, F_k) = lb^2 F_{k-1} - (q_1 x + q_0) F_k, one leading term at a time
-        r = [lb * x - la * y for x, y in zip(a[1:], b[1:])]
-        r.append(lb * a[-1])
-        lr = r[0]
-        r = [(lb * x - lr * y) // div for x, y in zip(r[1:], b[1:])]
+        d, lb = len(a) - len(b), b[0]
+        for _ in range(d - 1):  # a := lb a - lc(a) x^(deg a - deg b) b, its zero leading term dropped
+            la = a[0]
+            a = [lb * x - la * y for x, y in zip(a[1:], b[1:])] + [lb * x for x in a[len(b):]]
+        # the last two leading terms in one pass, lr the leading coefficient after the first,
+        # then the exact division by g h^d
+        la = a[0]
+        lr, lb2, lab, div = lb * a[1] - la * b[1], lb * lb, la * lb, g * h**d
+        r = [(lb2 * x - lab * y - lr * z) // div for x, y, z in zip(a[2:], b[2:] + [0], b[1:])]
         if not r[0]:
-            return None
-        minors.append(-r[0] if (len(minors) + 1) & 2 else r[0])
-        a, b, div = b, r, lb * lb
-    return tuple(minors)
+            minors, r = None, r[next((i for i, x in enumerate(r) if x), len(r)):]
+            if not r:
+                return None, True
+        elif minors is not None:
+            minors.append(-r[0] if (len(minors) + 1) & 2 else r[0])
+        a, b, g, h = b, r, lb, lb**d // h ** (d - 1)
+    return (None if minors is None else tuple(minors)), False
+
+
+def _subresultant_pivots(coeffs: Sequence[int]) -> tuple[int, ...] | None:
+    """The minors of ``_subresultants``: the trace form's pivots when the sequence is normal, else None."""
+    return _subresultants(coeffs)[0]
 
 
 def _has_repeated_roots(coeffs: Sequence[int]) -> bool:
-    """True iff the integer polynomial f (constant term first) shares a root with f'.
-
-    Euclid's algorithm on primitive integer remainders: the last nonzero one
-    is gcd(f, f') up to a constant, of positive degree exactly when f has a
-    repeated root.
-    """
-    a = list(coeffs)
-    b = [k * c for k, c in enumerate(a)][1:]
-    while b:
-        while len(a) >= len(b):  # a := lc(b) a - lc(a) X^shift b, until deg a < deg b
-            la, lb, shift = a[-1], b[-1], len(a) - len(b)
-            a = [lb * x for x in a]
-            for i, y in enumerate(b):
-                a[i + shift] -= la * y
-            while a and not a[-1]:
-                a.pop()
-        g = gcd(*a)
-        a, b = b, [x // g for x in a]
-    return len(a) > 1
+    """True iff the integer polynomial f (constant term first) shares a root with f' (``_subresultants``)."""
+    return _subresultants(coeffs)[1]
 
 
 def _power_sum_rows(coeffs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -460,23 +456,24 @@ def trace_form(coeffs: Sequence[int]) -> GramMatrix:
 
     ``coeffs`` lists f constant term first, leading coefficient 1.  The
     entries are the power sums s_{i+j} of the roots (``_power_sum_rows``).
-    The pivots come first, from the subresultant sequence of f and f'
-    (``_subresultant_pivots``); when it is normal the matrix holds them and
-    the coefficients, and computes its rows on first read, which ``n``,
-    ``det`` and ``diagonalize`` never do.  Otherwise a polynomial with
-    repeated roots (``_has_repeated_roots``) is rejected, and the rows are
-    built at once and reduced by the elimination, as for any Gram matrix.
+    One subresultant sequence of f and f' (``_subresultants``; Cohen, GTM
+    138, Alg. 3.3.7) comes first.  A polynomial with repeated roots is
+    rejected.  When the sequence is normal its minors are the pivots: the
+    matrix holds them and the coefficients, and computes its rows on first
+    read, which ``n``, ``det`` and ``diagonalize`` never do.  Otherwise the
+    rows are built at once and reduced by the elimination, as for any Gram
+    matrix.
     """
     coeffs = _integer_coefficients(coeffs)
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree >= 1")
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
-    pivots = _subresultant_pivots(coeffs)
+    pivots, repeated = _subresultants(coeffs)
+    if repeated:
+        raise ValueError("polynomial has repeated roots")
     if pivots is not None:
         return GramMatrix._of_pivots(None, pivots, coeffs)
-    if _has_repeated_roots(coeffs):
-        raise ValueError("polynomial has repeated roots")
     return GramMatrix(_power_sum_rows(coeffs))
 
 

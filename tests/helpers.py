@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, isqrt, prod
+from typing import Sequence
 
 from sdnb import CyclicQuadratic, CyclicQuartic, brauer, galois, is_square
 from sdnb.brauer import BrauerClass, is_trivial
@@ -598,6 +599,67 @@ def reference_trace_form(coeffs):
         return GramMatrix(rows)
     except ValueError as exc:
         raise ValueError("polynomial has repeated roots") from exc
+
+
+# --- reference copies of the two Euclidean sequences of f and f' --------------
+#
+# ``forms._subresultant_pivots`` and ``forms._has_repeated_roots`` as they stood
+# before one subresultant sequence answered both: a subresultant loop that
+# stops at the first degree gap, and Euclid on primitive integer remainders.
+
+
+def reference_subresultant_pivots(coeffs: Sequence[int]) -> tuple[int, ...] | None:
+    """Leading principal minors D_1, ..., D_m of the trace form of monic f, or None.
+
+    F_0 = f, F_1 = f' and F_{k+1} = prem(F_{k-1}, F_k) / lc(F_{k-1})^2 is the
+    subresultant sequence of f and f' while every F_k has degree m - k (the
+    normal case, where each division is exact), and then
+    D_k = (-1)^(k(k-1)/2) lc(F_k): the minors of the Hankel matrix of power
+    sums are the principal subresultant coefficients of (f, f') up to sign.
+    All D_k are then nonzero, so they are the pivots ``_pivots`` takes on
+    the diagonal without a swap or repair.  Returns None at the first F_k of
+    lower degree, where some D_k vanishes or f has repeated roots.  O(m^2)
+    integer operations.
+    """
+    m = len(coeffs) - 1
+    a = list(coeffs[::-1])  # F_{k-1}, leading coefficient first
+    b = [(m - i) * c for i, c in enumerate(a[:-1])]  # F_k
+    minors = [b[0]]
+    div = 1  # lc(F_{k-1})^2, and lc(f) = 1
+    while len(b) > 1:
+        la, lb = a[0], b[0]
+        # prem(F_{k-1}, F_k) = lb^2 F_{k-1} - (q_1 x + q_0) F_k, one leading term at a time
+        r = [lb * x - la * y for x, y in zip(a[1:], b[1:])]
+        r.append(lb * a[-1])
+        lr = r[0]
+        r = [(lb * x - lr * y) // div for x, y in zip(r[1:], b[1:])]
+        if not r[0]:
+            return None
+        minors.append(-r[0] if (len(minors) + 1) & 2 else r[0])
+        a, b, div = b, r, lb * lb
+    return tuple(minors)
+
+
+def reference_has_repeated_roots(coeffs: Sequence[int]) -> bool:
+    """True iff the integer polynomial f (constant term first) shares a root with f'.
+
+    Euclid's algorithm on primitive integer remainders: the last nonzero one
+    is gcd(f, f') up to a constant, of positive degree exactly when f has a
+    repeated root.
+    """
+    a = list(coeffs)
+    b = [k * c for k, c in enumerate(a)][1:]
+    while b:
+        while len(a) >= len(b):  # a := lc(b) a - lc(a) X^shift b, until deg a < deg b
+            la, lb, shift = a[-1], b[-1], len(a) - len(b)
+            a = [lb * x for x in a]
+            for i, y in enumerate(b):
+                a[i + shift] -= la * y
+            while a and not a[-1]:
+                a.pop()
+        g = gcd(*a)
+        a, b = b, [x // g for x in a]
+    return len(a) > 1
 
 
 # --- reference copy of the factoring kernel -----------------------------------

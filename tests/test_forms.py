@@ -29,6 +29,7 @@ from sdnb import (
     sum_of_four_squares,
     sum_of_two_squares,
     sum_of_two_squares_over_sqrt2,
+    support_places,
     trace_form,
 )
 
@@ -38,7 +39,9 @@ from helpers import (
     raised,
     reference_anisotropy_certificate,
     reference_det_square_class,
+    reference_has_repeated_roots,
     reference_hasse_invariant_at,
+    reference_subresultant_pivots,
     reference_trace_form,
 )
 
@@ -438,6 +441,25 @@ def test_a_definite_form_builds_no_finite_support(monkeypatch):
     assert calls == [indefinite]
 
 
+def test_the_support_factors_each_entry_once(monkeypatch):
+    # real, 2, then every prime of an entry: the places of support_places, in place order
+    rng = random.Random(2906)
+    for _ in range(500):
+        f = DiagonalForm(_random_form_entries(rng, rng.randint(1, 6)))
+        assert forms._support(f) == sorted(support_places([(a, a) for a in f.entries]), key=Place.sort_key), f
+    calls = []
+    factor = forms.factor
+
+    def counted(q):
+        calls.append(q)
+        return factor(q)
+
+    monkeypatch.setattr(forms, "factor", counted)
+    indefinite = DiagonalForm([F(3, 5), -7, 22, F(-1, 45), 13])
+    assert anisotropy_certificate(indefinite) is None
+    assert calls == list(indefinite.entries)
+
+
 def test_rank5_isotropic_at_finite_places():
     rng = random.Random(41)
     for _ in range(20):
@@ -650,6 +672,71 @@ def test_trace_form_matches_the_elimination():
     assert routes["subresultant"] >= 2000, routes
     assert routes["elimination"] >= 50, routes
     assert routes["repeated roots"] >= 200, routes
+
+
+def _sequence_polynomials():
+    """Seeded polynomials of degree 1-12, monic and not.
+
+    Dense ones; sparse ones, whose subresultant sequences mostly have a degree
+    gap of 2 or more; and products with (x - r)^2 or (x - r)^3, which have a
+    repeated root.
+    """
+    rng = random.Random(2907)
+    polys = []
+    for _ in range(24000):
+        lead = rng.choice((1, 1, 1, -1, 2, -3, 6))
+        if rng.random() < 0.3:
+            k = rng.choice((2, 3))
+            c = [rng.randint(-9, 9) for _ in range(rng.randint(0, 12 - k))] + [lead]
+            r = rng.randint(-3, 3)
+            for _ in range(k):
+                c = _poly_mul(c, [-r, 1])
+        else:
+            m = rng.randint(1, 12)
+            if rng.random() < 0.4:
+                c = [0] * m
+                for i in rng.sample(range(m), rng.randint(1, min(m, 2))):
+                    c[i] = rng.choice((-3, -2, -1, 1, 2, 3))
+            else:
+                c = [rng.randint(-9, 9) for _ in range(m)]
+            c.append(lead)
+        polys.append(c)
+    return polys
+
+
+def test_one_subresultant_sequence_matches_the_two_it_replaced():
+    kinds = {"normal": 0, "gap": 0, "repeated": 0}
+    for i, coeffs in enumerate(_sequence_polynomials()):
+        pivots, repeated = forms._subresultants(coeffs)
+        assert pivots == reference_subresultant_pivots(coeffs), coeffs
+        assert repeated == reference_has_repeated_roots(coeffs), coeffs
+        if i % 10 == 0:
+            assert forms._subresultant_pivots(coeffs) == pivots, coeffs
+            assert forms._has_repeated_roots(coeffs) == repeated, coeffs
+        kinds["repeated" if repeated else "gap" if pivots is None else "normal"] += 1
+    # a vanishing minor without a repeated root is a degree gap of 2 or more
+    assert min(kinds.values()) >= 1000, kinds
+
+
+def test_trace_form_runs_one_subresultant_sequence(monkeypatch):
+    calls = []
+    run = forms._subresultants
+
+    def counted(coeffs):
+        calls.append(tuple(coeffs))
+        return run(coeffs)
+
+    monkeypatch.setattr(forms, "_subresultants", counted)
+    assert trace_form([12, 8, 0, 0, 1]).n == 4  # x^4 + 8x + 12: a degree gap, then the elimination
+    assert calls == [(12, 8, 0, 0, 1)]
+    with pytest.raises(ValueError, match="^polynomial has repeated roots$"):
+        trace_form([1, 0, -2, 0, 1])  # (x^2 - 1)^2
+    assert calls == [(12, 8, 0, 0, 1), (1, 0, -2, 0, 1)]
+
+
+def test_a_constant_has_no_repeated_root():
+    for c in (1, -1, 5, 0):
+        assert forms._has_repeated_roots((c,)) is False
 
 
 def test_trace_form_of_the_tower_runs_no_elimination(monkeypatch):
