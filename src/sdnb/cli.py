@@ -60,12 +60,12 @@ _VERDICT_EXIT = {VERDICT_YES: 0, VERDICT_NO: 1, VERDICT_UNKNOWN: 2}
 _SPEC_FLAGS = (
     ("group", {"help": "group name, e.g. C8, D4, A4, A5"}),
     ("family", {"choices": list(_FAMILIES)}),
-    ("z", {"help": "rational z, e.g. 3 or -45/8"}),
-    ("a", {"help": "rational a of the quartic family"}),
-    ("b", {"help": "rational b of the quartic family"}),
-    ("c", {"help": "rational c of the quartic family"}),
-    ("eps", {"help": "rational eps of the quartic family"}),
-    ("poly", {"help": "integer coefficients, constant term first, comma separated"}),
+    ("z", {"help": "rational z, e.g. 3 or --z=-45/8"}),
+    ("a", {"help": "rational a of the quartic family, e.g. 2 or --a=-1/2"}),
+    ("b", {"help": "rational b of the quartic family, e.g. 1 or --b=-1"}),
+    ("c", {"help": "rational c of the quartic family, e.g. 1 or --c=-1"}),
+    ("eps", {"help": "rational eps of the quartic family, e.g. 2 or --eps=-7"}),
+    ("poly", {"help": "integer coefficients, constant term first, comma separated, e.g. --poly=-1,0,1"}),
     ("degree", {"type": int, "help": "asserted degree for cyclic-poly"}),
 )
 
@@ -212,15 +212,15 @@ def main(argv: list[str] | None = None) -> int:
     p_hil.add_argument("v", help='"real" or a prime')
 
     p_form = command("form", _form, "invariants of a diagonal or Gram form")
-    p_form.add_argument("--diag", help="diagonal entries, comma separated")
+    p_form.add_argument("--diag", help="diagonal entries, comma separated, e.g. --diag=-1,2")
     p_form.add_argument("--gram", help="Gram rows, semicolon separated")
-    p_form.add_argument("--represents", help="test representation of a rational")
+    p_form.add_argument("--represents", help="test representation of a rational, e.g. --represents=-3")
 
     p_fac = command("factors", _factors, "involution-stable factor table of Q[G]")
     p_fac.add_argument("--group", required=True)
 
     p_emb = command("embed", _embed, "embedding obstruction of a cyclic 2-power field")
-    p_emb.add_argument("--poly", required=True, help="integer coefficients, constant term first")
+    p_emb.add_argument("--poly", required=True, help="integer coefficients, constant term first, e.g. --poly=2,0,-4,0,1")
     # --format is the last option of each of these parsers but decide's, whose --at follows it
     for p in (p_decide, p_inv, p_form, p_fac, p_emb):
         p.add_argument("--format", choices=["text", "json"], default="text")
@@ -228,6 +228,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
+        if any(isinstance(value, list) for value in vars(args).values()):  # [] from --x=-- or a second --
+            parser.error("an argument has no value: '--' cannot be one")
     except SystemExit as exc:
         return EX_OK if exc.code in (0, None) else EX_USAGE
 

@@ -26,9 +26,9 @@ center stays a field.  Certificates list every filter decision.
 
 Each family class carries ``group``, ``degree`` (of the inducing field) and
 ``family`` (its JSON/CLI tag), and keeps its diagonalized trace form as
-``_form``: set from the parameters (split, quadratic, quartic) or built from
-the polynomial on first read (cyclic-poly, A4); D4, A5 and A4 supply their own
-orthogonal classes through one hook, and A4 caps the verdict at unknown.
+``_form``, set or built on first read (cyclic-poly, A4).  ``_top_class`` reads
+its top class for cyclic families and for the matrix factor D4 and A5 name in
+``_matrix``; A4 has its own orthogonal classes and caps the verdict at unknown.
 One certificate builder makes both decisions in one pass over the factor
 table, computing the group, its 2-power exponent, h1, the trace form and the
 table once: it walks the real place and the support of every invariant
@@ -46,10 +46,10 @@ errors are never cached.
 
 Two computed-versus-quoted discrepancies are deliberate and unit-tested:
 
-* For cyclic quadratic layers (degree-2 subfield, order-4 quotient) the top
-  invariant is the direct cup product (z)(-1).  The trace-form expression
-  w2(q_K) + (2)(D_K) used for degree >= 4 collapses to the trivial class at
-  degree 2, so the per-degree formulas are kept separate.
+* For cyclic quadratic layers (degree-2 subfield, order-4 quotient) and the
+  matrix factor of D4 and A5 the top invariant is the direct cup product
+  (z)(-1).  The trace-form expression w2(q_K) + (2)(D_K) used for degree >= 4
+  collapses to the trivial class at degree 2, so the formulas are kept apart.
 * The elementary criterion for the order-8 cyclic families is "z (resp. a)
   is a sum of two squares in Q(sqrt 2)", i.e. positive with even exponents
   at primes = 7 mod 8.  The looser "sum of four squares" phrasing that
@@ -106,11 +106,12 @@ VERDICT_UNKNOWN = "unknown"
 
 
 class _Family:
-    """Besides ``group``, ``degree`` and ``family``, each family carries the verdict that caps
-    its decisions (None: no cap), its own orthogonal classes and its diagonalized trace form
-    ``_form``: a polynomial family builds it on first read, the others set it."""
+    """Besides ``group``, ``degree`` and ``family``, each family carries the verdict that caps its
+    decisions (None: no cap), the id ``_matrix`` of the orthogonal factor carrying its top class, if
+    any, and its diagonalized trace form ``_form``: set, or built from the polynomial on first read."""
 
     verdict_cap: str | None = None
+    _matrix: str | None = None
 
     @cached_property
     def _form(self) -> DiagonalForm:
@@ -118,7 +119,7 @@ class _Family:
 
     def _own_entry(self, fd: FactorDescriptor, q: DiagonalForm) -> InvariantEntry | None:
         """The family's entry for the orthogonal factor fd given the trace form q, or None for zero."""
-        return None
+        return InvariantEntry(fd.id, "c", "computed", _top_class(self.degree, q)) if fd.id == self._matrix else None
 
 
 class _Cyclic(_Family):
@@ -128,14 +129,11 @@ class _Cyclic(_Family):
 
 
 class _Quadratic(_Family):
-    degree, _matrix = 2, None  # Q(sqrt z) and <2, 2z>; _matrix: the factor id carrying (z)(-1)
+    degree = 2  # Q(sqrt z), with trace form <2, 2z>
 
     def __init__(self, z) -> None:
         z = Fraction(nonzero(z, "z must be nonzero"))
         vars(self).update(z=z, _form=DiagonalForm([2, 2 * z]))
-
-    def _own_entry(self, fd, q):
-        return InvariantEntry(fd.id, "c", "computed", cup(self.z, -1)) if fd.id == self._matrix else None
 
 
 @frozen
@@ -458,7 +456,7 @@ def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
 
 
 def _top_class(m: int, q: DiagonalForm) -> BrauerClass:
-    """The top unitary class of an algebra induced from a degree-m field with trace form q."""
+    """The top class of an algebra induced from a degree-m field with trace form q; D4's and A5's matrix class."""
     if m == 2:
         # q = <2, b>, and (2)(-1) = 0 because 2 = 1 + 1 is a norm from Q(i)
         return cup(q.entries[-1], -1)
@@ -476,8 +474,8 @@ def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass
     (2)(-1) + (b)(-1) = (b)(-1), and only b and -1 are factored.  Any other
     degree: w2(q_K) + (2)(D_K) = w2(q_K + <2>) by bilinearity (0 for q = <1>).
     The degree-2 case genuinely differs, as that expression collapses to
-    (2)(-1) = 0 there; see the module docstring.  ``q`` is
-    ``family_trace_form(spec)`` when the caller has it.
+    (2)(-1) = 0 there (module docstring); D4's and A5's matrix factor carry the
+    same class.  ``q`` is ``family_trace_form(spec)`` when the caller has it.
     """
     _, n, h1 = _group_and_h1(spec)
     if n is None:

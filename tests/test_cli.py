@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -316,6 +317,63 @@ def test_unexpected_exception_exits_70(capsys, monkeypatch):
     assert code == 70 and out == ""
     report = json.loads(err)
     assert report["error"] == "internal" and report["message"] == "RuntimeError: boom"
+
+
+_ARGV_BASES = [
+    ["decide", "--group", "C8", "--family", "cyclic-quadratic", "--z", "3"],
+    ["decide", "--group", "D4", "--family", "d4-quadratic", "--z=-45/8", "--at", "3"],
+    ["invariants", "--group", "C8", "--family", "cyclic-quartic", "--a", "2", "--b", "1", "--c", "1", "--eps", "2"],
+    ["invariants", "--group", "A5", "--family", "a5-quadratic", "--z=-7", "--format", "json"],
+    ["hilbert", "-1", "-1", "real"],
+    ["hilbert", "1/2", "3", "7"],
+    ["hilbert", "1/2", "2"],
+    ["form", "--diag=-1,2,3", "--represents", "5"],
+    ["form", "--gram", "0,1;1,0", "--format", "json"],
+    ["factors", "--group", "D4"],
+    ["embed", "--poly", "2,0,-4,0,1"],
+]
+_ARGV_VALUES = ["-45/8", "-1/2", "-3", "-1.5", "-1,2", "-1,0,1", "", "-", "--", "x", "1/0", "7"]
+_ARGV_STRAYS = ["--", "--z", "--poly", "--diag", "--at", "--format", "--nope", "-x", "-", ""]
+
+
+def _seeded_argvs(seed=2030, count=300):
+    """Each base with a -- at every position, each hilbert base with two at every pair of
+    positions, then seeded mutations of the bases: a -- or a stray flag put in, a value swapped
+    for a negative, empty or malformed one, an option's value given with or without =."""
+    argvs = [base[:i] + ["--"] + base[i:] for base in _ARGV_BASES for i in range(len(base) + 1)]
+    argvs += [base[:i] + ["--"] + base[i:j] + ["--"] + base[j:] for base in _ARGV_BASES if base[0] == "hilbert"
+              for i in range(len(base) + 1) for j in range(i, len(base) + 1)]
+    rng = random.Random(seed)
+    while len(argvs) < count:
+        argv = list(rng.choice(_ARGV_BASES))
+        for _ in range(rng.randint(1, 2)):
+            move, i = rng.randrange(4), rng.randint(1, len(argv))
+            if move == 0:
+                argv[i:i] = ["--"]
+            elif move == 1:
+                argv[i:i] = [rng.choice(_ARGV_STRAYS)]
+            elif move == 2 and (options := [k for k, a in enumerate(argv) if a.startswith("--") and len(a) > 2]):
+                k = rng.choice(options)
+                option, value = argv[k].split("=")[0], rng.choice(_ARGV_VALUES)
+                span = 1 if "=" in argv[k] or k + 1 == len(argv) or argv[k + 1].startswith("--") else 2
+                argv[k:k + span] = [f"{option}={value}"] if rng.random() < 0.5 else [option, value]
+            elif i < len(argv):
+                argv[i] = rng.choice(_ARGV_VALUES)
+        argvs.append(argv)
+    return argvs
+
+
+def test_no_command_line_exits_70(capsys):
+    # an argparse that hands [] to a positional after a second --, or to --group=--, makes a usage
+    # error (64); one that keeps the second -- as a literal value hands it on as bad input (65)
+    for argv in [["hilbert", "--", "1/2", "--", "2"], ["hilbert", "1", "2", "--", "--"], ["factors", "--group=--"]]:
+        code, out, err = run(capsys, *argv)
+        assert code in (64, 65) and out == "" and "internal" not in err, (argv, code, err)
+    argvs = _seeded_argvs()
+    assert len(argvs) == 300 and sum(argv.count("--") > 1 for argv in argvs) > 20
+    for argv in argvs:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 64, 65, 66) and '"internal"' not in err, (argv, code, err)
 
 
 def test_cli_import_leaves_numpy_unloaded():

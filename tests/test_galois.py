@@ -576,6 +576,30 @@ def test_d_top_at_degree_two_factors_only_the_entries_and_minus_one(monkeypatch)
     assert len(cases) == 160
 
 
+@pytest.mark.parametrize("family", [D4Quadratic, A5Quadratic], ids=lambda cls: cls.family)
+@pytest.mark.parametrize("call", [invariant_report, c_invariants, decide_global],
+                         ids=["invariant_report", "c_invariants", "decide_global"])
+def test_the_matrix_factor_reads_its_class_off_the_kept_form(monkeypatch, family, call):
+    # the matrix factor's class (z)(-1) = (2z)(-1) is read off the kept form <2, 2z>, as the
+    # top class of a cyclic quadratic layer is: 2z is factored, z itself never
+    rng = random.Random(2030)
+    factor_fraction = exact._factor_fraction
+    seen = []
+
+    def recorded(num, den):
+        seen.append(Fraction(num, den))
+        return factor_fraction(num, den)
+
+    monkeypatch.setattr(exact, "_factor_fraction", recorded)
+    for _ in range(40):
+        z = rng.choice((1, -1)) * rng.randrange(3, 10**6, 2) * rng.randrange(3, 10**6, 2)
+        factor_fraction.cache_clear()
+        forms.hasse_witt.cache_clear()
+        seen.clear()
+        call(family(z))
+        assert 2 * z in seen and set(seen) <= {2 * z, -1, 2}, (z, set(seen))
+
+
 def test_trace_forms_isomorphic_matches_the_restriction_loop():
     rng = random.Random(2017)
     outcomes = []
