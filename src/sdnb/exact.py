@@ -292,7 +292,7 @@ class FactoredRational:
         return dict(self.factors)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 12)
 def _factor_fraction(num: int, den: int) -> FactoredRational:
     sign = 1 if num > 0 else -1
     budget = WorkBudget(f"factoring {_shown(Fraction(num, den))}")
@@ -309,7 +309,8 @@ def factor(q: Fraction | int) -> FactoredRational:
     Deterministic; complete for 64-bit numerators/denominators, raises
     :class:`BudgetExceededError` beyond the work budget (never silently
     wrong).  Results are memoized, so repeated square-class reductions of
-    the same value cost one factorization.
+    the same value cost one factorization.  The memo keeps 4096 values: a
+    decision reuses a few, and a form of up to 4096 entries is factored once.
     """
     q = nonzero(q, "cannot factor zero")
     return _factor_fraction(q.numerator, q.denominator)

@@ -34,12 +34,12 @@ III.1).  Scaling by that unit's inverse normalizes it to 1, so the two
 slices x = 1 and y = 1 are exhaustive.
 
 The scan is plain ``int`` arithmetic over the set S of squares modulo m = p^N,
-built once per modulus and cached: the slice x = 1 asks whether a + b s lies
-in S for some s in S, and the slice y = 1 whether a s + b does.  Each slice
-stops at its first hit, and only an anisotropic pair scans both in full
-(|S| about m/2 for odd p and m/6 for p = 2).  A modulus above
-``_ORACLE_MODULUS_CAP`` raises :class:`BudgetExceededError` before any
-search.
+built for each search and dropped after it, as it takes about 130 MiB near the
+cap: the slice x = 1 asks whether a + b s lies in S for some s in S, and the
+slice y = 1 whether a s + b does.  Each slice stops at its first hit, and only
+an anisotropic pair scans both in full (|S| about m/2 for odd p and m/6 for
+p = 2).  A modulus above ``_ORACLE_MODULUS_CAP`` raises
+:class:`BudgetExceededError` before any search.
 """
 
 from __future__ import annotations
@@ -184,7 +184,6 @@ def is_square_in_completion(q: Fraction | int, v: Place) -> bool:
 _ORACLE_MODULUS_CAP = 4_000_000
 
 
-@lru_cache(maxsize=32)
 def _squares_mod(m: int) -> frozenset[int]:
     # (m - y)^2 = y^2 mod m, so half the residues give every square
     return frozenset(y * y % m for y in range(m // 2 + 1))

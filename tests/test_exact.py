@@ -67,6 +67,19 @@ def test_factor_budget_message_names_input_and_work(monkeypatch):
     assert 0 < spent <= 100 and "of 100 units" in message
 
 
+def test_the_factor_memo_keeps_at_most_4096_values():
+    # a decision reuses a few values and a form's entries are reused across its invariants;
+    # values seen once by a long process must not pile up behind them
+    rng = random.Random(31)
+    exact._factor_fraction.cache_clear()
+    values = set()
+    while len(values) < 6000:
+        values.add(rng.choice((1, -1)) * rng.randrange(2, 10**9))
+    for q in values:
+        factor(q)
+    assert exact._factor_fraction.cache_info().currsize <= 4096
+
+
 def test_squarefree_part_golden():
     assert squarefree_part(18) == 2
     assert squarefree_part(-4) == -1

@@ -16,6 +16,7 @@ from sdnb import (
     det_square_class,
     diagonalize,
     equal,
+    exact,
     forms,
     hasse_witt,
     is_trivial,
@@ -458,6 +459,22 @@ def test_the_support_factors_each_entry_once(monkeypatch):
     indefinite = DiagonalForm([F(3, 5), -7, 22, F(-1, 45), 13])
     assert anisotropy_certificate(indefinite) is None
     assert calls == list(indefinite.entries)
+
+
+def test_the_invariants_of_a_2000_entry_form_factor_each_entry_once():
+    # the determinant class, the Hasse-Witt class and the support each read every entry's
+    # factorization; the factor memo holds all 2000, so the second and third reads hit
+    rng = random.Random(3100)
+    entries = set()
+    while len(entries) < 2000:
+        entries.add(rng.choice((1, -1)) * rng.randrange(2, 10**9))
+    f = DiagonalForm(sorted(entries))
+    forms.hasse_witt.cache_clear()
+    exact._factor_fraction.cache_clear()
+    det_square_class(f)
+    hasse_witt(f)
+    assert anisotropy_certificate(f) is None
+    assert exact._factor_fraction.cache_info().misses == 2000
 
 
 def test_rank5_isotropic_at_finite_places():

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,21 @@ def test_oracle_modulus_cap_names_input():
     message = str(info.value)
     assert message.startswith("Hilbert oracle for the square classes (2, 3) at 163: ")
     assert "163^3 = 4330747" in message and "nothing was searched" in message
+
+
+def test_the_oracle_keeps_no_table_of_squares():
+    # a, b units at p, so each search runs modulo p^3; a kept table of the squares modulo
+    # 37^3 alone would hold about 25000 ints
+    symbols._oracle_reduced.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for p in (43, 41, 37):
+            assert hilbert_oracle(3, 5, p) == hilbert(3, 5, Place(p))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20, kept
 
 
 def test_support_places_golden():
