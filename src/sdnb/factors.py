@@ -232,8 +232,8 @@ def local_data(conductor: int, real_subfield: bool, v: Place) -> LocalData:
     order of p mod m, and in the real subfield the order h of p in
     (Z/m)^x/{+-1}; epsilon = 1 exactly when the two differ (p^h = -1 mod m).
     For p = 2 and a 2-power m the extension is totally ramified: the real
-    subfield has local degree m/4 (1 when m = 4) and epsilon = 1.  Ramified
-    odd primes of general conductors, which no decision needs, are rejected.
+    subfield has local degree m/4 (1 when m = 4) and epsilon = 1.  m = 2 mod 4
+    is read as m/2 (same field); other ramified primes are unsupported.
     """
     if v.is_real:
         raise ValueError("local_data is for finite places")
@@ -241,13 +241,15 @@ def local_data(conductor: int, real_subfield: bool, v: Place) -> LocalData:
     m = conductor
     if m < 1:
         raise ValueError("conductor must be >= 1")
+    if m % 4 == 2:
+        m //= 2
     if m <= 2:
         return LocalData(True, 0)
     if m % p == 0:
         if p == 2 and m == 1 << (m.bit_length() - 1):
             degree = m // 4 if real_subfield else m // 2
             return LocalData(degree % 2 == 1, 1)
-        raise ValueError(f"ramified odd prime {p} for conductor {m} is unsupported")
+        raise ValueError(f"ramified prime {p} for conductor {conductor} is unsupported")
     half = mult_order_mod_pm1(p, m)
     eps = int(pow(p, half, m) == m - 1)
     n = half if real_subfield else half << eps

@@ -26,16 +26,17 @@ center stays a field.  Certificates list every filter decision.
 
 Each family class carries ``group``, ``degree`` (of the inducing field) and
 ``family`` (its JSON/CLI tag), and keeps its diagonalized trace form as
-``_form``, set or built on first read (cyclic-poly, A4).  ``_top_class`` reads
-its top class for cyclic families and for the matrix factor D4 and A5 name in
-``_matrix``; A4 has its own orthogonal classes and caps the verdict at unknown.
-One certificate builder makes both decisions in one pass over the factor
-table, computing the group, its 2-power exponent, h1, the trace form and the
-table once: it walks the real place and the support of every invariant
-class, or one finite place for every factor.  ``c_invariants`` walks the
-orthogonal factors only, ``embedding_obstruction`` is ``d_top`` of the
-cyclic-poly algebra over twice the degree, and ``d_top`` reads its class off
-the trace form's entries.
+``_form``, set or built on first read (cyclic-poly, A4).  Each family gives
+its factors' classes through ``_entry``: ``_top_class`` of the kept form on a
+cyclic group's top unitary factor and on the matrix factor D4 and A5 name in
+``_matrix``, zero elsewhere; A4 has its own orthogonal classes and caps the
+verdict at unknown.  One certificate builder makes both decisions in one pass
+over the factor table, computing the group, its 2-power exponent, h1 and the
+table once: it walks the real place and the support of every invariant class,
+or one finite place for every factor.  ``c_invariants`` walks the orthogonal
+factors only (cyclic-poly builds no form there), ``embedding_obstruction`` is
+``d_top`` of the cyclic-poly algebra over twice the degree, and ``d_top``
+reads its class off the trace form's entries.
 Polynomial input is screened for integer roots, by Rabin's test along a
 single Frobenius orbit at the first 16 odd primes not dividing f(0), each
 step one linear combination of the rows X^(ip) mod (f, p) built once per
@@ -108,7 +109,7 @@ VERDICT_UNKNOWN = "unknown"
 class _Family:
     """Besides ``group``, ``degree`` and ``family``, each family carries the verdict that caps its
     decisions (None: no cap), the id ``_matrix`` of the orthogonal factor carrying its top class, if
-    any, and its diagonalized trace form ``_form``: set, or built from the polynomial on first read."""
+    any, and its diagonalized trace form ``_form``, set or built on first read; ``_entry`` reads them per factor."""
 
     verdict_cap: str | None = None
     _matrix: str | None = None
@@ -117,9 +118,18 @@ class _Family:
     def _form(self) -> DiagonalForm:
         return diagonalize(trace_form(self.coeffs))
 
-    def _own_entry(self, fd: FactorDescriptor, q: DiagonalForm) -> InvariantEntry | None:
-        """The family's entry for the orthogonal factor fd given the trace form q, or None for zero."""
-        return InvariantEntry(fd.id, "c", "computed", _top_class(self.degree, q)) if fd.id == self._matrix else None
+    def _entry(self, fd: FactorDescriptor, n: int | None) -> InvariantEntry:
+        """The invariant of the factor fd once the degree-one invariants vanish, n being the group's
+        2-power exponent or None: the kept form's top class on ``_matrix`` and at conductor 2^n, else zero."""
+        if fd.id == self._matrix:
+            return InvariantEntry(fd.id, "c", "computed", _top_class(self.degree, self._form))
+        if fd.kind != FactorKind.UNITARY:
+            return InvariantEntry(fd.id, "c", "zero", brauer.TRIVIAL, note=_ZERO_DEGREE_ONE)
+        if n is None:
+            return InvariantEntry(fd.id, "d", "not-computed", None, note="outside the supported tables")
+        if fd.conductor == 1 << n:
+            return InvariantEntry(fd.id, "d", "computed", _top_class(self.degree, self._form))
+        return InvariantEntry(fd.id, "d", "zero", brauer.TRIVIAL, note=_ZERO_LOWER_UNITARY)
 
 
 class _Cyclic(_Family):
@@ -211,12 +221,12 @@ class A4Quartic(_Family):
             raise ValueError("polynomial has repeated roots")
         vars(self).update(coeffs=coeffs)
 
-    def _own_entry(self, fd, q):
+    def _entry(self, fd, n):
         if fd.id == "std3":
-            return InvariantEntry(fd.id, "c", "computed", hasse_witt(q), note="conditional: " + fd.note)
+            return InvariantEntry(fd.id, "c", "computed", hasse_witt(self._form), note="conditional: " + fd.note)
         if fd.id.startswith("chi3"):
             return InvariantEntry(fd.id, "c", "not-computed", None, note=_A4_PAIR)
-        return None
+        return super()._entry(fd, n)
 
 
 @frozen
@@ -529,38 +539,20 @@ _ZERO_LOWER_UNITARY = "forced to vanish: below the top factor the fibered extens
 _A4_PAIR = "character pair without an attached invariant in the supported table"
 
 
-def _invariant_entry(
-    spec: GaloisAlgebraSpec, fd: FactorDescriptor, n: int | None, q: DiagonalForm
-) -> InvariantEntry:
-    """The invariant of one factor given the degree-one vanishing; n is the
-    group's 2-power exponent and q the family trace form."""
-    if fd.kind != FactorKind.UNITARY:
-        own = spec._own_entry(fd, q)
-        return own or InvariantEntry(fd.id, "c", "zero", brauer.TRIVIAL, note=_ZERO_DEGREE_ONE)
-    if n is None:
-        return InvariantEntry(fd.id, "d", "not-computed", None, note="outside the supported tables")
-    if fd.conductor == 1 << n:
-        return InvariantEntry(fd.id, "d", "computed", _top_class(spec.degree, q))
-    return InvariantEntry(fd.id, "d", "zero", brauer.TRIVIAL, note=_ZERO_LOWER_UNITARY)
-
-
 def c_invariants(spec: GaloisAlgebraSpec) -> tuple[InvariantEntry, ...]:
     """Orthogonal-factor invariants; requires the degree-one vanishing.  Only the
     orthogonal and degree-one factors are walked: no unitary class is computed."""
     group, n, h1 = _group_and_h1(spec)
     if not h1:
         raise ValueError("invariants undefined: degree-one invariants do not vanish")
-    q = family_trace_form(spec)
-    return tuple(
-        _invariant_entry(spec, fd, n, q) for fd in decompose(group) if fd.kind != FactorKind.UNITARY
-    )
+    return tuple(spec._entry(fd, n) for fd in decompose(group) if fd.kind != FactorKind.UNITARY)
 
 
 def invariant_report(spec: GaloisAlgebraSpec) -> InvariantReport:
     """Per-factor invariant classes, in factor order (none unless h1 holds), plus the trace-form data."""
     group, n, h1 = _group_and_h1(spec)
     q = family_trace_form(spec)
-    entries = tuple(_invariant_entry(spec, fd, n, q) for fd in decompose(group)) if h1 else ()
+    entries = tuple(spec._entry(fd, n) for fd in decompose(group)) if h1 else ()
     return InvariantReport(h1, entries, q, det_square_class(q), signature(q))
 
 
@@ -629,8 +621,8 @@ def _decide(spec: GaloisAlgebraSpec, at: Place | None) -> Decision:
     support of each invariant class; with a finite ``at`` it walks that one
     place for every factor, ramified or not.  The verdict is yes iff every
     row passes, unless the family caps it (A4: unknown).  The group, its
-    2-power exponent, h1, the trace form (built only when h1 holds) and the
-    factor table are computed once here and passed down.
+    2-power exponent, h1, the trace form (read only when h1 holds) and the
+    factor table are computed once here; each factor's entry is the family's.
     """
     group, n, h1 = _group_and_h1(spec)
     detail = "image of the classifying map is not inside the squares subgroup"
@@ -646,7 +638,7 @@ def _decide(spec: GaloisAlgebraSpec, at: Place | None) -> Decision:
         rows.append(CertificateRow("real-split", None, "real", real_ok, detail))
     where = None if at is None else at.to_json()
     for fd in decompose(group):
-        entry = _invariant_entry(spec, fd, n, q)
+        entry = spec._entry(fd, n)
         kind = "orthogonal-local" if entry.invariant == "c" else "unitary-local"
         cls = entry.value
         if cls is None:  # not computed

@@ -185,6 +185,20 @@ def test_local_data_matches_the_two_order_formula():
     assert checked > 30000
 
 
+def test_a_conductor_twice_an_odd_number_is_read_as_its_half():
+    # Q(zeta_2m) = Q(zeta_m) for odd m, where 2 does not ramify: the two-order formula on (Z/m)^x
+    for m in range(3, 200, 2):
+        full, half = mult_order(2, m), mult_order_mod_pm1(2, m)
+        for real_subfield in (True, False):
+            n = half if real_subfield else full
+            assert local_data(2 * m, real_subfield, Place(2)) == (n % 2 == 1, int(full != half)), m
+    # a prime that does ramify is still refused, named with the conductor as given
+    with pytest.raises(ValueError, match="^ramified prime 2 for conductor 12 is unsupported$"):
+        local_data(12, True, Place(2))
+    with pytest.raises(ValueError, match="^ramified prime 3 for conductor 6 is unsupported$"):
+        local_data(6, True, Place(3))
+
+
 def test_the_non_abelian_groups_know_their_orders():
     assert [GroupDescriptor(kind).order for kind in ("D4", "A4", "A5demo")] == [8, 12, 60]
 

@@ -540,6 +540,19 @@ def test_witness_scan_raises_when_budget_runs_out(monkeypatch):
     assert "<1, 1, -3>" in message and "of 5000 units" in message
 
 
+def test_witness_scan_charges_each_row_once_and_each_x_by_its_candidates(monkeypatch):
+    # <1, 1, -3> is anisotropic at 3, so a scan to height 50 tries everything: 51 rows y = 0..50
+    # filled once, then 1 + #{y <= 50 : y^2 = -x^2 mod 3} for each x <= 50
+    f = DiagonalForm([1, 1, -3])
+    units = 51 + sum(1 + sum((x * x + y * y) % 3 == 0 for y in range(51)) for x in range(51))
+    assert units == 391
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", str(units))
+    assert isotropy_witness_ternary(f, height_cap=50) is None
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", str(units - 1))
+    with pytest.raises(BudgetExceededError, match="after 390 of 390 units"):
+        isotropy_witness_ternary(f, height_cap=50)
+
+
 # --- representation and sums of squares ------------------------------------
 
 

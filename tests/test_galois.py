@@ -862,6 +862,20 @@ def test_rabin_screen_is_charged_to_the_work_budget(monkeypatch):
         assert galois._irreducible_over_Q(f)
 
 
+def test_integer_root_test_is_charged_per_divisor_of_the_constant(monkeypatch):
+    # x^4 + x - 2 has the root 1; the test is charged 2 * 4 + 1 units for each of the d(2) = 2
+    # divisors of f(0), all before the first is tried
+    coeffs = (-2, 1, 0, 0, 1)
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", str((2 * 4 + 1) * 2))
+    assert galois._irreducible_over_Q(coeffs) is False
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "17")
+    with pytest.raises(BudgetExceededError) as info:
+        galois._irreducible_over_Q(coeffs)
+    assert str(info.value).startswith(
+        "integer roots of the polynomial [-2, 1, 0, 0, 1]: work budget exhausted after 0 of 17 units"
+    )
+
+
 def _random_monic(rng, degree):
     return [rng.randint(-20, 20) for _ in range(degree)] + [1]
 
@@ -1561,3 +1575,21 @@ def test_a_kept_trace_form_is_not_charged_again_under_a_smaller_budget(monkeypat
         galois.family_trace_form(fresh)
     monkeypatch.setenv("SDNB_FACTOR_BUDGET", "64")
     assert galois.family_trace_form(fresh) == q
+
+
+def test_c_invariants_of_a_cyclic_poly_spec_read_no_trace_form(monkeypatch):
+    # x^4 - 6x - 6 is not normal, so its trace form is a 4x4 Gram elimination charged 64 units.
+    # The orthogonal factors of a cyclic group carry zero classes, so c_invariants never builds
+    # the form; the report and the decision read it and raise under a budget it does not fit.
+    counts = {}
+    _count_calls(monkeypatch, counts, "trace_form", forms, galois)
+    c_invariants(CyclicPoly(3, (-6, -6, 0, 0, 1), 4))
+    assert counts == {}
+    spec = CyclicPoly(3, (-6, -6, 0, 0, 1), 4)
+    monkeypatch.setenv("SDNB_FACTOR_BUDGET", "63")
+    entries = c_invariants(spec)
+    assert [(e.factor_id, e.invariant, e.status) for e in entries] == [("triv", "c", "zero"), ("chi2", "c", "zero")]
+    assert all(is_trivial(e.value) for e in entries)
+    for call in (invariant_report, decide_global):
+        with pytest.raises(BudgetExceededError, match="^Gram elimination of a 4x4 matrix: .* after 0 of 63 units"):
+            call(spec)

@@ -91,6 +91,13 @@ def test_oracle_agrees_with_formula_small_grid():
                     assert hilbert_oracle(a, b, p) == hilbert(a, b, Place(p)), (a, b, p)
 
 
+def test_the_oracle_table_holds_every_square():
+    # (m - y)^2 = y^2 mod m, so y <= m/2 gives every square of (Z/m), for the 2-power and odd
+    # prime-power moduli the oracle searches
+    for m in (4, 8, 16, 32, 64, 9, 27, 81, 25, 125, 49, 343):
+        assert symbols._squares_mod(m) == {y * y % m for y in range(m)}, m
+
+
 def test_oracle_refuses_a_zero_then_a_non_prime_before_it_factors(monkeypatch):
     assert raised(hilbert_oracle, 0, 3, 4) == (ValueError, "oracle arguments must be nonzero")
     assert raised(hilbert_oracle, 3, Fraction(0), 5) == (ValueError, "oracle arguments must be nonzero")
