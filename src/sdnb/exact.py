@@ -34,7 +34,12 @@ an ``int`` or ``Fraction`` is kept, any other value goes through
 :func:`as_fraction`, and zero raises the caller's ``ValueError``.
 ``as_fraction`` refuses a decimal exponent beyond +-4300, written in a string
 or stored in a finite ``Decimal``, and a ``Decimal`` of more than 4300
-digits, before the number is expanded.
+digits, before the number is expanded.  ``Fraction``'s methods are pure
+Python, so the decision path reads signs and zeros off ``numerator`` and
+``as_fraction`` sends an ``int`` to ``Fraction(x)`` at once.
+:func:`parse_rational` reads an ASCII ``[-]digits[/digits]`` string by
+``int()`` and any other by ``as_fraction``; a zero denominator is a
+``ValueError`` naming the text as given.
 """
 
 from __future__ import annotations
@@ -310,7 +315,7 @@ def factor(q: Fraction | int) -> FactoredRational:
     :class:`BudgetExceededError` beyond the work budget (never silently
     wrong).  Results are memoized, so repeated square-class reductions of
     the same value cost one factorization.  The memo keeps 4096 values: a
-    decision reuses a few, and a form of up to 4096 entries is factored once.
+    decision reuses a few, and a ``DiagonalForm`` keeps its entries' own.
     """
     q = nonzero(q, "cannot factor zero")
     return _factor_fraction(q.numerator, q.denominator)
@@ -333,10 +338,8 @@ def squarefree_part(q: Fraction | int) -> int:
 def is_square(q: Fraction | int) -> bool:
     """True iff q is the square of a rational (0 counts as a square)."""
     q = q if isinstance(q, (int, Fraction)) else as_fraction(q)
-    if q < 0:
-        return False
     n, d = q.numerator, q.denominator
-    return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
+    return n >= 0 and math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
 
 
 def legendre(a: int, p: int) -> int:
@@ -394,6 +397,7 @@ def mult_order_mod_pm1(a: int, m: int) -> int:
 
 _MAX_EXPONENT = 4300  # CPython's default digit limit for int strings: no more digits by exponent than by digits
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII [-]digits[/digits], read by int()
 
 
 def as_fraction(x) -> Fraction:
@@ -402,6 +406,8 @@ def as_fraction(x) -> Fraction:
     NaN, an infinite float, an exponent beyond +-4300 or a ``Decimal`` of more than 4300 digits
     (as CPython refuses an int string that long) is a ValueError, raised before any expansion.
     """
+    if type(x) is int:
+        return Fraction(x)
     digits, exponent = (), 0
     if isinstance(x, str) and (m := _EXPONENT.search(x)):
         exponent = int(m[1])
@@ -426,8 +432,10 @@ def nonzero(x, message: str) -> Fraction | int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a decimal string ("n", "n/d", "1.5", "3e-2") by :func:`as_fraction`; a zero denominator is a ValueError."""
+    """Parse "n", "n/d", "1.5" or "3e-2" (ASCII [-]digits[/digits] by ``int()``); a zero denominator is a ValueError."""
     try:
+        if m := _PLAIN.fullmatch(text):
+            return Fraction(int(m[1]), int(m[2] or 1))
         return as_fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None

@@ -142,7 +142,8 @@ class _Quadratic(_Family):
     degree = 2  # Q(sqrt z), with trace form <2, 2z>
 
     def __init__(self, z) -> None:
-        z = Fraction(nonzero(z, "z must be nonzero"))
+        z = nonzero(z, "z must be nonzero")
+        z = z if isinstance(z, Fraction) else Fraction(z)
         vars(self).update(z=z, _form=DiagonalForm([2, 2 * z]))
 
 
@@ -468,8 +469,8 @@ def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
 def _top_class(m: int, q: DiagonalForm) -> BrauerClass:
     """The top class of an algebra induced from a degree-m field with trace form q; D4's and A5's matrix class."""
     if m == 2:
-        # q = <2, b>, and (2)(-1) = 0 because 2 = 1 + 1 is a norm from Q(i)
-        return cup(q.entries[-1], -1)
+        # q = <2, b>, and (2)(-1) = 0 because 2 = 1 + 1 is a norm from Q(i); q keeps b's factorization
+        return cup(q.entries[-1], -1, q._factored[-1])
     return hasse_witt(q.orthogonal_sum(DiagonalForm([2])))
 
 
@@ -806,7 +807,7 @@ def _json_field(data: dict, name: str, family: str, group: GroupDescriptor | Non
         return tuple(_integer(c, "poly") for c in value)
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ValueError(f"{name} must be a rational number or string, got {value!r}")
-    return parse_rational(str(value))
+    return value if isinstance(value, int) else parse_rational(str(value))
 
 
 def spec_from_json(data: dict) -> GaloisAlgebraSpec:

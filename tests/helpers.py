@@ -9,9 +9,11 @@ from typing import Sequence
 
 from sdnb import CyclicQuadratic, CyclicQuartic, brauer, galois, is_square
 from sdnb.brauer import BrauerClass, is_trivial
-from sdnb.exact import _SMALL_PRIMES, BudgetExceededError, factor, legendre, squarefree_part
+from sdnb.exact import _SMALL_PRIMES, BudgetExceededError, as_fraction, factor, legendre, nonzero, squarefree_part
 from sdnb.factors import FactorKind, decompose, local_data
-from sdnb.forms import GramMatrix, _support, det_square_class, hasse_witt, isotropic_over_Qp, signature
+from sdnb.forms import (
+    DiagonalForm, GramMatrix, _support, det_square_class, hasse_witt, isotropic_over_Qp, signature,
+)
 from sdnb.symbols import Place, hilbert, ramified_places
 
 
@@ -67,6 +69,28 @@ def random_quartic_params(
 def random_quartic_spec(rng: random.Random, n: int = 3, integral: bool = False) -> CyclicQuartic:
     a, b, c, eps = random_quartic_params(rng, integral=integral)
     return CyclicQuartic(n, a, b, c, eps)
+
+
+# --- rational inputs by Fraction's own routes ------------------------------------
+
+
+def reference_parse_rational(text: str) -> Fraction:
+    """Every string through ``as_fraction(text.strip())``, with its zero-denominator mapping."""
+    try:
+        return as_fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def reference_quartic_family_form(a, b, c, eps) -> DiagonalForm:
+    """<1, eps, a, a> with the relation a^2 - b^2 eps = c^2 eps tested in ``Fraction`` arithmetic."""
+    a, b, c, eps = (x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in (a, b, c, eps))
+    c = nonzero(c, "quartic family needs c nonzero")
+    if is_square(eps):
+        raise ValueError("quartic family needs a nonsquare eps")
+    if a * a - b * b * eps != c * c * eps:
+        raise ValueError("parameters violate a^2 - b^2 eps = c^2 eps")
+    return DiagonalForm([1, eps, a, a])
 
 
 def compose(f: list[int], g: list[int]) -> list[int]:

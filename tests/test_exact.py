@@ -1,10 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from helpers import reference_factor_int, reference_is_prime
+from helpers import reference_factor_int, reference_is_prime, reference_parse_rational
 from sdnb import exact
 from sdnb import (
     BudgetExceededError,
@@ -165,6 +166,53 @@ def test_parse_rational():
     assert parse_rational("3") == 3
     assert parse_rational("-45/8") == Fraction(-45, 8)
     assert str(Fraction(-45, 8)) == "-45/8"
+
+
+_NEAR_MISSES = [
+    "", "-", "+", "/", "-/", "1/", "/2", "-/2", "+5", "--5", "+-5", "-+5", "-0", "0", "00", "-00/01",
+    "5/-3", "5/+3", "5/0", "-5/000", "0/0", " 5/0 ", "5 / 7", " 5/7", "5/7 ", "5 /7", "5/ 7", "\t-3\n",
+    "1_000", "1_000/2_0", "1__0", "_1", "1_", "1_/2", "1.5", ".5", "5.", "-.5e3", "3e-2", "3E+2",
+    "1e4301", "1e-4301", "1/2/3", "1//2", "- 5", "5-", "0x10", "nan", "inf", "-inf",
+    "١٢", "-١٢/٣", "7/٣", "²", "1/²", "５", "\u00a05", "5\u2003", "\u20035",
+]
+_SOUP = list("0123456789" * 3) + ["-", "+", "/", " ", "_", ".", "e", "E", "١", "²", "５", "\t"]
+
+
+def _rational_strings(rng: random.Random, count: int) -> list[str]:
+    """The near misses, runs around CPython's 4300-digit limit, then plain ASCII fractions and token soup."""
+    run = "1" + "0" * 4300  # 4301 digits
+    out = _NEAR_MISSES + [run, "-" + run, run[:-1], "-" + run[:-1], "0" + run[1:], "5/" + run, run + "/0", run + "/7"]
+    while len(out) < count:
+        if rng.random() < 0.5:
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 30)))
+            text = rng.choice(("", "", "-")) + digits
+            if rng.random() < 0.6:
+                text += "/" + "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 12)))
+        else:
+            text = "".join(rng.choice(_SOUP) for _ in range(rng.randint(0, 8)))
+        out.append(text)
+    return out
+
+
+def _parsed(parse, text):
+    try:
+        q = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(q), q
+
+
+def test_parse_rational_agrees_with_the_fraction_route():
+    # plain ASCII [-]digits[/digits] is read by int(); every string must give what
+    # as_fraction(text.strip()) gives: the same Fraction, or the same error and message
+    texts = _rational_strings(random.Random(3300), 20_000)
+    assert len(texts) == 20_000
+    plain = 0
+    for text in texts:
+        want = _parsed(reference_parse_rational, text)
+        assert _parsed(parse_rational, text) == want, text[:40]
+        plain += re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text) is not None
+    assert min(plain, len(texts) - plain) > 5000  # both routes are taken
 
 
 # --- the factoring kernel against its reference copy -------------------------

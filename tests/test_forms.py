@@ -37,11 +37,13 @@ from sdnb import (
 from helpers import (
     compose,
     numpy_witness_ternary,
+    random_quartic_params,
     raised,
     reference_anisotropy_certificate,
     reference_det_square_class,
     reference_has_repeated_roots,
     reference_hasse_invariant_at,
+    reference_quartic_family_form,
     reference_subresultant_pivots,
     reference_trace_form,
 )
@@ -477,6 +479,30 @@ def test_the_invariants_of_a_2000_entry_form_factor_each_entry_once():
     assert exact._factor_fraction.cache_info().misses == 2000
 
 
+def test_a_form_of_more_entries_than_the_factor_memo_keeps_factors_each_entry_once():
+    # 5000 distinct entries overflow the 4096-value memo, so the three readers share the
+    # factorizations the form keeps, not the memo's
+    rng = random.Random(3303)
+    entries = set()
+    while len(entries) < 5000:
+        entries.add(rng.choice((1, -1)) * rng.randrange(2, 10**9))
+    f = DiagonalForm(sorted(entries))
+    forms.hasse_witt.cache_clear()
+    exact._factor_fraction.cache_clear()
+    det_square_class(f)
+    hasse_witt(f)
+    assert anisotropy_certificate(f) is None
+    assert exact._factor_fraction.cache_info().misses == 5000
+
+
+def test_the_kept_factorizations_are_not_a_field():
+    f, twin = DiagonalForm([F(3, 5), -7, 22]), DiagonalForm([F(3, 5), -7, 22])
+    assert det_square_class(f) == det_square_class(DiagonalForm(f.entries))
+    assert "_factored" in vars(f) and "_factored" not in vars(twin)
+    assert f == twin and hash(f) == hash(twin) and repr(f) == repr(twin)
+    assert repr(f) == "DiagonalForm(entries=(Fraction(3, 5), Fraction(-7, 1), Fraction(22, 1)))"
+
+
 def test_rank5_isotropic_at_finite_places():
     rng = random.Random(41)
     for _ in range(20):
@@ -893,6 +919,51 @@ def test_quartic_family_coerces_every_value_before_it_refuses_a_zero_c():
     assert raised(quartic_family_form, 2, 1, 0, "abc") == raised(Fraction, "abc")
     for zero in (0, F(0), "0", "0/7"):
         assert raised(quartic_family_form, 2, 1, zero, 2) == (ValueError, "quartic family needs c nonzero")
+
+
+def _quartic_outcome(build, args):
+    try:
+        return "form", build(*args).entries
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _as_given(rng: random.Random, x: Fraction):
+    """x as a Fraction, an int when integral, or its string."""
+    r = rng.random()
+    if r < 0.2:
+        return str(x)
+    return int(x) if r < 0.6 and x.denominator == 1 else x
+
+
+def test_the_integer_quartic_relation_agrees_with_fraction_arithmetic():
+    # a^2 = (b^2 + c^2) eps by one cross-multiplication of numerators and denominators;
+    # every other input is moved off the relation, or given a zero c or a square eps
+    rng = random.Random(3302)
+    outcomes = []
+    for i in range(5000):
+        a, b, c, eps = random_quartic_params(rng, integral=rng.random() < 0.3)
+        if i % 2:
+            step = F(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 4))
+            kind = rng.randrange(6)
+            if kind == 0:
+                a += step
+            elif kind == 1:
+                b += step
+            elif kind == 2:
+                c += step
+            elif kind == 3:
+                eps *= F(rng.randint(2, 9), rng.randint(1, 9)) ** rng.choice((1, -1))
+            elif kind == 4:
+                c = F(0)
+            else:
+                eps = F(rng.randint(0, 9), rng.randint(1, 9)) ** 2
+        args = tuple(_as_given(rng, x) for x in (a, b, c, eps))
+        want = _quartic_outcome(reference_quartic_family_form, args)
+        assert _quartic_outcome(quartic_family_form, args) == want, args
+        outcomes.append(want[0])
+    assert 2500 <= outcomes.count("form") < 2700
+    assert outcomes.count(ValueError) > 2300
 
 
 def test_quartic_gram_route_matches_diagonal_route():

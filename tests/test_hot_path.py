@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import compose, random_quartic_params
 from sdnb import (
     REAL,
     A4Quartic,
@@ -26,12 +27,15 @@ from sdnb import (
     SplitAlgebra,
     cup,
     decide_global,
+    decide_local,
     exact,
     factor,
     factors,
     finite,
     galois,
     hilbert,
+    invariant_report,
+    is_square,
     spec_from_json,
     support_places,
     symbols,
@@ -290,3 +294,58 @@ def test_the_first_bad_argument_decides_the_error():
     # a diagonal form coerces every entry before it looks for a zero
     assert _raised(DiagonalForm, [0, "abc"]) == _raised(Fraction, "abc")
     assert _raised(DiagonalForm, []) == (ValueError, "a diagonal form needs at least one entry")
+
+
+# --- signs, zeros and relations off numerators ------------------------------------
+
+
+def _decision_specs() -> list[dict]:
+    """Seeded JSON specs of the four small-height decision families and the 2cos(2 pi / 2^k) tower."""
+    rng = random.Random(3304)
+
+    def rational():
+        return F(rng.choice((1, -1)) * rng.randint(1, 300), rng.randint(1, 300))
+
+    specs = []
+    for _ in range(12):
+        a, b, c, eps = random_quartic_params(rng)
+        for order in (8, 16):
+            specs.append({"group": f"C{order}", "family": "cyclic-quartic",
+                          "a": str(a), "b": str(b), "c": str(c), "eps": str(eps)})
+        z = rational()
+        while is_square(z):
+            z = rational()
+        for order in (4, 8, 16):
+            specs.append({"group": f"C{order}", "family": "cyclic-quadratic", "z": str(z)})
+        specs.append({"group": "D4", "family": "d4-quadratic", "z": str(rational())})
+        specs.append({"group": "A5", "family": "a5-quadratic", "z": rng.choice((-1, 1)) * rng.randint(1, 300)})
+    f = [2, 0, -4, 0, 1]
+    for deg in (4, 8, 16):
+        for t in range(-3, 4):
+            for order in (deg, 2 * deg):
+                specs.append({"group": f"C{order}", "family": "cyclic-poly", "poly": compose(f, [t, 1]), "degree": deg})
+        f = compose(f, [-2, 0, 1])
+    return specs
+
+
+def test_a_decision_orders_and_zero_tests_no_fraction(monkeypatch):
+    # Fraction's comparisons are pure Python; the decision reads signs, zeros and the
+    # quartic relation off numerators and denominators instead
+    specs, at = _decision_specs(), Place(3)
+    counts = {}
+
+    def counted(name, method, ints_only):
+        def call(self, other):
+            if not ints_only or type(other) is int:
+                counts[name] = counts.get(name, 0) + 1
+            return method(self, other)
+        return call
+
+    for name in ("__lt__", "__gt__", "__le__", "__ge__", "__eq__"):
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name), name == "__eq__"))
+    for data in specs:
+        spec = spec_from_json(data)
+        json.dumps([decide_global(spec).to_json(), decide_local(spec, at).to_json(),
+                    invariant_report(spec).to_json()])
+        assert counts == {}, (data, counts)
+    assert len(specs) == 42 + 12 * 7
