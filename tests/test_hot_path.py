@@ -2,7 +2,9 @@
 
 A repeated decision must not rebuild the factor table or the group, every
 memo in the package is bounded, and the coercion shortcuts for ``int`` and
-``Fraction`` arguments give the results and errors of ``Fraction(x)``.
+``Fraction`` arguments give the results and errors of ``Fraction(x)``.  A
+decision orders no ``Fraction`` and compares none with an ``int``: signs,
+zeros and the quartic relation are read off numerators and denominators.
 """
 
 import json
