@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import FactoredRational, frozen, is_square, nonzero
+from .exact import frozen, is_square, nonzero
 from .symbols import Place, is_square_in_completion, ramified_places
 
 
@@ -51,10 +51,10 @@ class BrauerClass:
 TRIVIAL = BrauerClass(frozenset())
 
 
-def cup(a: Fraction | int, b: Fraction | int, fa: FactoredRational | None = None) -> BrauerClass:
-    """Class of the quaternion symbol (a, b); ``fa``, if given, is a's factorization, read in place of ``factor(a)``."""
+def cup(a: Fraction | int, b: Fraction | int) -> BrauerClass:
+    """Class of the quaternion symbol (a, b)."""
     message = "cup product arguments must be nonzero"
-    return BrauerClass(ramified_places(nonzero(a, message), nonzero(b, message), fa))
+    return BrauerClass(ramified_places(nonzero(a, message), nonzero(b, message)))
 
 
 def add(x: BrauerClass, y: BrauerClass) -> BrauerClass:

@@ -315,7 +315,7 @@ def factor(q: Fraction | int) -> FactoredRational:
     :class:`BudgetExceededError` beyond the work budget (never silently
     wrong).  Results are memoized, so repeated square-class reductions of
     the same value cost one factorization.  The memo keeps 4096 values: a
-    decision reuses a few, and a ``DiagonalForm`` keeps its entries' own.
+    decision reuses a few, and a form of up to 4096 entries is factored once.
     """
     q = nonzero(q, "cannot factor zero")
     return _factor_fraction(q.numerator, q.denominator)

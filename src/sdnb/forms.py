@@ -15,11 +15,8 @@ a repeated root, and when the sequence is normal its leading coefficients are
 the pivots, because the leading principal minors of the Hankel matrix of
 power sums are, up to sign, the principal subresultant coefficients of f and
 f' (Hermite; Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
-ch. 9); see ``trace_form``.  A form keeps its entries' factorizations
-(``DiagonalForm._factored``, made on first read, not a field), so its
-determinant class, Hasse-Witt class and support factor each entry once.  The
-determinant class is read off the entries' square classes
-(``_square_classes``), never off their product's factorization.
+ch. 9); see ``trace_form``.  The determinant class is read off the entries'
+square classes (``_square_classes``), never off their product's factorization.
 
 The Hasse invariant at a place v is one walk, linear in the rank (``_walk``;
 Serre, A Course in Arithmetic, III.1 and IV.2.1): by bilinearity the product
@@ -54,7 +51,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .brauer import BrauerClass
-from .exact import FactoredRational, WorkBudget, _shown, as_fraction, factor, frozen, is_square, nonzero
+from .exact import WorkBudget, _shown, as_fraction, factor, frozen, is_square, nonzero
 from .symbols import REAL, Place, _finite_symbol, _local_parts, finite, hilbert, is_square_in_completion
 
 
@@ -73,11 +70,6 @@ class DiagonalForm:
     @property
     def rank(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def _factored(self) -> tuple[FactoredRational, ...]:
-        """The entries' factorizations, by ``factor`` in entry order on first read; not a field."""
-        return tuple(map(factor, self.entries))
 
     def orthogonal_sum(self, other: "DiagonalForm") -> "DiagonalForm":
         return DiagonalForm(self.entries + other.entries)
@@ -209,10 +201,11 @@ def diagonalize(g: GramMatrix) -> DiagonalForm:
 
 
 def _square_classes(f: DiagonalForm) -> tuple[list[int], dict[int, list[int]]]:
-    """The squarefree classes c != 1 of the entries, from the form's kept factorizations, and each prime's classes."""
+    """The squarefree classes c != 1 of the entries, from their cached factorizations, and each prime's classes."""
     classes: list[int] = []
     divides: dict[int, list[int]] = {}  # prime -> the classes it divides
-    for fa in f._factored:
+    for a in f.entries:
+        fa = factor(a)
         odd = [p for p, e in fa.factors if e & 1]
         if (c := fa.sign * prod(odd)) != 1:
             classes.append(c)
@@ -284,8 +277,8 @@ def isotropic_over_Qp(f: DiagonalForm, v: Place) -> bool:
 
 
 def _support(f: DiagonalForm) -> list[Place]:
-    """Real, 2, then every prime of an entry in increasing order, from the form's kept factorizations."""
-    primes = {2}.union(*((p for p, _ in fa.factors) for fa in f._factored))
+    """Real, 2, then every prime of an entry in increasing order, from one ``factor`` call per entry."""
+    primes = {2}.union(*((p for p, _ in factor(a).factors) for a in f.entries))
     return [REAL] + [finite(p) for p in sorted(primes)]
 
 

@@ -469,8 +469,8 @@ def family_trace_form(spec: GaloisAlgebraSpec) -> DiagonalForm:
 def _top_class(m: int, q: DiagonalForm) -> BrauerClass:
     """The top class of an algebra induced from a degree-m field with trace form q; D4's and A5's matrix class."""
     if m == 2:
-        # q = <2, b>, and (2)(-1) = 0 because 2 = 1 + 1 is a norm from Q(i); q keeps b's factorization
-        return cup(q.entries[-1], -1, q._factored[-1])
+        # q = <2, b>, and (2)(-1) = 0 because 2 = 1 + 1 is a norm from Q(i)
+        return cup(q.entries[-1], -1)
     return hasse_witt(q.orthogonal_sum(DiagonalForm([2])))
 
 

@@ -48,9 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .exact import (
-    BudgetExceededError, FactoredRational, _shown, euler_criterion, factor, frozen, is_prime, nonzero, squarefree_part,
-)
+from .exact import BudgetExceededError, _shown, euler_criterion, factor, frozen, is_prime, nonzero, squarefree_part
 
 
 @frozen
@@ -153,15 +151,15 @@ def hilbert(a: Fraction | int, b: Fraction | int, v: Place) -> int:
     return _finite_symbol(alpha, u, beta, w, v.prime)
 
 
-def ramified_places(a: Fraction | int, b: Fraction | int, fa: FactoredRational | None = None) -> frozenset[Place]:
+def ramified_places(a: Fraction | int, b: Fraction | int) -> frozenset[Place]:
     """The places v with (a,b)_v = -1, for nonzero ``int`` or ``Fraction`` a and b.
 
-    Reads ``factor(a)``, or a's factorization ``fa`` if given, and then
-    ``factor(b)``, and walks 2 and their primes once: at p the valuation is
-    the table's exponent and the unit is (numerator * denominator) //
-    p^|valuation|.  An odd p where both valuations are even contributes nothing.
+    Reads ``factor(a)`` and then ``factor(b)``, and walks 2 and their primes
+    once: at p the valuation is the table's exponent and the unit is
+    (numerator * denominator) // p^|valuation|.  An odd p where both
+    valuations are even contributes nothing.
     """
-    fa, fb = fa or factor(a), factor(b)
+    fa, fb = factor(a), factor(b)
     va, vb = dict(fa.factors), dict(fb.factors)
     ma, mb = a.numerator * a.denominator, b.numerator * b.denominator
     out = [REAL] if fa.sign < 0 and fb.sign < 0 else []

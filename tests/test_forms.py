@@ -479,30 +479,6 @@ def test_the_invariants_of_a_2000_entry_form_factor_each_entry_once():
     assert exact._factor_fraction.cache_info().misses == 2000
 
 
-def test_a_form_of_more_entries_than_the_factor_memo_keeps_factors_each_entry_once():
-    # 5000 distinct entries overflow the 4096-value memo, so the three readers share the
-    # factorizations the form keeps, not the memo's
-    rng = random.Random(3303)
-    entries = set()
-    while len(entries) < 5000:
-        entries.add(rng.choice((1, -1)) * rng.randrange(2, 10**9))
-    f = DiagonalForm(sorted(entries))
-    forms.hasse_witt.cache_clear()
-    exact._factor_fraction.cache_clear()
-    det_square_class(f)
-    hasse_witt(f)
-    assert anisotropy_certificate(f) is None
-    assert exact._factor_fraction.cache_info().misses == 5000
-
-
-def test_the_kept_factorizations_are_not_a_field():
-    f, twin = DiagonalForm([F(3, 5), -7, 22]), DiagonalForm([F(3, 5), -7, 22])
-    assert det_square_class(f) == det_square_class(DiagonalForm(f.entries))
-    assert "_factored" in vars(f) and "_factored" not in vars(twin)
-    assert f == twin and hash(f) == hash(twin) and repr(f) == repr(twin)
-    assert repr(f) == "DiagonalForm(entries=(Fraction(3, 5), Fraction(-7, 1), Fraction(22, 1)))"
-
-
 def test_rank5_isotropic_at_finite_places():
     rng = random.Random(41)
     for _ in range(20):
