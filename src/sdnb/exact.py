@@ -397,7 +397,6 @@ def mult_order_mod_pm1(a: int, m: int) -> int:
 
 _MAX_EXPONENT = 4300  # CPython's default digit limit for int strings: no more digits by exponent than by digits
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII [-]digits[/digits], read by int()
 
 
 def as_fraction(x) -> Fraction:
@@ -434,8 +433,9 @@ def nonzero(x, message: str) -> Fraction | int:
 def parse_rational(text: str) -> Fraction:
     """Parse "n", "n/d", "1.5" or "3e-2" (ASCII [-]digits[/digits] by ``int()``); a zero denominator is a ValueError."""
     try:
-        if m := _PLAIN.fullmatch(text):
-            return Fraction(int(m[1]), int(m[2] or 1))
+        n, slash, d = text.partition("/")
+        if text.isascii() and n.removeprefix("-").isdigit() and (d.isdigit() or not slash):
+            return Fraction(int(n), int(d or 1))
         return as_fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
