@@ -66,7 +66,6 @@ from .galois import (
     elementary_criterion,
     embedding_obstruction,
     family_trace_form,
-    group_of,
     h1_condition,
     invariant_report,
     quartic_family_polynomial,

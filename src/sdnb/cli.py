@@ -2,7 +2,7 @@
 
 ``decide`` and ``invariants`` take a family spec (inline flags or a JSON
 file), ``hilbert`` / ``form`` / ``factors`` / ``embed`` expose the
-calculators; ``_dispatch`` calls the handler the parser chose, and
+calculators; ``main`` calls the handler the parser chose, and
 ``_emit`` prints JSON or text.  A command runs with CPython's limit on
 int-to-text digits lifted, so answers of any length print; its input keeps
 the limit through ``_refuse_long_numbers``.  ``decide`` exits 0 for yes, 1
@@ -82,7 +82,7 @@ def _spec(args: argparse.Namespace) -> dict:
     if not args.group:  # --group "" counts as absent
         data.pop("group", None)
     if "poly" in data:
-        data["poly"] = [int(t) for t in data["poly"].split(",")]
+        data["poly"] = data["poly"].split(",")  # spec_from_json reads each token as an integer
     if "family" not in data:
         raise ValueError("no family given (use --family or --spec)")
     return data
@@ -166,7 +166,7 @@ def _factors(args: argparse.Namespace) -> None:
 
 
 def _embed(args: argparse.Namespace) -> None:
-    cls = embedding_obstruction([int(t) for t in args.poly.split(",")])
+    cls = embedding_obstruction(args.poly.split(","))
     trivial = not cls.ramified
     _emit(args, {"obstruction": cls.to_json(), "trivial": trivial}, [f"obstruction: {cls}  trivial: {trivial}"])
 
@@ -240,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         for value in vars(args).values():  # the arguments here, a --spec file in _spec
             if isinstance(value, str):
                 _refuse_long_numbers(value)
-        code = _dispatch(args)
+        code = args.run(args) or EX_OK  # a handler that returns nothing succeeded
         if sys.stdout is not None:  # None when fd 1 was closed at start
             sys.stdout.flush()  # a reader that has gone fails here, not at exit
         return code
@@ -268,10 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    return args.run(args) or EX_OK  # a handler that returns nothing succeeded
 
 
 if __name__ == "__main__":

@@ -293,9 +293,6 @@ class FactoredRational:
                 den *= p ** (-e)
         return Fraction(num, den)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
 
 @lru_cache(maxsize=1 << 12)
 def _factor_fraction(num: int, den: int) -> FactoredRational:

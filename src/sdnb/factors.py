@@ -38,20 +38,17 @@ class GroupDescriptor:
     """A supported group: abelian by invariant factors, or D4 / A4 / A5demo."""
 
     def __init__(self, kind: str, invariant_factors: tuple[int, ...] = ()) -> None:
-        vars(self).update(kind=kind, invariant_factors=invariant_factors)
-        self.__post_init__()  # the checks, a hook of their own so that a test can count constructions
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("abelian", *_FIXED):
-            raise ValueError(f"unsupported group kind {self.kind!r}")
-        if self.kind == "abelian":
-            fs = self.invariant_factors
+        if kind not in ("abelian", *_FIXED):
+            raise ValueError(f"unsupported group kind {kind!r}")
+        fs = invariant_factors
+        if kind == "abelian":
             if not fs or any(d < 2 for d in fs):
                 raise ValueError("invariant factors must be a nonempty list of ints >= 2")
             if any(fs[i + 1] % fs[i] != 0 for i in range(len(fs) - 1)):
                 raise ValueError("each invariant factor must divide the next")
-        elif self.invariant_factors:
+        elif fs:
             raise ValueError("invariant factors only apply to abelian groups")
+        vars(self).update(kind=kind, invariant_factors=fs)
 
     @staticmethod
     @lru_cache(maxsize=64)
@@ -106,13 +103,10 @@ class FactorDescriptor:
 
     def __init__(self, id: str, kind: FactorKind, conductor: int, e_kind: str, e_param: int | None,
                  split: bool, note: str = "") -> None:
+        if e_kind not in ("Q", "real-cyclotomic", "quadratic"):
+            raise ValueError(f"unknown center descriptor {e_kind!r}")
         vars(self).update(id=id, kind=kind, conductor=conductor, e_kind=e_kind, e_param=e_param, split=split,
                           note=note)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.e_kind not in ("Q", "real-cyclotomic", "quadratic"):
-            raise ValueError(f"unknown center descriptor {self.e_kind!r}")
 
     def to_json(self) -> dict:
         out = {

@@ -163,20 +163,20 @@ class GramMatrix:
         vars(self).update(rows=coerced, _scale=lcd, _pivots=tuple(_pivots(m)))
 
     @classmethod
-    def _of_pivots(cls, rows: tuple | None, pivots: tuple[int, ...], coeffs: tuple[int, ...] = ()) -> "GramMatrix":
-        """The matrix of integer ``rows`` whose elimination pivots are known.
+    def _of_pivots(cls, pivots: tuple[int, ...], coeffs: tuple[int, ...]) -> "GramMatrix":
+        """The trace form of the monic integer ``coeffs`` whose elimination pivots are known.
 
-        The caller vouches that ``rows`` is symmetric and that ``pivots`` are
-        what ``_pivots`` would return for it; nothing is checked or run.  With
-        rows None, those of the trace form of ``coeffs`` are built on first read.
+        The caller vouches that ``pivots`` are what ``_pivots`` would return
+        for the trace form's rows; nothing is checked or run, and the rows
+        are built on first read.
         """
         g = object.__new__(cls)
-        vars(g).update(_scale=1, _pivots=pivots, **({"_coeffs": coeffs} if rows is None else {"rows": rows}))
+        vars(g).update(_scale=1, _pivots=pivots, _coeffs=coeffs)
         return g
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        # only a trace form of ``coeffs`` reaches this: ``rows`` in the instance dict shadows it
+        # only a trace form built by ``_of_pivots`` reaches this: ``rows`` in the instance dict shadows it
         return _power_sum_rows(self._coeffs)
 
     @property
@@ -372,16 +372,16 @@ def _integer_coefficients(coeffs: Iterable[int]) -> tuple[int, ...]:
     """The coefficients as ints, refusing any value ``int()`` would change.
 
     Ints, integer strings and integral values such as 4.0 or Fraction(4)
-    pass; 4.5, Fraction(5, 2) or an infinite float raise ValueError instead
-    of being truncated.
+    pass; 4.5, Fraction(5, 2), an infinite float or a string such as "x"
+    raise ValueError instead of being truncated or misnamed.
     """
     out = []
     for c in coeffs:
         try:
             v = int(c)
-        except OverflowError:
+        except (OverflowError, ValueError):
             v = None
-        if v != c and not isinstance(c, str):
+        if v is None or v != c and not isinstance(c, str):
             raise ValueError("polynomial must have integer coefficients")
         out.append(v)
     return tuple(out)
@@ -425,16 +425,6 @@ def _subresultants(coeffs: Sequence[int]) -> tuple[tuple[int, ...] | None, bool]
     return (None if minors is None else tuple(minors)), False
 
 
-def _subresultant_pivots(coeffs: Sequence[int]) -> tuple[int, ...] | None:
-    """The minors of ``_subresultants``: the trace form's pivots when the sequence is normal, else None."""
-    return _subresultants(coeffs)[0]
-
-
-def _has_repeated_roots(coeffs: Sequence[int]) -> bool:
-    """True iff the integer polynomial f (constant term first) shares a root with f' (``_subresultants``)."""
-    return _subresultants(coeffs)[1]
-
-
 def _power_sum_rows(coeffs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Hankel rows (s_{i+j}) of the power sums of the roots of monic integer f (constant term first).
 
@@ -473,7 +463,7 @@ def trace_form(coeffs: Sequence[int]) -> GramMatrix:
     if repeated:
         raise ValueError("polynomial has repeated roots")
     if pivots is not None:
-        return GramMatrix._of_pivots(None, pivots, coeffs)
+        return GramMatrix._of_pivots(pivots, coeffs)
     return GramMatrix(_power_sum_rows(coeffs))
 
 

@@ -25,12 +25,13 @@ unitary factor binds where the fixed field has odd local degree and the
 center stays a field.  Certificates list every filter decision.
 
 Each family class carries ``group``, ``degree`` (of the inducing field) and
-``family`` (its JSON/CLI tag), and keeps its diagonalized trace form as
-``_form``, set or built on first read (cyclic-poly, A4).  Each family gives
-its factors' classes through ``_entry``: ``_top_class`` of the kept form on a
-cyclic group's top unitary factor and on the matrix factor D4 and A5 name in
-``_matrix``, zero elsewhere; A4 has its own orthogonal classes and caps the
-verdict at unknown.  One certificate builder makes both decisions in one pass
+``family`` (its JSON/CLI tag); a cyclic family stores its group C(2^n) at
+construction, the others name theirs on the class.  Each keeps its
+diagonalized trace form as ``_form``, set or built on first read (cyclic-poly,
+A4), and gives its factors' classes through ``_entry``: ``_top_class`` of the
+kept form on a cyclic group's top unitary factor and on the matrix factor D4
+and A5 name in ``_matrix``, zero elsewhere; A4 has its own orthogonal classes
+and caps the verdict at unknown.  One certificate builder makes both decisions in one pass
 over the factor table, computing the group, its 2-power exponent, h1 and the
 table once: it walks the real place and the support of every invariant class,
 or one finite place for every factor.  ``c_invariants`` walks the orthogonal
@@ -84,8 +85,8 @@ from .factors import (
 )
 from .forms import (
     DiagonalForm,
-    _has_repeated_roots,
     _integer_coefficients,
+    _subresultants,
     det_square_class,
     diagonalize,
     hasse_witt,
@@ -107,9 +108,9 @@ VERDICT_UNKNOWN = "unknown"
 
 
 class _Family:
-    """Besides ``group``, ``degree`` and ``family``, each family carries the verdict that caps its
-    decisions (None: no cap), the id ``_matrix`` of the orthogonal factor carrying its top class, if
-    any, and its diagonalized trace form ``_form``, set or built on first read; ``_entry`` reads them per factor."""
+    """Besides ``group`` (set by a cyclic family's ``__init__``), ``degree`` and ``family``, each family carries the
+    verdict that caps its decisions (None: no cap), the id ``_matrix`` of the orthogonal factor carrying its top class,
+    if any, and its diagonalized trace form ``_form``, set or built on first read; ``_entry`` reads them per factor."""
 
     verdict_cap: str | None = None
     _matrix: str | None = None
@@ -132,12 +133,6 @@ class _Family:
         return InvariantEntry(fd.id, "d", "zero", brauer.TRIVIAL, note=_ZERO_LOWER_UNITARY)
 
 
-class _Cyclic(_Family):
-    @property
-    def group(self) -> GroupDescriptor:
-        return GroupDescriptor.cyclic(1 << self.n)
-
-
 class _Quadratic(_Family):
     degree = 2  # Q(sqrt z), with trace form <2, 2z>
 
@@ -157,7 +152,7 @@ class SplitAlgebra(_Family):
 
 
 @frozen
-class CyclicQuadratic(_Cyclic, _Quadratic):
+class CyclicQuadratic(_Quadratic):
     family = "cyclic-quadratic"
 
     def __init__(self, n: int, z: Fraction | int | str) -> None:
@@ -166,11 +161,11 @@ class CyclicQuadratic(_Cyclic, _Quadratic):
         _Quadratic.__init__(self, z)
         if is_square(self.z):
             raise ValueError("z must not be a square (the split case has its own family)")
-        vars(self).update(n=n)
+        vars(self).update(n=n, group=GroupDescriptor.cyclic(1 << n))
 
 
 @frozen
-class CyclicQuartic(_Cyclic):
+class CyclicQuartic(_Family):
     degree, family = 4, "cyclic-quartic"
 
     def __init__(self, n, a, b, c, eps) -> None:
@@ -178,12 +173,13 @@ class CyclicQuartic(_Cyclic):
             raise ValueError("cyclic quartic family needs n >= 3")
         a, b, c, eps = (x if isinstance(x, Fraction) else as_fraction(x) for x in (a, b, c, eps))
         # quartic_family_form raises on a violated relation, zero c or square eps; the form
-        # <1, eps, a, a> it returns is kept as _form, not a field
-        vars(self).update(n=n, a=a, b=b, c=c, eps=eps, _form=quartic_family_form(a, b, c, eps))
+        # <1, eps, a, a> it returns is kept as _form, not a field, as is the group
+        vars(self).update(n=n, a=a, b=b, c=c, eps=eps, _form=quartic_family_form(a, b, c, eps),
+                          group=GroupDescriptor.cyclic(1 << n))
 
 
 @frozen
-class CyclicPoly(_Cyclic):
+class CyclicPoly(_Family):
     family = "cyclic-poly"
 
     def __init__(self, n: int, coeffs: Sequence[int], degree: int) -> None:
@@ -201,7 +197,7 @@ class CyclicPoly(_Cyclic):
             raise ValueError("polynomial must be monic")
         if not _screened_irreducible(coeffs, os.environ.get(_BUDGET_ENV)):
             raise ValueError("polynomial is reducible")
-        vars(self).update(n=n, coeffs=coeffs, degree=m)
+        vars(self).update(n=n, coeffs=coeffs, degree=m, group=GroupDescriptor.cyclic(1 << n))
 
 
 @frozen
@@ -218,7 +214,7 @@ class A4Quartic(_Family):
         coeffs = _integer_coefficients(coeffs)
         if len(coeffs) != 5 or coeffs[-1] != 1:
             raise ValueError("the A4 family needs a monic integer quartic")
-        if _has_repeated_roots(coeffs):
+        if _subresultants(coeffs)[1]:  # a repeated root
             raise ValueError("polynomial has repeated roots")
         vars(self).update(coeffs=coeffs)
 
@@ -240,16 +236,6 @@ GaloisAlgebraSpec = Union[
     D4Quadratic, A4Quartic, A5Quadratic,
 ]
 _FAMILIES = {cls.family: cls for cls in get_args(GaloisAlgebraSpec)}
-
-
-def group_of(spec: GaloisAlgebraSpec) -> GroupDescriptor:
-    """The group G of the algebra: the family's ``group`` attribute."""
-    return spec.group
-
-
-def field_degree(spec: GaloisAlgebraSpec) -> int:
-    """Degree over Q of the field (or etale algebra) inducing the algebra: the family's ``degree``."""
-    return spec.degree
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +460,11 @@ def _top_class(m: int, q: DiagonalForm) -> BrauerClass:
     return hasse_witt(q.orthogonal_sum(DiagonalForm([2])))
 
 
-def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass:
+def d_top(spec: GaloisAlgebraSpec) -> BrauerClass:
     """The one possibly nonzero unitary invariant of a cyclic 2-power algebra.
 
-    It depends only on the family's ``degree`` m and the trace form q, and
-    the decisions compute it from the same core with the q they hold.
+    It depends only on the family's ``degree`` m and its kept trace form q,
+    and the decisions compute it from the same core, ``_top_class``.
     Degree 2: the cup product (D_K)(-1), which for Q(sqrt z) is (z)(-1), from
     the order-4 fibered extension; D_K is the product of the entries of
     q = <2, b> (its first entry is Tr(1) = 2), so by bilinearity the class is
@@ -486,16 +472,14 @@ def d_top(spec: GaloisAlgebraSpec, q: DiagonalForm | None = None) -> BrauerClass
     degree: w2(q_K) + (2)(D_K) = w2(q_K + <2>) by bilinearity (0 for q = <1>).
     The degree-2 case genuinely differs, as that expression collapses to
     (2)(-1) = 0 there (module docstring); D4's and A5's matrix factor carry the
-    same class.  ``q`` is ``family_trace_form(spec)`` when the caller has it.
+    same class.
     """
     _, n, h1 = _group_and_h1(spec)
     if n is None:
         raise ValueError("the top unitary invariant lives on cyclic 2-power groups")
     if not h1:
         raise ValueError("invariant undefined: degree-one invariants do not vanish")
-    if q is None:
-        q = family_trace_form(spec)
-    return _top_class(spec.degree, q)
+    return _top_class(spec.degree, spec._form)
 
 
 @frozen
@@ -781,9 +765,12 @@ def spec_to_json(spec: GaloisAlgebraSpec) -> dict:
 
 
 def _integer(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, str)):
+            return int(value)
+    except ValueError:  # a string int() cannot read
+        pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def _json_field(data: dict, name: str, family: str, group: GroupDescriptor | None):

@@ -89,7 +89,11 @@ def finite(p: int) -> Place:
 def place_from_json(value: str | int) -> Place:
     if value == "real":
         return REAL
-    return Place(int(value))
+    try:
+        p = int(value)
+    except ValueError:
+        raise ValueError(f'a place is "real" or a prime, got {value!r}') from None
+    return Place(p)
 
 
 def _eps2(u: int) -> int:

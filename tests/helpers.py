@@ -148,7 +148,7 @@ def numpy_witness_ternary(f, height_cap: int = 10_000):
 def reference_c_invariants(spec, q=None):
     if not galois.h1_condition(spec):
         raise ValueError("invariants undefined: degree-one invariants do not vanish")
-    group = galois.group_of(spec)
+    group = spec.group
     out = []
     for fd in decompose(group):
         if fd.kind == FactorKind.UNITARY:
@@ -179,13 +179,13 @@ def reference_invariant_report(spec, q=None):
     if not galois.h1_condition(spec):
         return galois.InvariantReport(False, (), q, det_square_class(q), signature(q))
     entries = list(reference_c_invariants(spec, q))
-    group = galois.group_of(spec)
+    group = spec.group
     n = group.cyclic_two_power_exponent()
     for fd in decompose(group):
         if fd.kind != FactorKind.UNITARY:
             continue
         if n is not None and fd.conductor == 1 << n:
-            entries.append(galois.InvariantEntry(fd.id, "d", "computed", galois.d_top(spec, q)))
+            entries.append(galois.InvariantEntry(fd.id, "d", "computed", galois.d_top(spec)))
         elif n is not None:
             entries.append(
                 galois.InvariantEntry(
@@ -254,7 +254,7 @@ def reference_decide_global(spec):
         )
     )
     report = reference_invariant_report(spec, q)
-    descriptors = {fd.id: fd for fd in decompose(galois.group_of(spec))}
+    descriptors = {fd.id: fd for fd in decompose(spec.group)}
     for entry in report.entries:
         kind = "orthogonal-local" if entry.invariant == "c" else "unitary-local"
         if entry.status == "not-computed":
@@ -300,7 +300,7 @@ def reference_decide_local(spec, v):
         return galois.Decision(galois.VERDICT_NO, tuple(rows))
     ok = True
     report = reference_invariant_report(spec)
-    descriptors = {fd.id: fd for fd in decompose(galois.group_of(spec))}
+    descriptors = {fd.id: fd for fd in decompose(spec.group)}
     for entry in report.entries:
         kind = "orthogonal-local" if entry.invariant == "c" else "unitary-local"
         if entry.status == "not-computed":
@@ -576,11 +576,11 @@ def reference_irreducible_over_Q(coeffs):
 
 
 def reference_d_top(spec, q=None):
-    if galois.field_degree(spec) == 1:
+    if spec.degree == 1:
         return brauer.TRIVIAL
     if q is None:
         q = galois.family_trace_form(spec)
-    if galois.field_degree(spec) == 2:
+    if spec.degree == 2:
         return brauer.cup(det_square_class(q), -1)
     return brauer.add(hasse_witt(q), brauer.cup(2, det_square_class(q)))
 

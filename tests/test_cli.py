@@ -312,7 +312,7 @@ def test_unexpected_exception_exits_70(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_dispatch", boom)
+    monkeypatch.setattr(cli, "_hilbert", boom)
     code, out, err = run(capsys, "hilbert", "2", "3", "real")
     assert code == 70 and out == ""
     report = json.loads(err)
@@ -681,12 +681,18 @@ def test_one_usage_error_per_subcommand_exits_64(capsys, argv):
     [
         (["decide", "--group", "", "--family", "cyclic-quadratic", "--z", "3"],
          "cyclic families need a group, e.g. C8"),
-        (["decide", "--poly=x"], "invalid literal for int() with base 10: 'x'"),
+        (["decide", "--poly=x"], "no family given (use --family or --spec)"),
         (["hilbert", "--", "x", "y", "4"], "4 is not prime"),
         (["decide", "--family", "cyclic-poly", "--group", "C8", "--poly=2,0,-4,0,1", "--degree", "0"],
          "declared degree 0 but polynomial has degree 4"),
+        (["decide", "--family", "cyclic-poly", "--group", "C8", "--poly=2,x,1"], "poly must be an integer, got 'x'"),
+        (["hilbert", "1", "2", "x"], 'a place is "real" or a prime, got \'x\''),
+        (["decide", "--family", "cyclic-quadratic", "--group", "C8", "--z", "3", "--at", "1e3"],
+         'a place is "real" or a prime, got \'1e3\''),
+        (["embed", "--poly=x,1,0,0,1"], "polynomial must have integer coefficients"),
     ],
-    ids=["empty-group", "poly-before-family", "place-before-a-and-b", "degree-0"],
+    ids=["empty-group", "poly-before-family", "place-before-a-and-b", "degree-0", "poly-token", "place-token",
+         "at-token", "embed-token"],
 )
 def test_bad_input_stderr_lines(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -31,6 +31,20 @@ CASES = [
                  "conductor must be >= 1", id="conductor-0"),
     pytest.param(lambda: GroupDescriptor("D4", (2,)),
                  "invariant factors only apply to abelian groups", id="d4-factors"),
+    pytest.param(lambda: GroupDescriptor("S3"), "unsupported group kind 'S3'", id="kind-s3"),
+    pytest.param(lambda: GroupDescriptor("abelian", ()),
+                 "invariant factors must be a nonempty list of ints >= 2", id="abelian-no-factors"),
+    pytest.param(lambda: GroupDescriptor("abelian", (1,)),
+                 "invariant factors must be a nonempty list of ints >= 2", id="abelian-factor-1"),
+    pytest.param(lambda: factors.FactorDescriptor("x", factors.FactorKind.ORTHOGONAL, 1, "cubic", None, True),
+                 "unknown center descriptor 'cubic'", id="center-cubic"),
+    pytest.param(lambda: symbols.place_from_json("1e3"), 'a place is "real" or a prime, got \'1e3\'',
+                 id="place-1e3"),
+    pytest.param(lambda: symbols.place_from_json("4"), "4 is not prime", id="place-4"),
+    pytest.param(lambda: galois.spec_from_json({"group": "C8", "family": "cyclic-poly", "poly": [2, "x", 1]}),
+                 "poly must be an integer, got 'x'", id="poly-string-coefficient"),
+    pytest.param(lambda: galois.embedding_obstruction(["x", 1, 0, 0, 1]),
+                 "polynomial must have integer coefficients", id="embed-string-coefficient"),
     pytest.param(lambda: factors.decompose(galois.parse_group("C200560490130")),
                  "group exponent 200560490130 gives more than 1024 factors", id="too-many-factors"),
     pytest.param(lambda: exact.euler_phi(0), "euler_phi needs m >= 1", id="euler-phi-0"),

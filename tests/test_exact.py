@@ -45,7 +45,7 @@ def test_factor_reconstruct_roundtrip():
 def test_factor_64bit_semiprime():
     p, q = 4294967291, 4294967279  # both prime, near 2**32
     f = factor(p * q)
-    assert f.as_dict() == {p: 1, q: 1}
+    assert dict(f.factors) == {p: 1, q: 1}
 
 
 def test_factor_budget_exceeded(monkeypatch):

@@ -698,7 +698,7 @@ def test_trace_form_matches_the_elimination():
         assert (g._scale, g._pivots) == (want._scale, want._pivots), coeffs
         assert g.det() == want.det(), coeffs
         assert diagonalize(g) == diagonalize(want), coeffs
-        normal = forms._subresultant_pivots(coeffs) is not None
+        normal = forms._subresultants(coeffs)[0] is not None
         routes["subresultant" if normal else "elimination"] += 1
     # every route is exercised, the normal one by far the most
     assert routes["subresultant"] >= 2000, routes
@@ -743,8 +743,8 @@ def test_one_subresultant_sequence_matches_the_two_it_replaced():
         assert pivots == reference_subresultant_pivots(coeffs), coeffs
         assert repeated == reference_has_repeated_roots(coeffs), coeffs
         if i % 10 == 0:
-            assert forms._subresultant_pivots(coeffs) == pivots, coeffs
-            assert forms._has_repeated_roots(coeffs) == repeated, coeffs
+            assert forms._subresultants(coeffs)[0] == pivots, coeffs
+            assert forms._subresultants(coeffs)[1] == repeated, coeffs
         kinds["repeated" if repeated else "gap" if pivots is None else "normal"] += 1
     # a vanishing minor without a repeated root is a degree gap of 2 or more
     assert min(kinds.values()) >= 1000, kinds
@@ -768,7 +768,7 @@ def test_trace_form_runs_one_subresultant_sequence(monkeypatch):
 
 def test_a_constant_has_no_repeated_root():
     for c in (1, -1, 5, 0):
-        assert forms._has_repeated_roots((c,)) is False
+        assert forms._subresultants((c,))[1] is False
 
 
 def test_trace_form_of_the_tower_runs_no_elimination(monkeypatch):

@@ -27,6 +27,7 @@ from sdnb import (
     GroupDescriptor,
     Place,
     SplitAlgebra,
+    c_invariants,
     cup,
     decide_global,
     decide_local,
@@ -39,6 +40,7 @@ from sdnb import (
     invariant_report,
     is_square,
     spec_from_json,
+    spec_to_json,
     support_places,
     symbols,
 )
@@ -123,16 +125,34 @@ def test_a_warm_decision_builds_no_group_and_no_factor_table(monkeypatch):
     first = [json.dumps(decide_global(spec).to_json()) for spec in specs]
     built = []
     for cls in (factors.GroupDescriptor, factors.FactorDescriptor):
-        post_init = cls.__post_init__
+        init = cls.__init__
 
-        def counted(self, post_init=post_init):
+        def counted(self, *args, init=init, **kwargs):
+            init(self, *args, **kwargs)
             built.append(self)
-            post_init(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     for spec, want in zip(specs, first):
         assert json.dumps(decide_global(spec).to_json()) == want
         assert built == [], (spec, built)
+
+
+def test_a_cyclic_spec_builds_its_group_once(monkeypatch):
+    specs = [CyclicQuadratic(3, 5), CyclicQuartic(3, 3, F(3, 2), F(3, 2), 2), CyclicPoly(3, (2, 0, -4, 0, 1), 4)]
+    calls = []
+    cyclic = GroupDescriptor.cyclic
+
+    def counted(m):
+        calls.append(m)
+        return cyclic(m)
+
+    monkeypatch.setattr(GroupDescriptor, "cyclic", staticmethod(counted))
+    for spec in specs:
+        assert spec.group == cyclic(8)
+        for call in (decide_global, lambda s: decide_local(s, finite(3)), invariant_report, c_invariants,
+                     spec_to_json):
+            call(spec)
+    assert calls == []
 
 
 def test_a_quartic_decision_checks_the_family_relation_once(monkeypatch):
