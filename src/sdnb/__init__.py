@@ -7,7 +7,6 @@ from .brauer import (
     BrauerClass,
     add,
     cup,
-    equal,
     is_trivial,
     restricts_trivially_to_quadratic,
     splits_in_quadratic,

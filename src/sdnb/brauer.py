@@ -66,10 +66,6 @@ def is_trivial(x: BrauerClass) -> bool:
     return not x.ramified
 
 
-def equal(x: BrauerClass, y: BrauerClass) -> bool:
-    return x.ramified == y.ramified
-
-
 def splits_in_quadratic(v: Place, d: Fraction | int) -> bool:
     """Does the place v split in Q(sqrt(d))?  d need not be squarefree."""
     if is_square(d):

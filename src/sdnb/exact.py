@@ -283,16 +283,6 @@ class FactoredRational:
             raise ValueError("factors must be sorted by prime")
         vars(self).update(sign=sign, factors=factors)
 
-    def value(self) -> Fraction:
-        """Reconstruct the rational exactly."""
-        num, den = self.sign, 1
-        for p, e in self.factors:
-            if e > 0:
-                num *= p**e
-            else:
-                den *= p ** (-e)
-        return Fraction(num, den)
-
 
 @lru_cache(maxsize=1 << 12)
 def _factor_fraction(num: int, den: int) -> FactoredRational:

@@ -8,13 +8,13 @@ sums-of-squares decisions, and exact trace forms via Newton power sums.
 All arithmetic is exact.  A Gram matrix is reduced once, at construction, by
 one symmetric fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of
 its rows scaled to integers, charged n^3 units of the work budget
-(``SDNB_FACTOR_BUDGET``); the determinant and the diagonal form are read off
-its integer pivots.  A trace form runs one subresultant sequence of f and f'
-(Cohen, GTM 138, Alg. 3.3.7) for any degree gap: a zero remainder means f has
-a repeated root, and when the sequence is normal its leading coefficients are
-the pivots, because the leading principal minors of the Hankel matrix of
-power sums are, up to sign, the principal subresultant coefficients of f and
-f' (Hermite; Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
+(``SDNB_FACTOR_BUDGET``); the diagonal form is read off its integer pivots.
+A trace form runs one subresultant sequence of f and f' (Cohen, GTM 138,
+Alg. 3.3.7) for any degree gap: a zero remainder means f has a repeated
+root, and when the sequence is normal its leading coefficients are the
+pivots, because the leading principal minors of the Hankel matrix of power
+sums are, up to sign, the principal subresultant coefficients of f and f'
+(Hermite; Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
 ch. 9); see ``trace_form``.  The determinant class is read off the entries'
 square classes (``_square_classes``), never off their product's factorization.
 
@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 
 from .brauer import BrauerClass
 from .exact import WorkBudget, _shown, as_fraction, factor, frozen, is_square, nonzero
-from .symbols import REAL, Place, _finite_symbol, _local_parts, finite, hilbert, is_square_in_completion
+from .symbols import REAL, Place, _finite_symbol, _local_parts, _support, finite, hilbert, is_square_in_completion
 
 
 @frozen
@@ -141,7 +141,7 @@ class GramMatrix:
     entries, charges n^3 units of a work budget for an n x n matrix, scales
     the rows to integers by the least common multiple L of the entries'
     denominators and runs one symmetric fraction-free elimination
-    (``_pivots``); ``n``, ``det`` and ``diagonalize`` read its pivots.
+    (``_pivots``); ``diagonalize`` reads its pivots.
     ``_scale`` and ``_pivots`` are not fields: equality, hash and repr see
     ``rows`` only.  A trace form built from its subresultant pivots
     holds f's coefficients and computes ``rows`` on first read.
@@ -178,14 +178,6 @@ class GramMatrix:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         # only a trace form built by ``_of_pivots`` reaches this: ``rows`` in the instance dict shadows it
         return _power_sum_rows(self._coeffs)
-
-    @property
-    def n(self) -> int:
-        return len(self._pivots)
-
-    def det(self) -> Fraction:
-        """p_n / L^n: every step of the elimination is a unimodular congruence."""
-        return Fraction(self._pivots[-1], self._scale**self.n)
 
 
 def diagonalize(g: GramMatrix) -> DiagonalForm:
@@ -276,12 +268,6 @@ def isotropic_over_Qp(f: DiagonalForm, v: Place) -> bool:
     return (not is_square_in_completion(d, v)) or eps == hilbert(-1, -1, v)
 
 
-def _support(f: DiagonalForm) -> list[Place]:
-    """Real, 2, then every prime of an entry in increasing order, from one ``factor`` call per entry."""
-    primes = {2}.union(*((p for p, _ in factor(a).factors) for a in f.entries))
-    return [REAL] + [finite(p) for p in sorted(primes)]
-
-
 def isotropic_over_Q(f: DiagonalForm) -> bool:
     """Hasse-Minkowski: isotropic at every place of the finite support set."""
     return anisotropy_certificate(f) is None
@@ -291,7 +277,7 @@ def anisotropy_certificate(f: DiagonalForm) -> Place | None:
     """A place where f is locally anisotropic, or None if f is isotropic; the real place is asked first."""
     if not isotropic_over_Qp(f, REAL):
         return REAL
-    return next((v for v in _support(f)[1:] if not isotropic_over_Qp(f, v)), None)
+    return next((v for v in _support(f.entries)[1:] if not isotropic_over_Qp(f, v)), None)
 
 
 def represents(f: DiagonalForm, c: Fraction | int) -> bool:
@@ -450,9 +436,8 @@ def trace_form(coeffs: Sequence[int]) -> GramMatrix:
     138, Alg. 3.3.7) comes first.  A polynomial with repeated roots is
     rejected.  When the sequence is normal its minors are the pivots: the
     matrix holds them and the coefficients, and computes its rows on first
-    read, which ``n``, ``det`` and ``diagonalize`` never do.  Otherwise the
-    rows are built at once and reduced by the elimination, as for any Gram
-    matrix.
+    read, which ``diagonalize`` never does.  Otherwise the rows are built at
+    once and reduced by the elimination, as for any Gram matrix.
     """
     coeffs = _integer_coefficients(coeffs)
     if len(coeffs) < 2:

@@ -706,8 +706,6 @@ def trace_forms_isomorphic(s1: GaloisAlgebraSpec, s2: GaloisAlgebraSpec) -> bool
     return not any(v.is_real or local_data(1 << n, True, v).n_odd for v in diff.ramified)
 
 
-ELEMENTARY_YES = "yes"
-ELEMENTARY_NO = "no"
 ELEMENTARY_NOT_APPLICABLE = "not-applicable"
 
 
@@ -720,11 +718,11 @@ def elementary_criterion(spec: GaloisAlgebraSpec) -> str:
     Dihedral order 8: z must be a sum of two rational squares.
     """
     if isinstance(spec, CyclicQuadratic) and spec.n == 3:
-        return ELEMENTARY_YES if sum_of_two_squares_over_sqrt2(spec.z) else ELEMENTARY_NO
+        return VERDICT_YES if sum_of_two_squares_over_sqrt2(spec.z) else VERDICT_NO
     if isinstance(spec, CyclicQuartic) and spec.n == 3:
-        return ELEMENTARY_YES if sum_of_two_squares_over_sqrt2(spec.a) else ELEMENTARY_NO
+        return VERDICT_YES if sum_of_two_squares_over_sqrt2(spec.a) else VERDICT_NO
     if isinstance(spec, D4Quadratic):
-        return ELEMENTARY_YES if sum_of_two_squares(spec.z) else ELEMENTARY_NO
+        return VERDICT_YES if sum_of_two_squares(spec.z) else VERDICT_NO
     return ELEMENTARY_NOT_APPLICABLE
 
 

@@ -18,8 +18,10 @@ and their units there; the real place compares signs.  Three routes feed it:
 * ``forms._walk`` takes the Hasse invariant of a diagonal form at a place,
   one call per entry, with the running product of the entries before it.
 
-No route tests p again: a ``Place`` verifies its prime once, at
-construction, and ``finite`` builds the place of each prime once.
+No route tests p again: a ``Place`` needs an int prime and verifies it once,
+at construction, and ``finite`` builds the place of each prime once.
+``place_from_json`` and every support walk (``_support``) build their places
+through ``finite``.
 
 ``hilbert_oracle`` is the independent cross-check.  It refuses a zero a or b
 (``exact.nonzero``), then a non-prime p (``finite``), before it factors
@@ -56,6 +58,8 @@ class Place:
     """A place of Q: the real place (prime None) or a verified finite prime."""
 
     def __init__(self, prime: int | None = None) -> None:
+        if prime is not None and not isinstance(prime, int):
+            raise ValueError(f"a finite place needs an int prime, got {prime!r}")
         if prime is not None and not is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         vars(self).update(prime=prime)
@@ -87,13 +91,16 @@ def finite(p: int) -> Place:
 
 
 def place_from_json(value: str | int) -> Place:
+    """REAL for "real", else ``finite`` of the prime; a value ``int()`` cannot convert or would change raises."""
     if value == "real":
         return REAL
     try:
         p = int(value)
-    except ValueError:
-        raise ValueError(f'a place is "real" or a prime, got {value!r}') from None
-    return Place(p)
+    except (OverflowError, ValueError):
+        p = None
+    if p is None or p != value and not isinstance(value, str):
+        raise ValueError(f'a place is "real" or a prime, got {value!r}')
+    return finite(p)
 
 
 def _eps2(u: int) -> int:
@@ -221,13 +228,15 @@ def hilbert_oracle(a: int, b: int, p: int) -> int:
     return _oracle_reduced(squarefree_part(a), squarefree_part(b), p)
 
 
+def _support(values: Iterable[Fraction | int]) -> list[Place]:
+    """Real, 2, then every prime of the values in increasing order, from one ``factor`` call per value."""
+    primes = {2}.union(*((p for p, _ in factor(q).factors) for q in values))
+    return [REAL] + [finite(p) for p in sorted(primes)]
+
+
 def support_places(pairs: Iterable[tuple[Fraction | int, Fraction | int]]) -> set[Place]:
     """Real, 2, and every prime of a numerator or denominator in the list.
 
     A superset of the places where any symbol (a,b)_v can be nontrivial.
     """
-    primes: set[int] = {2}
-    for a, b in pairs:
-        for q in (a, b):
-            primes.update(p for p, _ in factor(nonzero(q, "support of a zero entry is undefined")).factors)
-    return {REAL} | {finite(p) for p in primes}
+    return set(_support(nonzero(q, "support of a zero entry is undefined") for pair in pairs for q in pair))

@@ -12,9 +12,9 @@ from sdnb.brauer import BrauerClass, is_trivial
 from sdnb.exact import _SMALL_PRIMES, BudgetExceededError, as_fraction, factor, legendre, nonzero, squarefree_part
 from sdnb.factors import FactorKind, decompose, local_data
 from sdnb.forms import (
-    DiagonalForm, GramMatrix, _support, det_square_class, hasse_witt, isotropic_over_Qp, signature,
+    DiagonalForm, GramMatrix, det_square_class, hasse_witt, isotropic_over_Qp, signature,
 )
-from sdnb.symbols import Place, hilbert, ramified_places
+from sdnb.symbols import Place, _support, hilbert, ramified_places
 
 
 def raised(fn, *args) -> tuple[type, str]:
@@ -390,7 +390,7 @@ def reference_hasse_invariant_at(f, v):
 
 
 def reference_anisotropy_certificate(f):
-    for v in _support(f):
+    for v in _support(f.entries):
         if not isotropic_over_Qp(f, v):
             return v
     return None

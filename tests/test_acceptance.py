@@ -22,7 +22,6 @@ from sdnb import (
     det_square_class,
     diagonalize,
     elementary_criterion,
-    equal,
     h1_condition,
     hasse_witt,
     hilbert,
@@ -100,13 +99,13 @@ def test_criterion_03_quartic_family_trace_form():
         integral = i < 20
         a, b, c, eps = random_quartic_params(rng, integral=integral)
         form = quartic_family_form(a, b, c, eps)
-        ok &= equal(hasse_witt(form), cup(-1, a))
+        ok &= (hasse_witt(form) == cup(-1, a))
         ok &= det_square_class(form) == squarefree_part(eps)
         symbolic += 1
         if integral:
             coeffs, (sa, _, _) = quartic_family_polynomial(a, b, c, eps)
             d = diagonalize(trace_form(coeffs))
-            ok &= equal(hasse_witt(d), hasse_witt(quartic_family_form(sa, b, c, eps)))
+            ok &= (hasse_witt(d) == hasse_witt(quartic_family_form(sa, b, c, eps)))
             ok &= det_square_class(d) == squarefree_part(eps)
             gram_checked += 1
     _report(
@@ -254,8 +253,8 @@ def test_criterion_10_degree2_formula_discrepancy():
     z = 3
     formula = add(hasse_witt(DiagonalForm([2, 2 * z])), cup(2, z))
     direct = d_top(CyclicQuadratic(3, z))
-    ok = equal(formula, cup(2, -1)) and is_trivial(formula)
-    ok &= equal(direct, cup(3, -1)) and not is_trivial(direct)
+    ok = (formula == cup(2, -1)) and is_trivial(formula)
+    ok &= (direct == cup(3, -1)) and not is_trivial(direct)
     ok &= decide_global(CyclicQuadratic(3, z)).verdict == "yes"
     _report(
         10, "degree-2 layer uses the direct class", ok,

@@ -13,7 +13,6 @@ from sdnb import (
     TRIVIAL,
     add,
     cup,
-    equal,
     hasse_witt,
     hilbert,
     hilbert_oracle,
@@ -37,8 +36,8 @@ def test_cup_golden():
 def test_group_law():
     x = cup(-1, 3)
     assert is_trivial(add(x, x))
-    assert equal(add(TRIVIAL, x), x)
-    assert equal(add(cup(-1, 3), cup(2, 3)), cup(-2, 3))
+    assert add(TRIVIAL, x) == x
+    assert add(cup(-1, 3), cup(2, 3)) == cup(-2, 3)
 
 
 def test_even_parity_enforced():
@@ -62,9 +61,9 @@ def test_cup_identities():
         a = rng.randint(1, 100) * rng.choice([1, -1])
         b = rng.randint(1, 100) * rng.choice([1, -1])
         c = rng.randint(1, 100) * rng.choice([1, -1])
-        assert equal(cup(a, b), cup(b, a))
+        assert cup(a, b) == cup(b, a)
         assert is_trivial(cup(a, -a))
-        assert equal(cup(a * b, c), add(cup(a, c), cup(b, c)))
+        assert cup(a * b, c) == add(cup(a, c), cup(b, c))
 
 
 def test_serialization():

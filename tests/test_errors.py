@@ -41,6 +41,20 @@ CASES = [
     pytest.param(lambda: symbols.place_from_json("1e3"), 'a place is "real" or a prime, got \'1e3\'',
                  id="place-1e3"),
     pytest.param(lambda: symbols.place_from_json("4"), "4 is not prime", id="place-4"),
+    pytest.param(lambda: symbols.place_from_json(3.7), 'a place is "real" or a prime, got 3.7', id="place-3.7"),
+    pytest.param(lambda: symbols.place_from_json(Fraction(7, 2)),
+                 'a place is "real" or a prime, got Fraction(7, 2)', id="place-fraction"),
+    pytest.param(lambda: symbols.place_from_json(float("inf")), 'a place is "real" or a prime, got inf',
+                 id="place-inf"),
+    pytest.param(lambda: symbols.place_from_json(float("nan")), 'a place is "real" or a prime, got nan',
+                 id="place-nan"),
+    pytest.param(lambda: Place(7.0), "a finite place needs an int prime, got 7.0", id="place-float-prime"),
+    pytest.param(lambda: Place(7.5), "a finite place needs an int prime, got 7.5", id="place-7.5"),
+    pytest.param(lambda: Place("7"), "a finite place needs an int prime, got '7'", id="place-str-prime"),
+    pytest.param(lambda: symbols.finite(7.0), "a finite place needs an int prime, got 7.0", id="finite-float"),
+    pytest.param(lambda: symbols.hilbert_oracle(3, 5, 7.0), "a finite place needs an int prime, got 7.0",
+                 id="oracle-float-prime"),
+    pytest.param(lambda: Place(True), "True is not prime", id="place-bool"),
     pytest.param(lambda: galois.spec_from_json({"group": "C8", "family": "cyclic-poly", "poly": [2, "x", 1]}),
                  "poly must be an integer, got 'x'", id="poly-string-coefficient"),
     pytest.param(lambda: galois.embedding_obstruction(["x", 1, 0, 0, 1]),

@@ -38,8 +38,9 @@ def test_factor_reconstruct_roundtrip():
     for _ in range(300):
         q = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * rng.choice([1, -1])
         f = factor(q)
-        assert f.value() == q
-        assert factor(f.value()) == f
+        value = f.sign * math.prod(Fraction(p) ** e for p, e in f.factors)
+        assert value == q
+        assert factor(value) == f
 
 
 def test_factor_64bit_semiprime():

@@ -39,6 +39,7 @@ from sdnb import (
     hilbert,
     invariant_report,
     is_square,
+    place_from_json,
     spec_from_json,
     spec_to_json,
     support_places,
@@ -98,6 +99,7 @@ def test_a_polynomial_is_screened_once_per_process(monkeypatch):
 def test_finite_builds_each_place_once():
     assert finite(7) is finite(7)
     assert finite(7) == Place(7)
+    assert all(v is finite(7) for v in (place_from_json("7"), place_from_json(7), place_from_json(7.0)))
     assert finite(2**61 - 1) is finite(2**61 - 1)
     for _ in range(2):
         with pytest.raises(ValueError, match="4 is not prime"):

@@ -1,6 +1,7 @@
 """Value semantics of the package's immutable classes, and what importing the CLI loads."""
 
 import copy
+import math
 import os
 import pickle
 import re
@@ -133,7 +134,7 @@ def test_pickle_and_copy_round_trip(x, y):
         with pytest.raises(AttributeError):
             setattr(clone, FIELDS[type(x).__name__][0], 1)
     if isinstance(x, forms.GramMatrix):
-        assert pickle.loads(pickle.dumps(x)).det() == x.det()
+        assert math.prod(forms.diagonalize(pickle.loads(pickle.dumps(x))).entries) == math.prod(forms.diagonalize(x).entries)
 
 
 def test_keywords_and_defaults():
