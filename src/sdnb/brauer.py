@@ -37,7 +37,7 @@ class BrauerClass:
     def __init__(self, ramified: frozenset[Place]) -> None:
         if len(ramified) % 2 != 0:
             raise ValueError("ramified set must have even size (product formula)")
-        vars(self).update(ramified=ramified)
+        object.__setattr__(self, "ramified", ramified)
 
     def to_json(self) -> list[str | int]:
         return [v.to_json() for v in sorted(self.ramified, key=Place.sort_key)]

@@ -22,8 +22,8 @@ guarantee.  Work is capped by a budget so an oversized input fails loudly with
 :class:`BudgetExceededError` instead of spinning or silently dropping factors.
 
 Value classes are plain classes under :func:`frozen`: their fields are the
-parameters of their own ``__init__``, which sets them all in one statement,
-``vars(self).update(field=value, ...)``, since assignment raises; ``frozen``
+parameters of their own ``__init__``, which sets them past the raising
+``__setattr__`` in one of two ways that :func:`frozen` describes; ``frozen``
 adds closures for ``__eq__`` (same class, equal fields), ``__hash__`` (of the
 field tuple), ``__repr__`` and a ``__setattr__``/``__delattr__`` that raise
 AttributeError, and sets ``__match_args__`` to the field names, as a
@@ -39,7 +39,11 @@ Python, so the decision path reads signs and zeros off ``numerator`` and
 ``as_fraction`` sends an ``int`` to ``Fraction(x)`` at once.
 :func:`parse_rational` reads an ASCII ``[-]digits[/digits]`` string by
 ``int()`` and any other by ``as_fraction``; a zero denominator is a
-``ValueError`` naming the text as given.
+``ValueError`` naming the text as given.  An integer read from outside (a
+polynomial coefficient, a spec's degree, a place's prime) passes one rule,
+:func:`lossless_int`: a non-bool ``int``, a string ``int()`` reads, or a
+value ``int()`` converts without change, so ``2.0`` and ``Fraction(2)`` are
+2 while ``True``, ``2.5`` and ``inf`` are refused.
 """
 
 from __future__ import annotations
@@ -240,7 +244,22 @@ def _factor_int(n: int, budget: WorkBudget) -> dict[int, int]:
 
 
 def frozen(cls):
-    """Make ``cls`` an immutable value class whose fields are its ``__init__`` parameters."""
+    """Make ``cls`` an immutable value class whose fields are its ``__init__`` parameters.
+
+    ``__init__`` sets the fields past the raising ``__setattr__`` in one of
+    two ways.  The classes whose instances a process-wide memo keeps
+    (``FactoredRational``, ``symbols.Place``, ``brauer.BrauerClass``,
+    ``factors.GroupDescriptor`` and ``FactorDescriptor``) call
+    ``object.__setattr__(self, name, value)`` once per field, so that CPython
+    3.11 and later keep the values inline with no per-instance dict (about
+    150 bytes less per kept value on 3.11) and 3.10 shares one key table
+    among them.  Values built and dropped within one call (the family specs,
+    forms, report entries, certificate rows and decisions) set every field in
+    one statement, ``vars(self).update(field=value, ...)``, which builds a
+    value of three or more fields faster.  Either way ``vars(x)`` works on
+    every instance, and gives it a dict, as pickling or copying it does on
+    3.11 and 3.12.
+    """
     code = cls.__init__.__code__
     names = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
     key, one = attrgetter(*names), len(names) == 1  # attrgetter of one name gives no tuple
@@ -281,7 +300,8 @@ class FactoredRational:
             raise ValueError("zero exponent in factorization")
         if list(factors) != sorted(factors):
             raise ValueError("factors must be sorted by prime")
-        vars(self).update(sign=sign, factors=factors)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -407,6 +427,19 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     except OverflowError as exc:
         raise ValueError(str(exc)) from None
+
+
+def lossless_int(x) -> int | None:
+    """``int(x)`` for a non-bool int, a string ``int()`` reads or a value ``int()`` converts without change; else None."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool):
+        return None
+    try:
+        v = int(x)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return v if isinstance(x, str) or v == x else None
 
 
 def nonzero(x, message: str) -> Fraction | int:

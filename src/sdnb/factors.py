@@ -48,7 +48,8 @@ class GroupDescriptor:
                 raise ValueError("each invariant factor must divide the next")
         elif fs:
             raise ValueError("invariant factors only apply to abelian groups")
-        vars(self).update(kind=kind, invariant_factors=fs)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "invariant_factors", fs)
 
     @staticmethod
     @lru_cache(maxsize=64)
@@ -105,8 +106,13 @@ class FactorDescriptor:
                  split: bool, note: str = "") -> None:
         if e_kind not in ("Q", "real-cyclotomic", "quadratic"):
             raise ValueError(f"unknown center descriptor {e_kind!r}")
-        vars(self).update(id=id, kind=kind, conductor=conductor, e_kind=e_kind, e_param=e_param, split=split,
-                          note=note)
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "e_kind", e_kind)
+        object.__setattr__(self, "e_param", e_param)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "note", note)
 
     def to_json(self) -> dict:
         out = {

@@ -51,7 +51,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .brauer import BrauerClass
-from .exact import WorkBudget, _shown, as_fraction, factor, frozen, is_square, nonzero
+from .exact import WorkBudget, _shown, as_fraction, factor, frozen, is_square, lossless_int, nonzero
 from .symbols import REAL, Place, _finite_symbol, _local_parts, _support, finite, hilbert, is_square_in_completion
 
 
@@ -355,22 +355,11 @@ def sum_of_two_squares_over_sqrt2(z: Fraction | int) -> bool:
 
 
 def _integer_coefficients(coeffs: Iterable[int]) -> tuple[int, ...]:
-    """The coefficients as ints, refusing any value ``int()`` would change.
-
-    Ints, integer strings and integral values such as 4.0 or Fraction(4)
-    pass; 4.5, Fraction(5, 2), an infinite float or a string such as "x"
-    raise ValueError instead of being truncated or misnamed.
-    """
-    out = []
-    for c in coeffs:
-        try:
-            v = int(c)
-        except (OverflowError, ValueError):
-            v = None
-        if v is None or v != c and not isinstance(c, str):
-            raise ValueError("polynomial must have integer coefficients")
-        out.append(v)
-    return tuple(out)
+    """The coefficients as ints by ``exact.lossless_int``; any value it refuses is a ValueError."""
+    out = tuple(map(lossless_int, coeffs))
+    if None in out:
+        raise ValueError("polynomial must have integer coefficients")
+    return out
 
 
 def _subresultants(coeffs: Sequence[int]) -> tuple[tuple[int, ...] | None, bool]:

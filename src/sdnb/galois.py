@@ -73,7 +73,7 @@ from . import brauer
 from .brauer import BrauerClass, add, cup, is_trivial
 from .exact import (
     _BUDGET_ENV, _SMALL_PRIMES, BudgetExceededError, WorkBudget, _shown, as_fraction, factor, frozen, is_square,
-    nonzero, parse_rational,
+    lossless_int, nonzero, parse_rational,
 )
 from .factors import (
     FactorDescriptor,
@@ -763,12 +763,9 @@ def spec_to_json(spec: GaloisAlgebraSpec) -> dict:
 
 
 def _integer(value, key: str) -> int:
-    try:
-        if not isinstance(value, bool) and isinstance(value, (int, str)):
-            return int(value)
-    except ValueError:  # a string int() cannot read
-        pass
-    raise ValueError(f"{key} must be an integer, got {value!r}")
+    if (v := lossless_int(value)) is None:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return v
 
 
 def _json_field(data: dict, name: str, family: str, group: GroupDescriptor | None):

@@ -50,7 +50,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .exact import BudgetExceededError, _shown, euler_criterion, factor, frozen, is_prime, nonzero, squarefree_part
+from .exact import (
+    BudgetExceededError, _shown, euler_criterion, factor, frozen, is_prime, lossless_int, nonzero, squarefree_part,
+)
 
 
 @frozen
@@ -62,7 +64,7 @@ class Place:
             raise ValueError(f"a finite place needs an int prime, got {prime!r}")
         if prime is not None and not is_prime(prime):
             raise ValueError(f"{prime} is not prime")
-        vars(self).update(prime=prime)
+        object.__setattr__(self, "prime", prime)
 
     @property
     def is_real(self) -> bool:
@@ -91,14 +93,10 @@ def finite(p: int) -> Place:
 
 
 def place_from_json(value: str | int) -> Place:
-    """REAL for "real", else ``finite`` of the prime; a value ``int()`` cannot convert or would change raises."""
+    """REAL for "real", else ``finite`` of the prime read by ``exact.lossless_int``; a value it refuses raises."""
     if value == "real":
         return REAL
-    try:
-        p = int(value)
-    except (OverflowError, ValueError):
-        p = None
-    if p is None or p != value and not isinstance(value, str):
+    if (p := lossless_int(value)) is None:
         raise ValueError(f'a place is "real" or a prime, got {value!r}')
     return finite(p)
 

@@ -278,3 +278,26 @@ def test_each_entry_point_refusing_zero_keeps_its_message_and_coerces_like_fract
                            [Fraction(45, 8), "45/8", "90/16"], [Fraction(-3, 7), "-3/7"]):
         outcomes = [_outcome(call, x) for x in forms_of_value]
         assert all(o == outcomes[0] for o in outcomes), (forms_of_value, outcomes)
+
+
+# the three readers of an integer from outside, each with its own message
+INTEGER_READERS = {
+    "spec poly": (lambda x: galois.spec_from_json({"group": "C8", "family": "cyclic-poly", "poly": [x, 0, -4, 0, 1]}),
+                  "poly must be an integer, got {!r}"),
+    "embedding_obstruction": (lambda x: galois.embedding_obstruction([x, 0, -4, 0, 1]),
+                              "polynomial must have integer coefficients"),
+    "place_from_json": (symbols.place_from_json, 'a place is "real" or a prime, got {!r}'),
+}
+
+
+@pytest.mark.parametrize("value, read", [
+    (2, True), ("2", True), (2.0, True), (Fraction(2), True),
+    (True, False), (2.5, False), ("x", False), (float("inf"), False),
+], ids=["2", "'2'", "2.0", "Fraction(2)", "True", "2.5", "'x'", "inf"])
+def test_the_integer_readers_agree_on_which_values_are_integers(value, read):
+    for name, (call, message) in INTEGER_READERS.items():
+        if read:
+            assert call(value) == call(2), name
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
+                call(value)

@@ -7,6 +7,7 @@ decision orders no ``Fraction`` and compares none with an ``int``: signs,
 zeros and the quartic relation are read off numerators and denominators.
 """
 
+import gc
 import json
 import random
 import sys
@@ -45,6 +46,7 @@ from sdnb import (
     support_places,
     symbols,
 )
+from sdnb.forms import hasse_witt
 from sdnb.symbols import is_square_in_completion
 
 F = Fraction
@@ -105,6 +107,21 @@ def test_finite_builds_each_place_once():
         with pytest.raises(ValueError, match="4 is not prime"):
             finite(4)
     assert all(v is REAL or v is finite(v.prime) for v in support_places([(6, F(-5, 7))]))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 every instance has a dict")
+def test_memoized_values_keep_no_per_instance_dict():
+    # values no other test pickles, copies or reads through vars(), each of which gives an instance its dict
+    group = GroupDescriptor.cyclic(48)
+    kept = {
+        "factor": factor(F(-(2**40 + 15), 999983)),
+        "finite": finite(1000003),
+        "hasse_witt": hasse_witt(DiagonalForm([-1, -3, 1000003])),
+        "cyclic": group,
+        "decompose": factors.decompose(group)[-1],
+    }
+    for name, x in kept.items():
+        assert dict not in map(type, gc.get_referents(x)), name
 
 
 def _family_specs():
