@@ -5,15 +5,16 @@ characters: an orbit of characters of order m spans a copy of Q(zeta_m), the
 canonical involution g -> g^{-1} acts there as complex conjugation, and the
 fixed field E is the real subfield.  Orbits of order at most 2 are orthogonal
 (E = F), the rest unitary.  D4, A4 and the A5 demo carry their known tables:
-matrix factors over Q (or Q(sqrt 5) for A5) with the split flag set.  Their
-names, orders and tables are one module constant, built at import, that the
-kind check, ``order``, ``name``, ``decompose`` and ``parse_group`` (a name
-back to its group) all read.
+matrix factors over Q (or Q(sqrt 5) for A5) with the split flag set.  One
+module constant, built at import, maps each of their names to its table; the
+kind check, ``name``, ``decompose`` and ``parse_group`` (a name back to its
+group) all read it.
 
-``local_data`` provides the only local information the decision layer needs:
-the parity of the local degree of E at a finite prime and the bit recording
-whether F stays a field over the completion of E.  Both reduce to orders of
-Frobenius in (Z/m)^x and its quotient by {+-1}; no number field arithmetic.
+``local_data`` provides the only local information the decision layer needs
+for a factor whose E is the real subfield of Q(zeta_m): the parity of the
+local degree of E at a finite prime and the bit recording whether F stays a
+field over the completion of E.  Both reduce to orders of Frobenius in
+(Z/m)^x and its quotient by {+-1}; no number field arithmetic.
 """
 
 from __future__ import annotations
@@ -35,19 +36,22 @@ class FactorKind(str, Enum):
 
 @frozen
 class GroupDescriptor:
-    """A supported group: abelian by invariant factors, or D4 / A4 / A5demo."""
+    """A supported group: abelian by invariant factors (a tuple or list of
+    ints, kept as a tuple), or D4 / A4 / A5 (also A5demo)."""
 
     def __init__(self, kind: str, invariant_factors: tuple[int, ...] = ()) -> None:
+        kind = "A5" if kind == "A5demo" else kind
         if kind not in ("abelian", *_FIXED):
             raise ValueError(f"unsupported group kind {kind!r}")
         fs = invariant_factors
-        if kind == "abelian":
-            if not fs or any(d < 2 for d in fs):
-                raise ValueError("invariant factors must be a nonempty list of ints >= 2")
-            if any(fs[i + 1] % fs[i] != 0 for i in range(len(fs) - 1)):
-                raise ValueError("each invariant factor must divide the next")
-        elif fs:
+        ints = isinstance(fs, (tuple, list)) and all(isinstance(d, int) for d in fs)
+        if not ints or kind == "abelian" and (not fs or min(fs) < 2):
+            raise ValueError("invariant factors must be a nonempty list of ints >= 2")
+        fs = tuple(fs)
+        if kind != "abelian" and fs:
             raise ValueError("invariant factors only apply to abelian groups")
+        if any(fs[i + 1] % fs[i] != 0 for i in range(len(fs) - 1)):
+            raise ValueError("each invariant factor must divide the next")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "invariant_factors", fs)
 
@@ -57,15 +61,11 @@ class GroupDescriptor:
         return GroupDescriptor("abelian", (m,))
 
     @property
-    def order(self) -> int:
-        return math.prod(self.invariant_factors) if self.kind == "abelian" else _FIXED[self.kind].order
-
-    @property
     def name(self) -> str:
         """C8, C2xC4, D4, A4 or A5: what ``parse_group`` reads back."""
         if self.kind == "abelian":
             return "x".join(f"C{d}" for d in self.invariant_factors)
-        return _FIXED[self.kind].name
+        return self.kind
 
     def cyclic_two_power_exponent(self) -> int | None:
         """n when the group is cyclic of order 2^n with n >= 1, else None."""
@@ -80,9 +80,8 @@ class GroupDescriptor:
 def parse_group(name: str) -> GroupDescriptor:
     """The group a name such as C8, C2xC4, D4, A4 or A5 (also A5demo) stands for."""
     name = name.strip()
-    for kind, fixed in _FIXED.items():
-        if name in (kind, fixed.name):
-            return GroupDescriptor(kind)
+    if name in (*_FIXED, "A5demo"):
+        return GroupDescriptor(name)
     parts = [p.lstrip("Cc") for p in name.split("x")]
     try:
         fs = tuple(int(p) for p in parts)
@@ -97,20 +96,19 @@ class FactorDescriptor:
 
     ``conductor`` is the order of the characters in the orbit, i.e. the
     cyclotomic conductor of the center F; matrix factors with center Q use
-    conductor 1 and say what they are in ``note``.  ``e_kind``/``e_param``
-    describe the fixed field E: "Q", ("real-cyclotomic", m), or
-    ("quadratic", d).
+    conductor 1 and say what they are in ``note``.  ``e_kind`` names the
+    fixed field E, m being the conductor: "Q", "real-cyclotomic" (the real
+    subfield of Q(zeta_m)) or "quadratic" (Q(sqrt m)).
     """
 
-    def __init__(self, id: str, kind: FactorKind, conductor: int, e_kind: str, e_param: int | None,
-                 split: bool, note: str = "") -> None:
+    def __init__(self, id: str, kind: FactorKind, conductor: int, e_kind: str, split: bool,
+                 note: str = "") -> None:
         if e_kind not in ("Q", "real-cyclotomic", "quadratic"):
             raise ValueError(f"unknown center descriptor {e_kind!r}")
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "e_kind", e_kind)
-        object.__setattr__(self, "e_param", e_param)
         object.__setattr__(self, "split", split)
         object.__setattr__(self, "note", note)
 
@@ -119,7 +117,7 @@ class FactorDescriptor:
             "id": self.id,
             "kind": self.kind.value,
             "conductor": self.conductor,
-            "e": "Q" if self.e_kind == "Q" else {self.e_kind: self.e_param},
+            "e": "Q" if self.e_kind == "Q" else {self.e_kind: self.conductor},
             "split": self.split,
         }
         if self.note:
@@ -127,34 +125,27 @@ class FactorDescriptor:
         return out
 
 
-class _Fixed(NamedTuple):
-    name: str
-    order: int
-    factors: tuple[FactorDescriptor, ...]
-
-
 _ZETA3 = "typing follows the cube-roots-of-unity factor table; over Q the pair spans Q(zeta3)"
-# the groups with known tables: kind -> name, order, stable factors
+# the groups with known tables: name -> stable factors
 _FIXED = {
-    "D4": _Fixed("D4", 8, (
-        FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q", None, True),
-        FactorDescriptor("sgn-a", FactorKind.DEGREE_ONE, 2, "Q", None, True),
-        FactorDescriptor("sgn-b", FactorKind.DEGREE_ONE, 2, "Q", None, True),
-        FactorDescriptor("sgn-ab", FactorKind.DEGREE_ONE, 2, "Q", None, True),
-        FactorDescriptor("2dim", FactorKind.ORTHOGONAL, 1, "Q", None, True, note="M2(Q), unit-form involution"),
-    )),
-    "A4": _Fixed("A4", 12, (
-        FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q", None, True),
-        FactorDescriptor("chi3-a", FactorKind.DEGREE_ONE, 3, "Q", None, True, note=_ZETA3),
-        FactorDescriptor("chi3-b", FactorKind.DEGREE_ONE, 3, "Q", None, True, note=_ZETA3),
-        FactorDescriptor("std3", FactorKind.ORTHOGONAL, 1, "Q", None, True,
-                         note="M3(Q), unit-form involution; " + _ZETA3),
-    )),
+    "D4": (
+        FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q", True),
+        FactorDescriptor("sgn-a", FactorKind.DEGREE_ONE, 2, "Q", True),
+        FactorDescriptor("sgn-b", FactorKind.DEGREE_ONE, 2, "Q", True),
+        FactorDescriptor("sgn-ab", FactorKind.DEGREE_ONE, 2, "Q", True),
+        FactorDescriptor("2dim", FactorKind.ORTHOGONAL, 1, "Q", True, note="M2(Q), unit-form involution"),
+    ),
+    "A4": (
+        FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q", True),
+        FactorDescriptor("chi3-a", FactorKind.DEGREE_ONE, 3, "Q", True, note=_ZETA3),
+        FactorDescriptor("chi3-b", FactorKind.DEGREE_ONE, 3, "Q", True, note=_ZETA3),
+        FactorDescriptor("std3", FactorKind.ORTHOGONAL, 1, "Q", True, note="M3(Q), unit-form involution; " + _ZETA3),
+    ),
     # A5 demo: only the degree-3 orthogonal factor is modelled
-    "A5demo": _Fixed("A5", 60, (
-        FactorDescriptor("3dim", FactorKind.ORTHOGONAL, 5, "quadratic", 5, True,
+    "A5": (
+        FactorDescriptor("3dim", FactorKind.ORTHOGONAL, 5, "quadratic", True,
                          note="M3(Q(sqrt5)), unit-form involution"),
-    )),
+    ),
 }
 
 
@@ -192,12 +183,9 @@ def _abelian_factor(m: int, index: int, count: int) -> FactorDescriptor:
     else:
         fid = f"chi{m}.{index}"
     if m <= 2:
-        return FactorDescriptor(fid, FactorKind.ORTHOGONAL, m, "Q", None, True)
-    if euler_phi(m) // 2 == 1:
-        e_kind, e_param = "Q", None
-    else:
-        e_kind, e_param = "real-cyclotomic", m
-    return FactorDescriptor(fid, FactorKind.UNITARY, m, e_kind, e_param, True)
+        return FactorDescriptor(fid, FactorKind.ORTHOGONAL, m, "Q", True)
+    e_kind = "Q" if euler_phi(m) // 2 == 1 else "real-cyclotomic"
+    return FactorDescriptor(fid, FactorKind.UNITARY, m, e_kind, True)
 
 
 @lru_cache(maxsize=64)
@@ -213,7 +201,7 @@ def decompose(g: GroupDescriptor) -> tuple[FactorDescriptor, ...]:
     built once at import.
     """
     if g.kind != "abelian":
-        return _FIXED[g.kind].factors
+        return _FIXED[g.kind]
     orbits = {m: c // euler_phi(m) for m, c in _order_counts(g.invariant_factors).items()}
     if sum(orbits.values()) > _MAX_FACTORS:
         raise ValueError(f"{g.name} has more than {_MAX_FACTORS} factors")
@@ -225,15 +213,16 @@ class LocalData(NamedTuple):
     epsilon: int
 
 
-def local_data(conductor: int, real_subfield: bool, v: Place) -> LocalData:
-    """Local degree parity and field/split bit at a finite place.
+def local_data(conductor: int, v: Place) -> LocalData:
+    """Local degree parity of E, the real subfield of Q(zeta_m), and the
+    field/split bit of Q(zeta_m) over E, at a finite place.
 
-    For p coprime to the conductor m the local degree in Q(zeta_m) is the
-    order of p mod m, and in the real subfield the order h of p in
-    (Z/m)^x/{+-1}; epsilon = 1 exactly when the two differ (p^h = -1 mod m).
-    For p = 2 and a 2-power m the extension is totally ramified: the real
-    subfield has local degree m/4 (1 when m = 4) and epsilon = 1.  m = 2 mod 4
-    is read as m/2 (same field); other ramified primes are unsupported.
+    For p coprime to the conductor m the local degree of E is the order h of
+    p in (Z/m)^x/{+-1}, and epsilon = 1 exactly when the order of p mod m
+    doubles it (p^h = -1 mod m).  For p = 2 and a 2-power m the extension is
+    totally ramified: E has local degree m/4 (odd only when m = 4) and
+    epsilon = 1.  m = 2 mod 4 is read as m/2 (same field); other ramified
+    primes are unsupported.
     """
     if v.is_real:
         raise ValueError("local_data is for finite places")
@@ -247,10 +236,7 @@ def local_data(conductor: int, real_subfield: bool, v: Place) -> LocalData:
         return LocalData(True, 0)
     if m % p == 0:
         if p == 2 and m == 1 << (m.bit_length() - 1):
-            degree = m // 4 if real_subfield else m // 2
-            return LocalData(degree % 2 == 1, 1)
+            return LocalData(m == 4, 1)
         raise ValueError(f"ramified prime {p} for conductor {conductor} is unsupported")
     half = mult_order_mod_pm1(p, m)
-    eps = int(pow(p, half, m) == m - 1)
-    n = half if real_subfield else half << eps
-    return LocalData(n % 2 == 1, eps)
+    return LocalData(half % 2 == 1, int(pow(p, half, m) == m - 1))

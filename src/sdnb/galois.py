@@ -228,7 +228,7 @@ class A4Quartic(_Family):
 
 @frozen
 class A5Quadratic(_Quadratic):
-    group, family, _matrix = GroupDescriptor("A5demo"), "a5-quadratic", "3dim"
+    group, family, _matrix = GroupDescriptor("A5"), "a5-quadratic", "3dim"
 
 
 GaloisAlgebraSpec = Union[
@@ -584,10 +584,10 @@ def _local_filter(fd: FactorDescriptor, v: Place) -> tuple[bool, str]:
         n_odd = True
         n_text = "[E:Q_v] = 1"
     elif fd.e_kind == "quadratic":
-        n_odd = brauer.splits_in_quadratic(v, fd.e_param)
-        n_text = f"E = Q(sqrt {fd.e_param}) {'splits' if n_odd else 'does not split'} at {v}"
+        n_odd = brauer.splits_in_quadratic(v, fd.conductor)
+        n_text = f"E = Q(sqrt {fd.conductor}) {'splits' if n_odd else 'does not split'} at {v}"
     else:
-        n_odd, eps = local_data(fd.conductor, True, v)
+        n_odd, eps = local_data(fd.conductor, v)
         n_text = f"local degree of E (conductor {fd.conductor}) is {'odd' if n_odd else 'even'}"
     if fd.kind == FactorKind.ORTHOGONAL:
         binds = n_odd and fd.split
@@ -703,7 +703,7 @@ def trace_forms_isomorphic(s1: GaloisAlgebraSpec, s2: GaloisAlgebraSpec) -> bool
     diff = add(d_top(s1), d_top(s2))
     # restriction to the totally real cyclotomic layer dies exactly at the
     # places of even local degree; the real place always has degree 1 there
-    return not any(v.is_real or local_data(1 << n, True, v).n_odd for v in diff.ramified)
+    return not any(v.is_real or local_data(1 << n, v).n_odd for v in diff.ramified)
 
 
 ELEMENTARY_NOT_APPLICABLE = "not-applicable"

@@ -210,10 +210,10 @@ def reference_local_filter(fd, v):
         n_odd = True
         n_text = "[E:Q_v] = 1"
     elif fd.e_kind == "quadratic":
-        n_odd = brauer.splits_in_quadratic(v, fd.e_param)
-        n_text = f"E = Q(sqrt {fd.e_param}) {'splits' if n_odd else 'does not split'} at {v}"
+        n_odd = brauer.splits_in_quadratic(v, fd.conductor)
+        n_text = f"E = Q(sqrt {fd.conductor}) {'splits' if n_odd else 'does not split'} at {v}"
     else:
-        data = local_data(fd.conductor, True, v)
+        data = local_data(fd.conductor, v)
         n_odd = data.n_odd
         n_text = f"local degree of E (conductor {fd.conductor}) is {'odd' if n_odd else 'even'}"
     if fd.kind == FactorKind.ORTHOGONAL:
@@ -223,7 +223,7 @@ def reference_local_filter(fd, v):
         d_center = -1 if fd.conductor == 4 else -3
         eps = 0 if brauer.splits_in_quadratic(v, d_center) else 1
     else:
-        eps = local_data(fd.conductor, True, v).epsilon
+        eps = local_data(fd.conductor, v).epsilon
     binds = n_odd and eps == 1
     return binds, f"{n_text}; epsilon = {eps}"
 
@@ -589,7 +589,7 @@ def reference_res_trivial_real_cyclotomic(cls, conductor):
     for v in sorted(cls.ramified, key=Place.sort_key):
         if v.is_real:
             return False
-        if local_data(conductor, True, v).n_odd:
+        if local_data(conductor, v).n_odd:
             return False
     return True
 

@@ -238,7 +238,7 @@ def test_criterion_09_cyclotomic_local_data():
     ok = True
     details = []
     for m, p, want_odd, want_eps in golden:
-        n_odd, eps = local_data(m, True, Place(p))
+        n_odd, eps = local_data(m, Place(p))
         ok &= n_odd == want_odd
         if want_eps is not None:
             ok &= eps == want_eps

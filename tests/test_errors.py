@@ -27,7 +27,7 @@ CASES = [
                  "degree must be an integer, got 4.5", id="degree-4.5"),
     pytest.param(lambda: brauer.splits_in_quadratic(Place(3), 4),
                  "Q(sqrt(d)) requires a nonsquare d", id="splits-square"),
-    pytest.param(lambda: factors.local_data(0, True, Place(3)),
+    pytest.param(lambda: factors.local_data(0, Place(3)),
                  "conductor must be >= 1", id="conductor-0"),
     pytest.param(lambda: GroupDescriptor("D4", (2,)),
                  "invariant factors only apply to abelian groups", id="d4-factors"),
@@ -36,7 +36,15 @@ CASES = [
                  "invariant factors must be a nonempty list of ints >= 2", id="abelian-no-factors"),
     pytest.param(lambda: GroupDescriptor("abelian", (1,)),
                  "invariant factors must be a nonempty list of ints >= 2", id="abelian-factor-1"),
-    pytest.param(lambda: factors.FactorDescriptor("x", factors.FactorKind.ORTHOGONAL, 1, "cubic", None, True),
+    pytest.param(lambda: GroupDescriptor("abelian", (2.0,)),
+                 "invariant factors must be a nonempty list of ints >= 2", id="abelian-float-factor"),
+    pytest.param(lambda: GroupDescriptor("abelian", (2, 4.0)),
+                 "invariant factors must be a nonempty list of ints >= 2", id="abelian-float-second-factor"),
+    pytest.param(lambda: GroupDescriptor("abelian", ("2",)),
+                 "invariant factors must be a nonempty list of ints >= 2", id="abelian-str-factor"),
+    pytest.param(lambda: GroupDescriptor("abelian", 8),
+                 "invariant factors must be a nonempty list of ints >= 2", id="abelian-int-factors"),
+    pytest.param(lambda: factors.FactorDescriptor("x", factors.FactorKind.ORTHOGONAL, 1, "cubic", True),
                  "unknown center descriptor 'cubic'", id="center-cubic"),
     pytest.param(lambda: symbols.place_from_json("1e3"), 'a place is "real" or a prime, got \'1e3\'',
                  id="place-1e3"),

@@ -40,7 +40,7 @@ def test_decompose_c8():
         FactorKind.ORTHOGONAL, FactorKind.ORTHOGONAL, FactorKind.UNITARY, FactorKind.UNITARY,
     ]
     assert fds[2].e_kind == "Q"  # fixed field of Q(i)
-    assert fds[3].e_kind == "real-cyclotomic" and fds[3].e_param == 8
+    assert fds[3].to_json()["e"] == {"real-cyclotomic": 8}
     assert all(fd.split for fd in fds)
 
 
@@ -82,7 +82,7 @@ def test_dimension_count():
     ]
     for g in groups:
         fds = decompose(g)
-        assert sum(euler_phi(fd.conductor) for fd in fds) == g.order
+        assert sum(euler_phi(fd.conductor) for fd in fds) == math.prod(g.invariant_factors)
 
 
 def test_cyclic_2power_tower_structure():
@@ -92,7 +92,7 @@ def test_cyclic_2power_tower_structure():
         unitary = [fd for fd in fds if fd.kind == FactorKind.UNITARY]
         assert [fd.conductor for fd in unitary] == [1 << i for i in range(2, n + 1)]
         for fd in unitary:
-            e_degree = 1 if fd.e_kind == "Q" else euler_phi(fd.e_param) // 2
+            e_degree = 1 if fd.e_kind == "Q" else euler_phi(fd.conductor) // 2
             assert e_degree == fd.conductor // 4
 
 
@@ -119,24 +119,24 @@ def test_decompose_d4_a4_a5():
 
     (a5,) = decompose(GroupDescriptor("A5demo"))
     assert a5.kind == FactorKind.ORTHOGONAL
-    assert (a5.e_kind, a5.e_param, a5.split) == ("quadratic", 5, True)
+    assert (a5.e_kind, a5.conductor, a5.split) == ("quadratic", 5, True)
 
 
 def test_local_data_golden():
-    assert local_data(8, True, Place(7)) == (True, 1)  # 7 = -1 mod 8
-    assert local_data(8, True, Place(17)) == (True, 0)  # 17 = 1 mod 8
-    assert local_data(8, True, Place(3)) == (False, 0)
-    assert local_data(16, True, Place(7)) == (False, 0)
-    assert local_data(8, True, Place(2)) == (False, 1)  # real subfield degree 2
-    assert local_data(4, True, Place(2)) == (True, 1)  # real subfield is Q
-    assert local_data(4, True, Place(3)) == (True, 1)  # 3 inert in Q(i)
+    assert local_data(8, Place(7)) == (True, 1)  # 7 = -1 mod 8
+    assert local_data(8, Place(17)) == (True, 0)  # 17 = 1 mod 8
+    assert local_data(8, Place(3)) == (False, 0)
+    assert local_data(16, Place(7)) == (False, 0)
+    assert local_data(8, Place(2)) == (False, 1)  # real subfield degree 2
+    assert local_data(4, Place(2)) == (True, 1)  # real subfield is Q
+    assert local_data(4, Place(3)) == (True, 1)  # 3 inert in Q(i)
 
 
 def test_local_data_errors():
     with pytest.raises(ValueError):
-        local_data(8, True, REAL)
+        local_data(8, REAL)
     with pytest.raises(ValueError):
-        local_data(12, True, Place(3))  # ramified odd prime, unsupported
+        local_data(12, Place(3))  # ramified odd prime, unsupported
 
 
 def test_epsilon_implies_degree_doubling():
@@ -144,7 +144,7 @@ def test_epsilon_implies_degree_doubling():
     for _ in range(200):
         m = 1 << rng.randint(2, 7)
         p = rng.choice([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 193])
-        n_odd, eps = local_data(m, True, Place(p))
+        n_odd, eps = local_data(m, Place(p))
         full = mult_order(p, m)
         half = mult_order_mod_pm1(p, m)
         if eps == 1:
@@ -164,10 +164,9 @@ def test_local_data_computes_the_frobenius_order_once(monkeypatch):
     monkeypatch.setattr(exact, "mult_order", counted)
     monkeypatch.setattr(factors, "mult_order", counted, raising=False)  # if bound by name there
     for m, p in ((8, 7), (16, 3), (15, 2), (63, 5), (97, 11)):
-        for real_subfield in (True, False):
-            calls.clear()
-            local_data(m, real_subfield, Place(p))
-            assert calls == [(p, m)]
+        calls.clear()
+        local_data(m, Place(p))
+        assert calls == [(p, m)]
 
 
 def test_local_data_matches_the_two_order_formula():
@@ -178,29 +177,21 @@ def test_local_data_matches_the_two_order_formula():
             if m % p == 0:
                 continue
             full, half = mult_order(p, m), mult_order_mod_pm1(p, m)
-            for real_subfield in (True, False):
-                n = half if real_subfield else full
-                assert local_data(m, real_subfield, Place(p)) == (n % 2 == 1, int(full != half))
-                checked += 1
-    assert checked > 30000
+            assert local_data(m, Place(p)) == (half % 2 == 1, int(full != half))
+            checked += 1
+    assert checked > 15000
 
 
 def test_a_conductor_twice_an_odd_number_is_read_as_its_half():
     # Q(zeta_2m) = Q(zeta_m) for odd m, where 2 does not ramify: the two-order formula on (Z/m)^x
     for m in range(3, 200, 2):
         full, half = mult_order(2, m), mult_order_mod_pm1(2, m)
-        for real_subfield in (True, False):
-            n = half if real_subfield else full
-            assert local_data(2 * m, real_subfield, Place(2)) == (n % 2 == 1, int(full != half)), m
+        assert local_data(2 * m, Place(2)) == (half % 2 == 1, int(full != half)), m
     # a prime that does ramify is still refused, named with the conductor as given
     with pytest.raises(ValueError, match="^ramified prime 2 for conductor 12 is unsupported$"):
-        local_data(12, True, Place(2))
+        local_data(12, Place(2))
     with pytest.raises(ValueError, match="^ramified prime 3 for conductor 6 is unsupported$"):
-        local_data(6, True, Place(3))
-
-
-def test_the_non_abelian_groups_know_their_orders():
-    assert [GroupDescriptor(kind).order for kind in ("D4", "A4", "A5demo")] == [8, 12, 60]
+        local_data(6, Place(3))
 
 
 def test_the_moduli_and_conductors_below_three_are_trivial():
@@ -208,8 +199,7 @@ def test_the_moduli_and_conductors_below_three_are_trivial():
     for m in (1, 2):
         assert [mult_order(a, m) for a in (1, 3, -5, 7)] == [1, 1, 1, 1]
         for p in (2, 3, 5, 7):
-            for real_subfield in (True, False):
-                assert local_data(m, real_subfield, Place(p)) == (True, 0)
+            assert local_data(m, Place(p)) == (True, 0)
 
 
 def test_a_factor_descriptor_writes_its_note_only_when_it_has_one():
@@ -219,11 +209,31 @@ def test_a_factor_descriptor_writes_its_note_only_when_it_has_one():
 
 
 def test_the_fixed_groups_are_one_table_built_at_import():
-    for kind, name, order in (("D4", "D4", 8), ("A4", "A4", 12), ("A5demo", "A5", 60)):
+    for kind, name in (("D4", "D4"), ("A4", "A4"), ("A5demo", "A5")):
         group = GroupDescriptor(kind)
-        assert decompose(group) is factors._FIXED[kind].factors
-        assert (group.name, group.order) == (name, order)
+        assert decompose(group) is factors._FIXED[name]
+        assert group.name == name
         assert factors.parse_group(name) == factors.parse_group(f" {kind} ") == group
+
+
+def test_the_fixed_table_states_each_group_once():
+    assert set(factors._FIXED) == {"D4", "A4", "A5"}
+    for name in ("D4", "A4", "A5"):
+        group = factors.parse_group(name)
+        assert group.name == name
+        assert decompose(group) is factors._FIXED[name]
+    assert factors.parse_group("A5demo") == GroupDescriptor("A5demo") == factors.parse_group("A5")
+    # E is read off the conductor: the real subfield of Q(zeta_m), or Q(sqrt m)
+    for name in ("C8", "C16", "C2xC12", "C3xC9", "D4", "A4", "A5"):
+        for fd in decompose(factors.parse_group(name)):
+            assert fd.to_json()["e"] == ("Q" if fd.e_kind == "Q" else {fd.e_kind: fd.conductor}), (name, fd)
+
+
+def test_a_list_of_invariant_factors_is_kept_as_a_tuple():
+    group = GroupDescriptor("abelian", [2, 4])
+    assert group == GroupDescriptor("abelian", (2, 4)) and group.invariant_factors == (2, 4)
+    assert decompose(group) == decompose(GroupDescriptor("abelian", (2, 4)))
+    assert GroupDescriptor("D4", []) == GroupDescriptor("D4")
 
 
 def test_parse_group_reads_back_every_name():
