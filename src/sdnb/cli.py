@@ -66,7 +66,7 @@ _SPEC_FLAGS = (
     ("c", {"help": "rational c of the quartic family, e.g. 1 or --c=-1"}),
     ("eps", {"help": "rational eps of the quartic family, e.g. 2 or --eps=-7"}),
     ("poly", {"help": "integer coefficients, constant term first, comma separated, e.g. --poly=-1,0,1"}),
-    ("degree", {"type": int, "help": "asserted degree for cyclic-poly"}),
+    ("degree", {"help": "asserted degree for cyclic-poly"}),
 )
 
 
@@ -251,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         _devnull_onto(1)
         _report({"error": "output-closed", "message": str(exc)})
         return EX_IOERR
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _report({"error": "bad-input", "message": str(exc)})
         return EX_DATA
     except Exception as exc:

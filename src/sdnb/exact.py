@@ -77,10 +77,8 @@ def _work_budget() -> int:
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return DEFAULT_FACTOR_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from exc
+    if (value := lossless_int(raw)) is None:
+        raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}")
     if value <= 0:
         raise ValueError(f"{_BUDGET_ENV} must be positive")
     return value
@@ -249,16 +247,17 @@ def frozen(cls):
     ``__init__`` sets the fields past the raising ``__setattr__`` in one of
     two ways.  The classes whose instances a process-wide memo keeps
     (``FactoredRational``, ``symbols.Place``, ``brauer.BrauerClass``,
-    ``factors.GroupDescriptor`` and ``FactorDescriptor``) call
+    ``factors.GroupDescriptor`` and ``FactorDescriptor``, and the
+    ``forms.DiagonalForm`` keys of the ``hasse_witt`` memo) call
     ``object.__setattr__(self, name, value)`` once per field, so that CPython
     3.11 and later keep the values inline with no per-instance dict (about
     150 bytes less per kept value on 3.11) and 3.10 shares one key table
     among them.  Values built and dropped within one call (the family specs,
-    forms, report entries, certificate rows and decisions) set every field in
-    one statement, ``vars(self).update(field=value, ...)``, which builds a
-    value of three or more fields faster.  Either way ``vars(x)`` works on
-    every instance, and gives it a dict, as pickling or copying it does on
-    3.11 and 3.12.
+    Gram matrices, report entries, certificate rows and decisions) set every
+    field in one statement, ``vars(self).update(field=value, ...)``, which
+    builds a value of three or more fields faster.  Either way ``vars(x)``
+    works on every instance, and gives it a dict, as pickling or copying it
+    does on 3.11 and 3.12.
     """
     code = cls.__init__.__code__
     names = cls.__match_args__ = code.co_varnames[1:code.co_argcount]

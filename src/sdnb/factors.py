@@ -24,7 +24,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import euler_phi, factor, frozen, mult_order_mod_pm1
+from .exact import euler_phi, factor, frozen, lossless_int, mult_order_mod_pm1
 from .symbols import Place
 
 
@@ -78,15 +78,14 @@ class GroupDescriptor:
 
 @lru_cache(maxsize=64)
 def parse_group(name: str) -> GroupDescriptor:
-    """The group a name such as C8, C2xC4, D4, A4 or A5 (also A5demo) stands for."""
+    """The group whose ``name`` (C8, C2xC4, D4, A4 or A5) is the text, up to surrounding spaces
+    and the case of each C; A5demo is read as A5.  Each order is read by ``lossless_int``."""
     name = name.strip()
     if name in (*_FIXED, "A5demo"):
         return GroupDescriptor(name)
-    parts = [p.lstrip("Cc") for p in name.split("x")]
-    try:
-        fs = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"cannot parse group {name!r}") from None
+    fs = tuple(lossless_int(p[1:]) if p[:1] in ("C", "c") else None for p in name.split("x"))
+    if None in fs or "x".join(f"C{d}" for d in fs) != name.replace("c", "C"):
+        raise ValueError(f"cannot parse group {name!r}")
     return GroupDescriptor("abelian", fs)
 
 

@@ -65,7 +65,7 @@ class DiagonalForm:
             raise ValueError("a diagonal form needs at least one entry")
         if not all(a.numerator for a in coerced):
             raise ValueError("diagonal entries must be nonzero")
-        vars(self).update(entries=coerced)
+        object.__setattr__(self, "entries", coerced)
 
     @property
     def rank(self) -> int:

@@ -397,7 +397,7 @@ def _irreducible_over_Q(coeffs: Sequence[int]) -> bool:
                 if _divides_exactly(coeffs, (sv, u, 1)):
                     return False
     raise BudgetExceededError(
-        "irreducibility undetermined within the screening budget"
+        f"{screen.task}: irreducibility undetermined after {screen.spent} of {screen.limit} units ({_BUDGET_ENV})"
     )
 
 
@@ -782,7 +782,9 @@ def _json_field(data: dict, name: str, family: str, group: GroupDescriptor | Non
         return n
     if name == "degree":
         return _integer(data.get("degree", len(data["poly"]) - 1), "degree")
-    value = data["poly" if name == "coeffs" else name]
+    if (key := "poly" if name == "coeffs" else name) not in data:
+        raise ValueError(f"family {family!r} needs {key}")
+    value = data[key]
     if name == "coeffs":
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"poly must be a list of integers, got {value!r}")
@@ -793,7 +795,7 @@ def _json_field(data: dict, name: str, family: str, group: GroupDescriptor | Non
 
 
 def spec_from_json(data: dict) -> GaloisAlgebraSpec:
-    """Spec from its JSON form; malformed data raises ValueError or KeyError."""
+    """Spec from its JSON form; malformed data, a missing field included, raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"a spec must be a JSON object, got {type(data).__name__}")
     family = data.get("family")

@@ -661,7 +661,7 @@ def test_top_level_help_lists_every_subcommand(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["decide", "--degree", "x"],
+        ["decide", "--format", "xml"],
         ["invariants", "--family", "cyclic-quadratic", "--at", "3"],
         ["hilbert", "1", "2"],
         ["form", "--format", "xml"],
@@ -698,6 +698,31 @@ def test_bad_input_stderr_lines(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (65, "")
     assert err == json.dumps({"error": "bad-input", "message": message}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"group": "C8", "family": "cyclic-poly", "poly": "2,0,-4,0,1", "degree": "x"},
+         "degree must be an integer, got 'x'"),
+        ({"group": "C8", "family": "cyclic-poly", "poly": "2,0,-4,0,1", "degree": "4.0"},
+         "degree must be an integer, got '4.0'"),
+        ({"group": "C1_6", "family": "cyclic-quadratic", "z": "3"}, "cannot parse group 'C1_6'"),
+        ({"group": "C8_0", "family": "split"}, "cannot parse group 'C8_0'"),
+        ({"group": "C8", "family": "cyclic-quadratic", "z": "x"}, "Invalid literal for Fraction: 'x'"),
+        ({"group": "C8", "family": "cyclic-poly", "poly": "2,x,1"}, "poly must be an integer, got 'x'"),
+        ({"group": "C8", "family": "cyclic-quadratic"}, "family 'cyclic-quadratic' needs z"),
+    ],
+    ids=["degree-token", "degree-decimal", "group-underscore", "group-trailing-underscore", "z-token",
+         "poly-token", "z-missing"],
+)
+def test_a_field_from_a_flag_and_from_a_spec_file_gives_one_outcome(tmp_path, capsys, fields, message):
+    # the spec file holds each flag's text as a string, and the tokens of --poly as a list
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({key: value.split(",") if key == "poly" else value for key, value in fields.items()}))
+    inline = run(capsys, "decide", *(f"--{key}={value}" for key, value in fields.items()))
+    assert run(capsys, "decide", "--spec", str(path)) == inline
+    assert inline == (65, "", json.dumps({"error": "bad-input", "message": message}) + "\n")
 
 
 @pytest.mark.parametrize("argv", [["decide", "--group", "C8", "--z", "3"], ["invariants", "--z", "3"]],

@@ -243,5 +243,40 @@ def test_parse_group_reads_back_every_name():
     assert factors.parse_group("c8") == GroupDescriptor.cyclic(8)
     with pytest.raises(ValueError, match="^cannot parse group 'Q8'$"):
         factors.parse_group("Q8")
-    with pytest.raises(ValueError, match="^each invariant factor must divide the next$"):
+    with pytest.raises(ValueError, match="^cannot parse group 'C6x4'$"):
         factors.parse_group("C6x4")
+    with pytest.raises(ValueError, match="^each invariant factor must divide the next$"):
+        factors.parse_group("C6xC4")
+
+
+def _name_mutations(rng, name):
+    """One seeded edit of each kind: an _ or a 0 in a number, a doubled or dropped C, a + or a space
+    after a C, an Arabic-Indic digit; the edits of a C are left out for a name without one."""
+    digits = [i for i, ch in enumerate(name) if ch.isdigit()]
+    k = rng.choice(digits) + rng.randint(0, 1)  # before or after a digit
+    i = rng.choice(digits)
+    out = [name[:k] + "_" + name[k:], name[:k] + "0" + name[k:], name[:i] + chr(0x660 + int(name[i])) + name[i + 1:]]
+    if cs := [j for j, ch in enumerate(name) if ch == "C"]:
+        c = rng.choice(cs)
+        out += [name[:c] + "C" + name[c:], name[:c] + name[c + 1:]]
+        out += [name[:c + 1] + sign + name[c + 1:] for sign in "+ "]
+    return out
+
+
+def test_group_names_round_trip():
+    rng = random.Random(2039)
+    groups = [GroupDescriptor("D4"), GroupDescriptor("A4"), GroupDescriptor("A5")]
+    for _ in range(300):
+        fs = [rng.randint(2, 12)]
+        for _ in range(rng.randint(0, 3)):
+            fs.append(fs[-1] * rng.randint(1, 5))
+        groups.append(GroupDescriptor("abelian", tuple(fs)))
+    for g in groups:
+        for text in (g.name, g.name.replace("C", "c"), f"  {g.name} ", f"\t{g.name.replace('C', 'c')}\n"):
+            assert factors.parse_group(text) == g, text
+        for text in _name_mutations(rng, g.name):
+            try:
+                read = factors.parse_group(text)
+            except ValueError:
+                continue
+            assert read.name.lower() == text.strip().lower(), (g.name, text)

@@ -875,6 +875,19 @@ def test_integer_root_test_is_charged_per_divisor_of_the_constant(monkeypatch):
     )
 
 
+def test_the_screens_last_refusal_names_its_polynomial_and_its_work(monkeypatch):
+    # x^4 - 10x^2 + 1, the minimal polynomial of sqrt 2 + sqrt 3, is irreducible over Q but
+    # reducible modulo every prime, and has no monic quadratic factor for the last stage to find
+    monkeypatch.delenv("SDNB_FACTOR_BUDGET", raising=False)
+    with pytest.raises(BudgetExceededError) as info:
+        spec_from_json({"group": "C8", "family": "cyclic-poly", "poly": [1, 0, -10, 0, 1]})
+    message = str(info.value)
+    assert message.startswith(
+        "irreducibility screen of the polynomial [1, 0, -10, 0, 1]: irreducibility undetermined after "
+    )
+    assert message.endswith(f" of {exact.DEFAULT_FACTOR_BUDGET} units (SDNB_FACTOR_BUDGET)")
+
+
 def _random_monic(rng, degree):
     return [rng.randint(-20, 20) for _ in range(degree)] + [1]
 
@@ -1308,7 +1321,8 @@ MALFORMED_SPECS = [
                  "family 'cyclic-quadratic' needs a cyclic 2-power group", id="group-not-2-power"),
     pytest.param({"group": "C4", "family": "a4-quartic", "poly": [12, 8, 0, 0, 1]}, ValueError,
                  "family 'a4-quartic' has group A4, not C4", id="group-contradicts"),
-    pytest.param({"group": "C8", "family": "cyclic-poly"}, KeyError, "'poly'", id="poly-missing"),
+    pytest.param({"group": "C8", "family": "cyclic-poly"}, ValueError, "family 'cyclic-poly' needs poly",
+                 id="poly-missing"),
     pytest.param({"group": "C8", "family": "cyclic-poly", "poly": "2,0,1"}, ValueError,
                  "poly must be a list of integers, got '2,0,1'", id="poly-string"),
     pytest.param({"group": "A4", "family": "a4-quartic", "poly": [12, 8, 0, True, 1]}, ValueError,
@@ -1319,8 +1333,8 @@ MALFORMED_SPECS = [
                  "degree must be an integer, got 2.5", id="degree-float"),
     pytest.param({"group": "C8", "family": "cyclic-poly", "poly": [2, 0, 1], "degree": "x"}, ValueError,
                  "degree must be an integer, got 'x'", id="degree-string"),
-    pytest.param({"group": "C8", "family": "cyclic-quartic", "a": "2", "c": "1", "eps": "2"}, KeyError,
-                 "'b'", id="quartic-no-b"),
+    pytest.param({"group": "C8", "family": "cyclic-quartic", "a": "2", "c": "1", "eps": "2"}, ValueError,
+                 "family 'cyclic-quartic' needs b", id="quartic-no-b"),
     pytest.param({"group": "C8", "family": "cyclic-quadratic", "z": True}, ValueError,
                  "z must be a rational number or string, got True", id="z-bool"),
     pytest.param({"group": "A4", "family": "a4-quartic", "poly": [1, 0, 1]}, ValueError,

@@ -124,6 +124,15 @@ def test_memoized_values_keep_no_per_instance_dict():
         assert dict not in map(type, gc.get_referents(x)), name
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 every instance has a dict")
+def test_a_form_kept_as_a_hasse_witt_key_keeps_no_per_instance_dict():
+    form = DiagonalForm([-1, -7, 1000033])
+    misses = hasse_witt.cache_info().misses
+    hasse_witt(form)
+    assert hasse_witt.cache_info().misses == misses + 1  # the memo keeps this form as a key
+    assert dict not in map(type, gc.get_referents(form))
+
+
 def _family_specs():
     return [
         SplitAlgebra(GroupDescriptor.cyclic(8)),
