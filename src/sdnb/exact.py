@@ -32,8 +32,9 @@ dataclass does.  Unlike a dataclass, it compiles no code at import time.
 A rational argument that must not be zero passes one check, :func:`nonzero`:
 an ``int`` or ``Fraction`` is kept, any other value goes through
 :func:`as_fraction`, and zero raises the caller's ``ValueError``.
-``as_fraction`` refuses a decimal exponent beyond +-4300, written in a string
-or stored in a finite ``Decimal``, and a ``Decimal`` of more than 4300
+``as_fraction`` reads a finite float by its shortest ``repr``, as a spec file's
+number is read, and refuses a decimal exponent beyond +-4300, written in a
+string or stored in a finite ``Decimal``, and a ``Decimal`` of more than 4300
 digits, before the number is expanded.  ``Fraction``'s methods are pure
 Python, so the decision path reads signs and zeros off ``numerator`` and
 ``as_fraction`` sends an ``int`` to ``Fraction(x)`` at once.
@@ -406,13 +407,14 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def as_fraction(x) -> Fraction:
-    """``Fraction(x)`` for other rational types.
+    """``Fraction(x)`` for other rational types; a finite float is read by its shortest ``repr``: 0.3 is 3/10.
 
     NaN, an infinite float, an exponent beyond +-4300 or a ``Decimal`` of more than 4300 digits
     (as CPython refuses an int string that long) is a ValueError, raised before any expansion.
     """
     if type(x) is int:
         return Fraction(x)
+    x = repr(float(x)) if isinstance(x, float) and math.isfinite(x) else x
     digits, exponent = (), 0
     if isinstance(x, str) and (m := _EXPONENT.search(x)):
         exponent = int(m[1])

@@ -5,15 +5,17 @@ characters: an orbit of characters of order m spans a copy of Q(zeta_m), the
 canonical involution g -> g^{-1} acts there as complex conjugation, and the
 fixed field E is the real subfield.  Orbits of order at most 2 are orthogonal
 (E = F), the rest unitary.  D4, A4 and the A5 demo carry their known tables:
-matrix factors over Q (or Q(sqrt 5) for A5) with the split flag set.  One
+matrix factors over Q (or Q(sqrt 5) for A5), each split over its center, as
+every supported factor is; the JSON form says so with ``"split": true``.  One
 module constant, built at import, maps each of their names to its table; the
 kind check, ``name``, ``decompose`` and ``parse_group`` (a name back to its
 group) all read it.
 
-``local_data`` provides the only local information the decision layer needs
-for a factor whose E is the real subfield of Q(zeta_m): the parity of the
-local degree of E at a finite prime and the bit recording whether F stays a
-field over the completion of E.  Both reduce to orders of Frobenius in
+``local_data`` provides the only local information the decision layer needs,
+for every factor, since each E in the tables is the real subfield of
+Q(zeta_m), m the conductor (Q when phi(m) <= 2, Q(sqrt 5) for A5): the parity
+of the local degree of E at a finite prime and the bit recording whether F
+stays a field over the completion of E.  Both reduce to orders of Frobenius in
 (Z/m)^x and its quotient by {+-1}; no number field arithmetic.
 """
 
@@ -91,7 +93,7 @@ def parse_group(name: str) -> GroupDescriptor:
 
 @frozen
 class FactorDescriptor:
-    """One involution-stable factor: id, type, center data, split flag.
+    """One involution-stable factor: id, type and center data; every supported factor is split over its center.
 
     ``conductor`` is the order of the characters in the orbit, i.e. the
     cyclotomic conductor of the center F; matrix factors with center Q use
@@ -100,15 +102,13 @@ class FactorDescriptor:
     subfield of Q(zeta_m)) or "quadratic" (Q(sqrt m)).
     """
 
-    def __init__(self, id: str, kind: FactorKind, conductor: int, e_kind: str, split: bool,
-                 note: str = "") -> None:
+    def __init__(self, id: str, kind: FactorKind, conductor: int, e_kind: str, note: str = "") -> None:
         if e_kind not in ("Q", "real-cyclotomic", "quadratic"):
             raise ValueError(f"unknown center descriptor {e_kind!r}")
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "e_kind", e_kind)
-        object.__setattr__(self, "split", split)
         object.__setattr__(self, "note", note)
 
     def to_json(self) -> dict:
@@ -117,7 +117,7 @@ class FactorDescriptor:
             "kind": self.kind.value,
             "conductor": self.conductor,
             "e": "Q" if self.e_kind == "Q" else {self.e_kind: self.conductor},
-            "split": self.split,
+            "split": True,
         }
         if self.note:
             out["note"] = self.note
@@ -128,22 +128,21 @@ _ZETA3 = "typing follows the cube-roots-of-unity factor table; over Q the pair s
 # the groups with known tables: name -> stable factors
 _FIXED = {
     "D4": (
-        FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q", True),
-        FactorDescriptor("sgn-a", FactorKind.DEGREE_ONE, 2, "Q", True),
-        FactorDescriptor("sgn-b", FactorKind.DEGREE_ONE, 2, "Q", True),
-        FactorDescriptor("sgn-ab", FactorKind.DEGREE_ONE, 2, "Q", True),
-        FactorDescriptor("2dim", FactorKind.ORTHOGONAL, 1, "Q", True, note="M2(Q), unit-form involution"),
+        FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q"),
+        FactorDescriptor("sgn-a", FactorKind.DEGREE_ONE, 2, "Q"),
+        FactorDescriptor("sgn-b", FactorKind.DEGREE_ONE, 2, "Q"),
+        FactorDescriptor("sgn-ab", FactorKind.DEGREE_ONE, 2, "Q"),
+        FactorDescriptor("2dim", FactorKind.ORTHOGONAL, 1, "Q", note="M2(Q), unit-form involution"),
     ),
     "A4": (
-        FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q", True),
-        FactorDescriptor("chi3-a", FactorKind.DEGREE_ONE, 3, "Q", True, note=_ZETA3),
-        FactorDescriptor("chi3-b", FactorKind.DEGREE_ONE, 3, "Q", True, note=_ZETA3),
-        FactorDescriptor("std3", FactorKind.ORTHOGONAL, 1, "Q", True, note="M3(Q), unit-form involution; " + _ZETA3),
+        FactorDescriptor("triv", FactorKind.DEGREE_ONE, 1, "Q"),
+        FactorDescriptor("chi3-a", FactorKind.DEGREE_ONE, 3, "Q", note=_ZETA3),
+        FactorDescriptor("chi3-b", FactorKind.DEGREE_ONE, 3, "Q", note=_ZETA3),
+        FactorDescriptor("std3", FactorKind.ORTHOGONAL, 1, "Q", note="M3(Q), unit-form involution; " + _ZETA3),
     ),
     # A5 demo: only the degree-3 orthogonal factor is modelled
     "A5": (
-        FactorDescriptor("3dim", FactorKind.ORTHOGONAL, 5, "quadratic", True,
-                         note="M3(Q(sqrt5)), unit-form involution"),
+        FactorDescriptor("3dim", FactorKind.ORTHOGONAL, 5, "quadratic", note="M3(Q(sqrt5)), unit-form involution"),
     ),
 }
 
@@ -182,9 +181,9 @@ def _abelian_factor(m: int, index: int, count: int) -> FactorDescriptor:
     else:
         fid = f"chi{m}.{index}"
     if m <= 2:
-        return FactorDescriptor(fid, FactorKind.ORTHOGONAL, m, "Q", True)
+        return FactorDescriptor(fid, FactorKind.ORTHOGONAL, m, "Q")
     e_kind = "Q" if euler_phi(m) // 2 == 1 else "real-cyclotomic"
-    return FactorDescriptor(fid, FactorKind.UNITARY, m, e_kind, True)
+    return FactorDescriptor(fid, FactorKind.UNITARY, m, e_kind)
 
 
 @lru_cache(maxsize=64)
@@ -218,10 +217,10 @@ def local_data(conductor: int, v: Place) -> LocalData:
 
     For p coprime to the conductor m the local degree of E is the order h of
     p in (Z/m)^x/{+-1}, and epsilon = 1 exactly when the order of p mod m
-    doubles it (p^h = -1 mod m).  For p = 2 and a 2-power m the extension is
-    totally ramified: E has local degree m/4 (odd only when m = 4) and
-    epsilon = 1.  m = 2 mod 4 is read as m/2 (same field); other ramified
-    primes are unsupported.
+    doubles it (p^h = -1 mod m).  At a ramified prime p with m = p odd or m a
+    power of p = 2 the extension is totally ramified and epsilon = 1: E has
+    local degree (p - 1)/2, resp. m/4 (odd only when m = 4).  m = 2 mod 4 is
+    read as m/2 (same field); other ramified primes are unsupported.
     """
     if v.is_real:
         raise ValueError("local_data is for finite places")
@@ -234,8 +233,8 @@ def local_data(conductor: int, v: Place) -> LocalData:
     if m <= 2:
         return LocalData(True, 0)
     if m % p == 0:
-        if p == 2 and m == 1 << (m.bit_length() - 1):
-            return LocalData(m == 4, 1)
+        if m == p or m & (m - 1) == 0:  # (p - 1)/2 is odd iff p = 3 mod 4
+            return LocalData(p % 4 == 3 or m == 4, 1)
         raise ValueError(f"ramified prime {p} for conductor {conductor} is unsupported")
     half = mult_order_mod_pm1(p, m)
     return LocalData(half % 2 == 1, int(pow(p, half, m) == m - 1))

@@ -20,9 +20,9 @@ vanish (the squares condition on the image of the classifying homomorphism),
 the localized algebra must split at the real place (the relevant trace form
 is positive definite), and at every finite place in the support of an
 invariant class the place-wise filter applies: an orthogonal factor binds
-where its fixed field has odd local degree and the factor is locally split, a
-unitary factor binds where the fixed field has odd local degree and the
-center stays a field.  Certificates list every filter decision.
+where its fixed field has odd local degree (every factor is split over its
+center), a unitary factor where that degree is odd and the center stays a
+field; ``factors.local_data`` gives both.  Certificates list every filter decision.
 
 Each family class carries ``group``, ``degree`` (of the inducing field) and
 ``family`` (its JSON/CLI tag); a cyclic family stores its group C(2^n) at
@@ -577,26 +577,20 @@ class Decision:
 
 
 def _local_filter(fd: FactorDescriptor, v: Place) -> tuple[bool, str]:
-    """Does the local condition bind for this factor at the finite place v?"""
+    """Does the local condition bind for this factor at the finite place v?  ``local_data`` gives
+    every factor's local degree parity and epsilon; ``e_kind`` only chooses the row's words."""
     if fd.kind == FactorKind.DEGREE_ONE:
         return False, "degree-one factor, no local condition"
+    n_odd, eps = local_data(fd.conductor, v)
     if fd.e_kind == "Q":
-        n_odd = True
         n_text = "[E:Q_v] = 1"
     elif fd.e_kind == "quadratic":
-        n_odd = brauer.splits_in_quadratic(v, fd.conductor)
         n_text = f"E = Q(sqrt {fd.conductor}) {'splits' if n_odd else 'does not split'} at {v}"
     else:
-        n_odd, eps = local_data(fd.conductor, v)
         n_text = f"local degree of E (conductor {fd.conductor}) is {'odd' if n_odd else 'even'}"
     if fd.kind == FactorKind.ORTHOGONAL:
-        binds = n_odd and fd.split
-        return binds, f"{n_text}; factor {'split' if fd.split else 'not split'}"
-    # unitary: E = Q has the center Q(i), otherwise eps came with n_odd
-    if fd.e_kind == "Q":
-        eps = 0 if brauer.splits_in_quadratic(v, -1) else 1
-    binds = n_odd and eps == 1
-    return binds, f"{n_text}; epsilon = {eps}"
+        return n_odd, f"{n_text}; factor split"
+    return n_odd and eps == 1, f"{n_text}; epsilon = {eps}"
 
 
 def _decide(spec: GaloisAlgebraSpec, at: Place | None) -> Decision:
@@ -791,7 +785,10 @@ def _json_field(data: dict, name: str, family: str, group: GroupDescriptor | Non
         return tuple(_integer(c, "poly") for c in value)
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ValueError(f"{name} must be a rational number or string, got {value!r}")
-    return value if isinstance(value, int) else parse_rational(str(value))
+    try:
+        return value if isinstance(value, int) else parse_rational(str(value))
+    except ValueError as exc:
+        raise ValueError(f"{name} must be a rational number: {exc}") from None
 
 
 def spec_from_json(data: dict) -> GaloisAlgebraSpec:

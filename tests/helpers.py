@@ -217,8 +217,7 @@ def reference_local_filter(fd, v):
         n_odd = data.n_odd
         n_text = f"local degree of E (conductor {fd.conductor}) is {'odd' if n_odd else 'even'}"
     if fd.kind == FactorKind.ORTHOGONAL:
-        binds = n_odd and fd.split
-        return binds, f"{n_text}; factor {'split' if fd.split else 'not split'}"
+        return n_odd, f"{n_text}; factor split"
     if fd.e_kind == "Q":
         d_center = -1 if fd.conductor == 4 else -3
         eps = 0 if brauer.splits_in_quadratic(v, d_center) else 1

@@ -709,7 +709,8 @@ def test_bad_input_stderr_lines(capsys, argv, message):
          "degree must be an integer, got '4.0'"),
         ({"group": "C1_6", "family": "cyclic-quadratic", "z": "3"}, "cannot parse group 'C1_6'"),
         ({"group": "C8_0", "family": "split"}, "cannot parse group 'C8_0'"),
-        ({"group": "C8", "family": "cyclic-quadratic", "z": "x"}, "Invalid literal for Fraction: 'x'"),
+        ({"group": "C8", "family": "cyclic-quadratic", "z": "x"},
+         "z must be a rational number: Invalid literal for Fraction: 'x'"),
         ({"group": "C8", "family": "cyclic-poly", "poly": "2,x,1"}, "poly must be an integer, got 'x'"),
         ({"group": "C8", "family": "cyclic-quadratic"}, "family 'cyclic-quadratic' needs z"),
     ],

@@ -41,7 +41,7 @@ def test_decompose_c8():
     ]
     assert fds[2].e_kind == "Q"  # fixed field of Q(i)
     assert fds[3].to_json()["e"] == {"real-cyclotomic": 8}
-    assert all(fd.split for fd in fds)
+    assert all(fd.to_json()["split"] is True for fd in fds)
 
 
 def test_decompose_c2():
@@ -111,7 +111,7 @@ def test_decompose_d4_a4_a5():
     d4 = decompose(GroupDescriptor("D4"))
     assert [fd.kind for fd in d4].count(FactorKind.DEGREE_ONE) == 4
     (two,) = [fd for fd in d4 if fd.kind == FactorKind.ORTHOGONAL]
-    assert two.id == "2dim" and two.split and two.e_kind == "Q"
+    assert two.id == "2dim" and two.to_json()["split"] and two.e_kind == "Q"
 
     a4 = decompose(GroupDescriptor("A4"))
     assert [fd.id for fd in a4] == ["triv", "chi3-a", "chi3-b", "std3"]
@@ -119,7 +119,7 @@ def test_decompose_d4_a4_a5():
 
     (a5,) = decompose(GroupDescriptor("A5demo"))
     assert a5.kind == FactorKind.ORTHOGONAL
-    assert (a5.e_kind, a5.conductor, a5.split) == ("quadratic", 5, True)
+    assert (a5.e_kind, a5.conductor, a5.to_json()["split"]) == ("quadratic", 5, True)
 
 
 def test_local_data_golden():
@@ -130,6 +130,15 @@ def test_local_data_golden():
     assert local_data(8, Place(2)) == (False, 1)  # real subfield degree 2
     assert local_data(4, Place(2)) == (True, 1)  # real subfield is Q
     assert local_data(4, Place(3)) == (True, 1)  # 3 inert in Q(i)
+
+
+def test_local_data_at_a_prime_conductors_own_prime():
+    # E, of degree (p - 1)/2, is totally ramified at p and F stays a field over it
+    assert local_data(5, Place(5)) == (False, 1)  # Q(sqrt 5) does not split at 5
+    assert local_data(3, Place(3)) == (True, 1)  # E = Q, F = Q(sqrt -3)
+    assert local_data(7, Place(7)) == (True, 1)
+    with pytest.raises(ValueError, match="^ramified prime 3 for conductor 15 is unsupported$"):
+        local_data(15, Place(3))
 
 
 def test_local_data_errors():
@@ -187,11 +196,13 @@ def test_a_conductor_twice_an_odd_number_is_read_as_its_half():
     for m in range(3, 200, 2):
         full, half = mult_order(2, m), mult_order_mod_pm1(2, m)
         assert local_data(2 * m, Place(2)) == (half % 2 == 1, int(full != half)), m
-    # a prime that does ramify is still refused, named with the conductor as given
+    # at its own prime a conductor 2p is read as p; a prime that ramifies otherwise is still refused,
+    # named with the conductor as given
+    assert local_data(6, Place(3)) == (True, 1)
     with pytest.raises(ValueError, match="^ramified prime 2 for conductor 12 is unsupported$"):
         local_data(12, Place(2))
-    with pytest.raises(ValueError, match="^ramified prime 3 for conductor 6 is unsupported$"):
-        local_data(6, Place(3))
+    with pytest.raises(ValueError, match="^ramified prime 3 for conductor 15 is unsupported$"):
+        local_data(15, Place(3))
 
 
 def test_the_moduli_and_conductors_below_three_are_trivial():

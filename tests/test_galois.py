@@ -62,6 +62,7 @@ from helpers import (
     reference_invariant_report,
     reference_irreducible_mod_p,
     reference_irreducible_over_Q,
+    reference_local_filter,
     reference_res_trivial_real_cyclotomic,
 )
 
@@ -580,7 +581,8 @@ def test_d_top_at_degree_two_factors_only_the_entries_and_minus_one(monkeypatch)
                          ids=["invariant_report", "c_invariants", "decide_global"])
 def test_the_matrix_factor_reads_its_class_off_the_kept_form(monkeypatch, family, call):
     # the matrix factor's class (z)(-1) = (2z)(-1) is read off the kept form <2, 2z>, as the
-    # top class of a cyclic quadratic layer is: 2z is factored, z itself never
+    # top class of a cyclic quadratic layer is: 2z is factored, z itself never; the A5 rows also
+    # factor phi(5) = 4, as local_data reads Q(sqrt 5) through the order of p mod 5
     rng = random.Random(2030)
     factor_fraction = exact._factor_fraction
     seen = []
@@ -596,7 +598,8 @@ def test_the_matrix_factor_reads_its_class_off_the_kept_form(monkeypatch, family
         forms.hasse_witt.cache_clear()
         seen.clear()
         call(family(z))
-        assert 2 * z in seen and set(seen) <= {2 * z, -1, 2}, (z, set(seen))
+        allowed = {2 * z, -1, 2} | ({4} if family is A5Quadratic else set())
+        assert 2 * z in seen and set(seen) <= allowed, (z, set(seen))
 
 
 def test_trace_forms_isomorphic_matches_the_restriction_loop():
@@ -794,17 +797,17 @@ def test_factor_table_built_once_per_decision(monkeypatch, call):
 
 
 def test_local_data_called_at_most_once_per_certificate_row(monkeypatch):
-    # chi8 and chi16 have real cyclotomic fixed fields; (7)(-1) ramifies at 2 and 7
+    # every factor that is not degree-one reads local_data; (7)(-1) ramifies at 2 and 7
     spec = CyclicQuadratic(4, 7)
-    cyclotomic = {
-        fd.id for fd in decompose(GroupDescriptor.cyclic(16)) if fd.e_kind == "real-cyclotomic"
+    placed = {
+        fd.id for fd in decompose(GroupDescriptor.cyclic(16)) if fd.kind != factors.FactorKind.DEGREE_ONE
     }
     counts = {}
     _count_calls(monkeypatch, counts, "local_data", galois)
     calls = [decide_global] + [lambda s, p=p: decide_local(s, Place(p)) for p in (2, 3, 7)]
     for call in calls:
         counts.clear()
-        rows = [r for r in call(spec).certificate if r.factor in cyclotomic and r.place]
+        rows = [r for r in call(spec).certificate if r.factor in placed and r.place]
         assert rows and counts.get("local_data", 0) <= len(rows)
 
 
@@ -1256,6 +1259,16 @@ def test_spec_from_json_golden():
         spec_from_json({"group": "C8", "family": "nope"})
 
 
+@pytest.mark.parametrize("z", [0.1, 0.3, 1.7])
+def test_a_float_is_read_as_a_spec_file_reads_it(z):
+    # a float is read by its shortest repr, in the library as in a spec file: 0.3 is 3/10
+    spec, from_file = CyclicQuadratic(3, z), spec_from_json({"group": "C8", "family": "cyclic-quadratic", "z": z})
+    assert spec == from_file and spec.z == F(repr(z))
+    assert decide_global(spec) == decide_global(from_file)
+    assert DiagonalForm([z]).entries == (F(repr(z)),)
+    assert hasse_witt(DiagonalForm([z, 0.3, -1])) == hasse_witt(DiagonalForm([repr(z), "0.3", "-1"]))
+
+
 def _codec_cases(rng):
     """(spec, the JSON it must serialize to, an alternative JSON that must read back to it)."""
     def nonsquare():
@@ -1508,6 +1521,29 @@ def test_conductor_3_and_6_factors_get_no_local_filter(name, p):
             if row.factor is not None and conductor[row.factor] in (3, 6)]
     assert rows
     assert all(row.detail == "outside the supported tables" for row in rows)
+
+
+def _filter_outcome(local_filter, fd, v):
+    try:
+        return local_filter(fd, v)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_the_local_filter_equals_the_reference_at_every_factor_and_prime():
+    # the reference reads Q(sqrt 5) and each E = Q center (Q(i) or Q(sqrt -3)) through
+    # splits_in_quadratic; the library reads every factor through local_data
+    names = [f"C{1 << k}" for k in range(1, 8)] + [
+        "C2xC4", "C4xC8", "C2xC12", "C3", "C5", "C6", "C10", "C12", "C15", "D4", "A4", "A5"]
+    primes = [p for p in range(2, 400) if exact.is_prime(p)]
+    pairs = 0
+    for name in names:
+        for fd in decompose(galois.parse_group(name)):
+            for p in primes:
+                want = _filter_outcome(reference_local_filter, fd, Place(p))
+                assert _filter_outcome(galois._local_filter, fd, Place(p)) == want, (name, fd.id, p)
+                pairs += 1
+    assert pairs == 7722
 
 
 def test_gaussian_period_polynomials():

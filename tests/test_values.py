@@ -24,7 +24,7 @@ FIELDS = {
     "Place": ("prime",),
     "BrauerClass": ("ramified",),
     "GroupDescriptor": ("kind", "invariant_factors"),
-    "FactorDescriptor": ("id", "kind", "conductor", "e_kind", "split", "note"),
+    "FactorDescriptor": ("id", "kind", "conductor", "e_kind", "note"),
     "DiagonalForm": ("entries",),
     "GramMatrix": ("rows",),
     "SplitAlgebra": ("group",),
@@ -52,7 +52,7 @@ def _pairs():
         (brauer.cup(-1, -1), brauer.TRIVIAL),
         (GroupDescriptor("D4"), GroupDescriptor("abelian", (2, 4))),
         (factors.decompose(GroupDescriptor.cyclic(8))[-1],
-         factors.FactorDescriptor("x", FactorKind.DEGREE_ONE, 3, "Q", True, note="n")),
+         factors.FactorDescriptor("x", FactorKind.DEGREE_ONE, 3, "Q", note="n")),
         (forms.DiagonalForm([1, F(1, 2)]), forms.DiagonalForm([1, 2])),
         (forms.GramMatrix([[1, F(1, 2)], [F(1, 2), 5]]), forms.GramMatrix([[2, 1], [1, 1]])),
         (galois.SplitAlgebra(GroupDescriptor.cyclic(8)), galois.SplitAlgebra(GroupDescriptor("D4"))),
@@ -142,8 +142,8 @@ def test_keywords_and_defaults():
     assert GroupDescriptor("D4") == GroupDescriptor("D4", ()) == GroupDescriptor(kind="D4")
     entry = galois.InvariantEntry("std3", "c", "computed", brauer.TRIVIAL, note="conditional")
     assert entry.note == "conditional" and galois.InvariantEntry("x", "c", "zero", None).note == ""
-    fd = factors.FactorDescriptor("x", FactorKind.DEGREE_ONE, 3, "Q", True, note="n")
-    assert fd.note == "n" and factors.FactorDescriptor("x", FactorKind.DEGREE_ONE, 3, "Q", True).note == ""
+    fd = factors.FactorDescriptor("x", FactorKind.DEGREE_ONE, 3, "Q", note="n")
+    assert fd.note == "n" and factors.FactorDescriptor("x", FactorKind.DEGREE_ONE, 3, "Q").note == ""
     assert galois.CyclicQuadratic(n=3, z=3) == galois.CyclicQuadratic(3, "3")
 
 
@@ -155,7 +155,7 @@ def test_checks_still_run_at_construction():
         lambda: exact.FactoredRational(1, ((3, 1), (2, 1))),
         lambda: GroupDescriptor("Q8"),
         lambda: GroupDescriptor("abelian", (4, 2)),
-        lambda: factors.FactorDescriptor("x", FactorKind.DEGREE_ONE, 3, "R", True),
+        lambda: factors.FactorDescriptor("x", FactorKind.DEGREE_ONE, 3, "R"),
         lambda: galois.Decision(galois.VERDICT_NO, ()),
         lambda: galois.Decision(galois.VERDICT_YES, (galois.CertificateRow("h1", None, "H1", False, ""),)),
     ):
